@@ -90,7 +90,6 @@ def pseudo_balayage(
     omega: Measure,
     support: SupportSet,
     tol: float = SOLVER_TOL,
-    max_iter: int = 1000,
     h: float | None = None,
     w0: np.ndarray | None = None,
 ) -> BalayageResult:
@@ -104,7 +103,7 @@ def pseudo_balayage(
     Q = kernel.restrict(support)
     b = (kernel.entries @ omega.weights)[idx]
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
-    w_sub, report = solve_cone_qp(ConeQpProblem(Q, b), tol=tol, max_iter=max_iter, w0=start)
+    w_sub, report = solve_cone_qp(ConeQpProblem(Q, b), tol=tol, w0=start)
 
     w = np.zeros(kernel.size)
     w[idx] = w_sub
@@ -190,7 +189,6 @@ def restricted_problem_value(
     support: SupportSet,
     mass_cap: float,
     tol: float = SOLVER_TOL,
-    max_iter: int = 1000,
 ) -> float:
     """Least weighted energy over positive measures on the set of mass <= cap.
 
@@ -203,14 +201,12 @@ def restricted_problem_value(
         raise ValueError("mass_cap must be nonnegative")
     if mass_cap == 0.0:
         return 0.0
-    bal = pseudo_balayage(kernel, omega, support, tol=tol, max_iter=max_iter)
+    bal = pseudo_balayage(kernel, omega, support, tol=tol)
     if bal.mass <= mass_cap * (1.0 + 1e-12) + tol:
         return bal.value
     idx = support.as_array()
     Q = kernel.restrict(support)
     b = (kernel.entries @ omega.weights)[idx]
-    v, _ = solve_simplex_qp(
-        SimplexQpProblem(Q, -b / mass_cap), tol=tol, max_iter=max_iter
-    )
+    v, _ = solve_simplex_qp(SimplexQpProblem(Q, -b / mass_cap), tol=tol)
     w = mass_cap * v
     return float(w @ (Q @ w) - 2.0 * (b @ w))

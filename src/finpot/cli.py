@@ -35,10 +35,15 @@ from .core import (
     SizeMismatchError,
     SupportSet,
     dumps_canonical,
-    energy_distance,
 )
-from .experiments import EmptyIntersection, monotone_up, monotone_down, solvability_scan
-from .gauss import capacitary_measure, solvability_check, solve_gauss
+from .experiments import (
+    EmptyIntersection,
+    ThreadCountError,
+    monotone_down,
+    monotone_up,
+    solvability_scan,
+)
+from .gauss import capacitary_measure, minimizer_is_sweep, solvability_check, solve_gauss
 from .instances import ChargeOnNode, DuplicatePoints, InstanceSpec, assemble, thinness_series
 from .qp import (
     ConeQpProblem,
@@ -168,25 +173,18 @@ def _load_problem(cfg: dict, need_omega: bool = True):
             kernel = KernelMatrix.from_json(kobj)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid kernel: {exc}") from None
-    if "omega" not in cfg:
-        if not need_omega:
-            omega = Measure.zero(kernel.size)
-            sup = cfg.get("support", "all")
-            try:
-                support = SupportSet.full(kernel.size) if sup == "all" else SupportSet(sup)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid support: {exc}") from None
-            if support.indices[-1] >= kernel.size:
-                raise ConfigError("support indices exceed the kernel size")
-            return kernel, omega, support, cfg.get("h"), None
+    if "omega" in cfg:
+        try:
+            omega = Measure.from_json(cfg["omega"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid omega: {exc}") from None
+        scale = cfg.get("omega_scale")
+        if scale is not None:
+            omega = omega.scaled(float(scale))
+    elif need_omega:
         raise ConfigError("raw-kernel configs need an 'omega' measure")
-    try:
-        omega = Measure.from_json(cfg["omega"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid omega: {exc}") from None
-    scale = cfg.get("omega_scale")
-    if scale is not None:
-        omega = omega.scaled(float(scale))
+    else:
+        omega = Measure.zero(kernel.size)
     sup = cfg.get("support", "all")
     try:
         support = SupportSet.full(kernel.size) if sup == "all" else SupportSet(sup)
@@ -286,9 +284,7 @@ def _cmd_gauss(cfg: dict) -> int:
     _maybe_export_nodes(cfg, "gauss", inst)
     res = solve_gauss(kernel, omega, support, tol=tol)
     bal = pseudo_balayage(kernel, omega, support, tol=tol, h=h)
-    matches = abs(bal.mass - 1.0) <= 100 * tol and energy_distance(
-        kernel, res.measure, bal.measure
-    ) <= 1e-6
+    matches = minimizer_is_sweep(kernel, res, bal, tol)
     payload = {
         "gauss": res.to_json(),
         "balayage_mass": bal.mass,
@@ -548,7 +544,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NotPositiveDefinite, DuplicatePoints, ChargeOnNode, NotNested,
-            EmptyIntersection, SizeMismatchError) as exc:
+            EmptyIntersection, SizeMismatchError, ThreadCountError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CharacterizationViolated as exc:

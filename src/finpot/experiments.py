@@ -26,12 +26,16 @@ from .core import (
     SupportSet,
     energy_distance,
 )
-from .gauss import capacitary_measure, solve_gauss
+from .gauss import _require_increasing_chain, capacitary_measure, solve_gauss
 from .instances import Instance
 
 
 class EmptyIntersection(ValueError):
     """A decreasing chain of support sets has empty intersection."""
+
+
+class ThreadCountError(ValueError):
+    """The ``BALAYAGE_THREADS`` environment variable is not an integer."""
 
 
 @dataclass(frozen=True)
@@ -143,11 +147,7 @@ def monotone_up(
     reproduces the sweep onto the full target (exactly, on a finite
     universe).
     """
-    if not chain:
-        raise ValueError("chain must be nonempty")
-    for a, b in zip(chain, chain[1:]):
-        if not (a.as_set() < b.as_set()):
-            raise NotNested("chain must be strictly increasing")
+    _require_increasing_chain(chain)
     results = _solve_chain(kernel, omega, chain, tol, warm=True)
     return _convergence_report(kernel, omega, chain, results, "up", tol)
 
@@ -260,7 +260,10 @@ def _thread_count(requested: int | None) -> int:
     if requested is not None:
         return max(1, requested)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ThreadCountError(f"BALAYAGE_THREADS must be an integer, got {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 

@@ -135,7 +135,6 @@ def solve_gauss(
     omega: Measure,
     support: SupportSet,
     tol: float = SOLVER_TOL,
-    max_iter: int = 1000,
     w0: np.ndarray | None = None,
 ) -> GaussResult:
     """Minimize the weighted energy over probability measures on ``support``.
@@ -150,9 +149,7 @@ def solve_gauss(
     Q = kernel.restrict(support)
     b = (kernel.entries @ omega.weights)[idx]
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
-    w_sub, report = solve_simplex_qp(
-        SimplexQpProblem(Q, -b), tol=tol, max_iter=max_iter, w0=start
-    )
+    w_sub, report = solve_simplex_qp(SimplexQpProblem(Q, -b), tol=tol, w0=start)
 
     w = np.zeros(kernel.size)
     w[idx] = w_sub
@@ -184,7 +181,6 @@ def capacitary_measure(
     kernel: KernelMatrix,
     support: SupportSet,
     tol: float = SOLVER_TOL,
-    max_iter: int = 1000,
 ) -> CapacityResult:
     """Capacitary measure and capacity of a node set.
 
@@ -193,7 +189,7 @@ def capacitary_measure(
     result is 1 on the support and at least 1 on the whole set; the total
     mass of the rescaled measure is the capacity.
     """
-    res = solve_gauss(kernel, Measure.zero(kernel.size), support, tol=tol, max_iter=max_iter)
+    res = solve_gauss(kernel, Measure.zero(kernel.size), support, tol=tol)
     min_energy = res.value
     gamma = res.measure.scaled(1.0 / min_energy)
     idx = support.as_array()
@@ -216,13 +212,21 @@ def capacitary_measure(
     )
 
 
+def minimizer_is_sweep(
+    kernel: KernelMatrix, gauss: GaussResult, bal: BalayageResult, tol: float
+) -> bool:
+    """Whether the Gauss minimizer is the sweep: unit swept mass, zero energy distance."""
+    return abs(bal.mass - 1.0) <= tol and energy_distance(
+        kernel, gauss.measure, bal.measure
+    ) <= max(1e-7, 10.0 * tol)
+
+
 def solvability_check(
     kernel: KernelMatrix,
     omega: Measure,
     support: SupportSet,
     tol: float = SOLVER_TOL,
     capacity_finite: bool = True,
-    max_iter: int = 1000,
 ) -> SolvabilityOutcome:
     """Classify the weighted problem as solvable or (in truncation regime) not.
 
@@ -234,12 +238,10 @@ def solvability_check(
     the mass is exactly 1), below 1 the minimizing sequences lose mass and
     the limiting measure is the sweep itself, of deficient mass.
     """
-    bal = pseudo_balayage(kernel, omega, support, tol=tol, max_iter=max_iter)
+    bal = pseudo_balayage(kernel, omega, support, tol=tol)
     if capacity_finite or bal.mass >= 1.0 - tol:
-        res = solve_gauss(kernel, omega, support, tol=tol, max_iter=max_iter)
-        matches = abs(bal.mass - 1.0) <= tol and energy_distance(
-            kernel, res.measure, bal.measure
-        ) <= max(1e-7, 10.0 * tol)
+        res = solve_gauss(kernel, omega, support, tol=tol)
+        matches = minimizer_is_sweep(kernel, res, bal, tol)
         status = SOLVABLE if capacity_finite else SOLVABLE_VIA_BALAYAGE
         return SolvabilityOutcome(
             status=status,
@@ -279,7 +281,6 @@ def extremal_diagnostic(
     omega: Measure,
     nested: Sequence[SupportSet],
     tol: float = SOLVER_TOL,
-    max_iter: int = 1000,
 ) -> ExtremalDiagnostic:
     """Solve the weighted problem along an increasing chain ending at A.
 
@@ -294,7 +295,7 @@ def extremal_diagnostic(
     prev: np.ndarray | None = None
     res = None
     for stage in nested:
-        res = solve_gauss(kernel, omega, stage, tol=tol, max_iter=max_iter, w0=prev)
+        res = solve_gauss(kernel, omega, stage, tol=tol, w0=prev)
         values.append(res.value)
         constants.append(res.equilibrium_constant)
         prev = res.measure.weights

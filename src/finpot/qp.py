@@ -6,20 +6,22 @@ definite ``Q``:
 * cone:    minimize ``w @ Q @ w - 2 b @ w``  over  ``w >= 0``
 * simplex: minimize ``w @ Q @ w + 2 f @ w``  over  ``w >= 0, sum(w) = 1``
 
-The solver strategy is a projected gradient phase with adaptive
-Barzilai-Borwein steps and monotone safeguarding, followed by an active-set
-polish that solves the reduced linear system on the detected support.  The
-polish drives complementarity to machine precision, which the downstream
-certification relies on.  Exhaustive small-instance oracles
-(:func:`brute_force_cone`, :func:`brute_force_simplex`) enumerate supports
-and serve as the independent ground truth in the test suite.
+Both are solved by one engine, :func:`_block_pivot`: block principal
+pivoting (the primal-dual active set method) with Murty's single-pivot
+backup.  Each step solves the reduced linear system on a candidate free set
+(``Q_FF w = b_F`` for the cone, a system bordered by the mass constraint for
+the simplex), so the final iterate satisfies complementarity up to
+linear-solve roundoff, which the downstream certification relies on.
+Exhaustive small-instance oracles (:func:`brute_force_cone`,
+:func:`brute_force_simplex`) enumerate supports and serve as the
+independent ground truth in the test suite.
 
-Solvers are pure and deterministic given ``(problem, tol, max_iter, w0)``.
+Solvers are pure and deterministic given ``(problem, tol, w0)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,8 +124,8 @@ class KktReport:
     All residuals are nonnegative maxima of violation magnitudes.  For the
     simplex problem ``multiplier`` is the Lagrange constant c of the mass
     constraint in the convention ``(Q w + f)_i >= c`` with equality on the
-    support; for the cone problem it is ``None``.  ``objective_trace`` lists
-    the objective after every accepted step (nonincreasing by construction).
+    support; for the cone problem it is ``None``.  ``iterations`` counts the
+    reduced linear solves of the active-set engine.
     """
 
     stationarity_residual: float
@@ -131,7 +133,6 @@ class KktReport:
     feasibility_residual: float
     multiplier: float | None = None
     iterations: int = 0
-    objective_trace: tuple = field(default=())
 
     def to_json(self) -> dict:
         return {
@@ -172,150 +173,91 @@ def _simplex_residuals(
     return stationarity, complementarity, feasibility
 
 
-def _pg_descent(objective, gradient, project, w0, max_iter, stop):
-    """Monotone projected gradient with Barzilai-Borwein step proposals.
+# Reduced solves allowed per QP.  Full exchanges settle in a handful; the cap
+# bounds a long run of single pivots on a pathological instance.
+_MAX_SOLVES = 100
+# Full exchanges tolerated without a fall in the infeasible count before the
+# single-pivot backup takes over (the value used by Kim & Park, 2011).
+_BACKUP_ROUNDS = 3
 
-    A step is accepted only if it does not increase the objective, so the
-    returned trace is nonincreasing.  ``stop(w)`` terminates the phase early.
+
+def _block_pivot(reduced_solve, free: np.ndarray, dual_eps: float):
+    """Block principal pivoting on the optimality system of a strictly convex QP.
+
+    ``reduced_solve(free)`` solves the equality-constrained system on the
+    free set and returns ``(w, y, c)``: the primal ``w`` (zero off the free
+    set), the dual ``y`` (the half-gradient, shifted by the multiplier ``c``
+    of the simplex problem; ``c`` is ``None`` for the cone).  An index is
+    infeasible when ``w_i < 0`` on the free set or ``y_i < -dual_eps`` off
+    it.  Every infeasible index changes sides while their count keeps
+    falling; after ``_BACKUP_ROUNDS`` exchanges without a fall only the
+    largest infeasible index does (Murty's rule), which terminates finitely
+    on a P-matrix (Judice & Pires, 1994).  Returns ``(w, c, solves)``; when
+    the budget runs out, ``w`` is the iterate with the fewest infeasible
+    indices.
     """
-    w = project(np.array(w0, dtype=float))
-    obj = objective(w)
-    trace = [obj]
-    g = gradient(w)
-    gmax = float(np.max(np.abs(g)))
-    t = 1.0 / max(gmax, 1.0)
-    for _ in range(max_iter):
-        if stop(w):
-            break
-        accepted = False
-        step = t
-        for _ in range(40):
-            w_new = project(w - step * g)
-            d = w_new - w
-            if float(np.max(np.abs(d))) == 0.0:
-                break
-            obj_new = objective(w_new)
-            if obj_new <= obj:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        g_new = gradient(w_new)
-        dg = g_new - g
-        dd = float(d @ d)
-        ddg = float(d @ dg)
-        t = min(max(dd / ddg, 1e-12), 1e12) if ddg > 0.0 else step
-        w, g, obj = w_new, g_new, obj_new
-        trace.append(obj)
-    return w, trace
+    fewest = free.size + 1
+    backup = _BACKUP_ROUNDS
+    best = None
+    for solves in range(1, _MAX_SOLVES + 1):
+        w, y, c = reduced_solve(free)
+        infeasible = np.where(free, w < 0.0, y < -dual_eps)
+        count = int(np.count_nonzero(infeasible))
+        if count == 0:
+            return w, c, solves
+        if count < fewest:
+            fewest, backup, best = count, _BACKUP_ROUNDS, (w, c)
+            free = free ^ infeasible
+        elif backup > 0:
+            backup -= 1
+            free = free ^ infeasible
+        else:
+            free = free.copy()
+            last = int(np.flatnonzero(infeasible)[-1])
+            free[last] = not free[last]
+    return best[0], best[1], _MAX_SOLVES
 
 
-def _cone_polish(p: ConeQpProblem, w_start: np.ndarray, active_tol: float, max_swaps: int):
-    """Active-set refinement on the support detected in ``w_start``.
+def _principal_submatrix(Q: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    # a full index set needs no gathered copy: the solve copies its input anyway
+    return Q if idx.size == Q.shape[0] else Q[np.ix_(idx, idx)]
 
-    Lawson-Hanson style loop: solve the reduced system on the free set, take
-    ratio-test steps while the trial point leaves the cone, then admit the
-    most violated dual index.  Terminates with exact complementarity on the
-    final support (up to linear-solve roundoff).
-    """
-    Q, b = p.Q, p.b
-    k = p.size
-    scale = max(1.0, float(np.max(np.abs(b))))
-    dual_eps = 1e-12 * scale
-    free = w_start > active_tol
-    w = np.where(free, np.maximum(w_start, 0.0), 0.0)
-    trace = []
 
-    def reduced_solve(mask):
-        z = np.zeros(k)
-        if mask.any():
-            idx = np.flatnonzero(mask)
-            z[idx] = np.linalg.solve(Q[np.ix_(idx, idx)], b[idx])
-        return z
-
-    for _ in range(max_swaps):
-        z = reduced_solve(free)
-        inner = 0
-        while free.any() and float(z[free].min()) < 0.0 and inner < k + 2:
-            bad = free & (z < 0.0) & (w > z)
-            if not bad.any():
-                break
-            alphas = w[bad] / (w[bad] - z[bad])
-            alpha = float(alphas.min())
-            w = w + alpha * (z - w)
-            w[~free] = 0.0
-            hit = free & (z <= 0.0) & (w <= dual_eps)
-            free[hit] = False
-            w[~free] = 0.0
-            z = reduced_solve(free)
-            inner += 1
-        if free.any() and float(z[free].min()) < 0.0:
-            # ratio steps stalled; drop the worst index outright
-            idx = np.flatnonzero(free)
-            free[idx[np.argmin(z[idx])]] = False
-            continue
-        w = np.where(free, z, 0.0)
-        trace.append(p.objective(w))
-        g = p.gradient(w)
-        candidates = np.flatnonzero(~free & (g < -dual_eps))
-        if candidates.size == 0:
-            return w, trace, True
-        free[candidates[np.argmin(g[candidates])]] = True
-    return w, trace, False
+def _cone_reduced_solve(Q: np.ndarray, b: np.ndarray, free: np.ndarray):
+    w = np.zeros(b.size)
+    idx = np.flatnonzero(free)
+    if idx.size:
+        w[idx] = np.linalg.solve(_principal_submatrix(Q, idx), b[idx])
+    return w, Q @ w - b, None
 
 
 def solve_cone_qp(
     p: ConeQpProblem,
     tol: float = SOLVER_TOL,
-    max_iter: int = 1000,
     w0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, KktReport]:
     """Minimize ``w @ Q @ w - 2 b @ w`` over the nonnegative cone.
 
-    Returns the minimizer and a :class:`KktReport` whose residuals satisfy
-    the ``tol`` contract: ``g_i >= -tol`` and ``|w_i g_i| <= tol`` for the
-    gradient ``g = 2 (Q w - b)``.  Raises :class:`MaxIterExceeded` with the
-    best iterate if the contract cannot be met within the budget.
+    Runs :func:`_block_pivot` from the free set ``w0 > 0`` (default
+    ``b > 0``).  Returns the minimizer and a :class:`KktReport` whose
+    residuals satisfy the ``tol`` contract: ``g_i >= -tol`` and
+    ``|w_i g_i| <= tol`` for the gradient ``g = 2 (Q w - b)``.  Raises
+    :class:`MaxIterExceeded` with the best iterate if the contract is not
+    met.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    k = p.size
-    # closed forms for the degenerate inputs
-    if k == 1:
-        w = np.array([max(float(p.b[0]), 0.0) / float(p.Q[0, 0])])
-        s, c, fe = _cone_residuals(p, w)
-        return w, KktReport(s, c, fe, None, 0, (p.objective(w),))
-    if float(p.b.max()) <= 0.0:
-        w = np.zeros(k)
-        s, c, fe = _cone_residuals(p, w)
-        return w, KktReport(s, c, fe, None, 0, (0.0,))
-
-    diag = np.diagonal(p.Q)
-    start = np.maximum(p.b, 0.0) / diag if w0 is None else np.maximum(np.asarray(w0, float), 0.0)
-    project = lambda v: np.maximum(v, 0.0)  # noqa: E731
-
-    def stop(w):
-        s, c, _ = _cone_residuals(p, w)
-        return max(s, c) <= 0.1 * tol
-
-    trace_all: list[float] = []
-    w = start
-    active_tol = 10.0 * tol
-    for _ in range(3):
-        w, trace = _pg_descent(p.objective, p.gradient, project, w, min(max_iter, 200), stop)
-        trace_all.extend(trace)
-        w, polish_trace, _ = _cone_polish(p, w, active_tol, max_swaps=3 * k + 30)
-        trace_all.extend(polish_trace)
-        s, c, fe = _cone_residuals(p, w)
-        if max(s, c, fe) <= tol:
-            report = KktReport(s, c, fe, None, len(trace_all), tuple(trace_all))
-            return w, report
+    Q, b = p.Q, p.b
+    free = b > 0.0 if w0 is None else np.asarray(w0, dtype=float) > 0.0
+    dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(b))))
+    w, _, solves = _block_pivot(lambda F: _cone_reduced_solve(Q, b, F), free, dual_eps)
     s, c, fe = _cone_residuals(p, w)
-    report = KktReport(s, c, fe, None, len(trace_all), tuple(trace_all))
-    raise MaxIterExceeded(
-        f"cone solver residuals {max(s, c, fe):.3e} exceed tol {tol:.3e}", w, report
-    )
+    report = KktReport(s, c, fe, None, solves)
+    if max(s, c, fe) > tol:
+        raise MaxIterExceeded(
+            f"cone solver residuals {max(s, c, fe):.3e} exceed tol {tol:.3e}", w, report
+        )
+    return w, report
 
 
 def _simplex_reduced_solve(Q, f, mask):
@@ -323,7 +265,7 @@ def _simplex_reduced_solve(Q, f, mask):
     idx = np.flatnonzero(mask)
     s = idx.size
     M = np.zeros((s + 1, s + 1))
-    M[:s, :s] = Q[np.ix_(idx, idx)]
+    M[:s, :s] = _principal_submatrix(Q, idx)
     M[:s, s] = -1.0
     M[s, :s] = 1.0
     rhs = np.concatenate([-f[idx], [1.0]])
@@ -333,100 +275,46 @@ def _simplex_reduced_solve(Q, f, mask):
     return z, float(sol[s])
 
 
-def _simplex_polish(p: SimplexQpProblem, w_start: np.ndarray, active_tol: float, max_swaps: int):
-    """Active-set refinement for the simplex problem; mirrors the cone polish."""
-    Q, f = p.Q, p.f
-    k = p.size
-    scale = max(1.0, float(np.max(np.abs(f))), float(np.max(np.abs(Q))))
-    dual_eps = 1e-12 * scale
-    support = w_start > active_tol
-    if not support.any():
-        support[int(np.argmax(w_start))] = True
-    w = np.where(support, np.maximum(w_start, 0.0), 0.0)
-    total = float(w.sum())
-    w = w / total if total > 0.0 else project_simplex(w)
-    trace = []
-    c = 0.0
-    for _ in range(max_swaps):
-        z, c = _simplex_reduced_solve(Q, f, support)
-        inner = 0
-        while float(z[support].min()) < 0.0 and support.sum() > 1 and inner < k + 2:
-            bad = support & (z < 0.0) & (w > z)
-            if not bad.any():
-                break
-            alphas = w[bad] / (w[bad] - z[bad])
-            alpha = float(alphas.min())
-            w = w + alpha * (z - w)
-            w[~support] = 0.0
-            hit = support & (z <= 0.0) & (w <= dual_eps)
-            support[hit] = False
-            w[~support] = 0.0
-            z, c = _simplex_reduced_solve(Q, f, support)
-            inner += 1
-        if float(z[support].min()) < 0.0 and support.sum() > 1:
-            idx = np.flatnonzero(support)
-            support[idx[np.argmin(z[idx])]] = False
-            continue
-        w = np.where(support, z, 0.0)
-        trace.append(p.objective(w))
-        eta = (Q @ w + f) - c
-        candidates = np.flatnonzero(~support & (eta < -dual_eps))
-        if candidates.size == 0:
-            return w, c, trace, True
-        support[candidates[np.argmin(eta[candidates])]] = True
-    return w, c, trace, False
+def _simplex_pivot_solve(Q: np.ndarray, f: np.ndarray, free: np.ndarray):
+    z, c = _simplex_reduced_solve(Q, f, free)
+    return z, Q @ z + f - c, c
 
 
 def solve_simplex_qp(
     p: SimplexQpProblem,
     tol: float = SOLVER_TOL,
-    max_iter: int = 1000,
     w0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, KktReport]:
     """Minimize ``w @ Q @ w + 2 f @ w`` over the probability simplex.
 
-    The report's ``multiplier`` is the constant c with ``(Q w + f)_i >= c``
-    everywhere and equality on the support.  Raises :class:`MaxIterExceeded`
-    if residuals above ``tol`` persist.
+    Runs :func:`_block_pivot` on the bordered system of the mass constraint,
+    from the free set ``w0 > 0`` (default, or when ``w0`` has no positive
+    entry: every index).  The report's ``multiplier`` is the constant c with
+    ``(Q w + f)_i >= c`` everywhere and equality on the support.  Raises
+    :class:`MaxIterExceeded` if residuals above ``tol`` persist.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    k = p.size
-    if k == 1:
+    Q, f = p.Q, p.f
+    if p.size == 1:
+        # the bordered solve would round the weight off exact 1.0
         w = np.array([1.0])
-        c = float(p.Q[0, 0] + p.f[0])
+        c = float(Q[0, 0] + f[0])
         s, comp, fe = _simplex_residuals(p, w, c)
-        return w, KktReport(s, comp, fe, c, 0, (p.objective(w),))
+        return w, KktReport(s, comp, fe, c, 0)
 
-    start = (
-        np.full(k, 1.0 / k) if w0 is None else project_simplex(np.asarray(w0, dtype=float))
-    )
-
-    def stop(w):
-        g = p.gradient(w)
-        sup = w > 10.0 * tol
-        c_est = float(np.min(g[sup])) / 2.0 if sup.any() else float(np.min(g)) / 2.0
-        s, comp, _ = _simplex_residuals(p, w, c_est)
-        return max(s, comp) <= 0.1 * tol
-
-    trace_all: list[float] = []
-    w = start
-    active_tol = 10.0 * tol
-    c = 0.0
-    for _ in range(3):
-        w, trace = _pg_descent(p.objective, p.gradient, project_simplex, w, min(max_iter, 200), stop)
-        trace_all.extend(trace)
-        w, c, polish_trace, _ = _simplex_polish(p, w, active_tol, max_swaps=3 * k + 30)
-        trace_all.extend(polish_trace)
-        s, comp, fe = _simplex_residuals(p, w, c)
-        if max(s, comp, fe) <= tol:
-            report = KktReport(s, comp, fe, c, len(trace_all), tuple(trace_all))
-            return w, report
+    free = np.ones(p.size, dtype=bool) if w0 is None else np.asarray(w0, dtype=float) > 0.0
+    if not free.any():
+        free[:] = True
+    dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(f))), float(np.max(np.abs(Q))))
+    w, c, solves = _block_pivot(lambda F: _simplex_pivot_solve(Q, f, F), free, dual_eps)
     s, comp, fe = _simplex_residuals(p, w, c)
-    report = KktReport(s, comp, fe, c, len(trace_all), tuple(trace_all))
-    raise MaxIterExceeded(
-        f"simplex solver residuals {max(s, comp, fe):.3e} exceed tol {tol:.3e}", w, report
-    )
+    report = KktReport(s, comp, fe, c, solves)
+    if max(s, comp, fe) > tol:
+        raise MaxIterExceeded(
+            f"simplex solver residuals {max(s, comp, fe):.3e} exceed tol {tol:.3e}", w, report
+        )
+    return w, report
 
 
 _BRUTE_FORCE_LIMIT = 14

@@ -48,6 +48,21 @@ def sphere_instance(count=48, charge_mass=1.0):
     }
 
 
+def shell_family_config():
+    fam = []
+    for shells in (2, 3):
+        fam.append(
+            {
+                "dimension": 3,
+                "kernel": {"type": "riesz", "alpha": 2.0},
+                "geometry": {"type": "shell_union", "q": 2.0, "counts": [32] * shells},
+                "regularization": {"type": "nn-half"},
+                "charge": [{"point": [0.3, 0.0, 0.0], "mass": 1.0}],
+            }
+        )
+    return {"schema": "finpot-config/1", "family": fam, "scalings": [1.0]}
+
+
 def read_report(outdir: Path, command: str) -> dict:
     report = json.loads((outdir / f"{command}-report.json").read_text())
     validate_report(report)
@@ -133,27 +148,25 @@ def test_solvability_single_and_family(tmp_path):
     report = read_report(out, "solvability")
     assert report["result"]["status"] == "solvable"
 
-    fam = []
-    for shells in (2, 3):
-        fam.append(
-            {
-                "dimension": 3,
-                "kernel": {"type": "riesz", "alpha": 2.0},
-                "geometry": {"type": "shell_union", "q": 2.0, "counts": [32] * shells},
-                "regularization": {"type": "nn-half"},
-                "charge": [{"point": [0.3, 0.0, 0.0], "mass": 1.0}],
-            }
-        )
-    cfg2 = write_config(
-        tmp_path,
-        "family.json",
-        {"schema": "finpot-config/1", "family": fam, "scalings": [1.0]},
-    )
+    cfg2 = write_config(tmp_path, "family.json", shell_family_config())
     out2 = tmp_path / "family"
     assert main(["solvability", "--config", str(cfg2), "--out", str(out2)]) == EXIT_OK
     report2 = read_report(out2, "solvability")
     assert report2["result"]["rows"][0]["verdict"] == "stabilizes"
     assert (out2 / "solvability-report.csv").exists()
+
+
+def test_gauss_identification_agrees_with_solvability_check(tmp_path):
+    # swept mass 1 + 5e-8: outside tol of unit mass, so the minimizer is not the sweep
+    cfg = raw_config("mass_one.json")
+    cfg["omega_scale"] = 1.0 + 5e-8
+    path = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert main(["gauss", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert main(["solvability", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    from_gauss = read_report(out, "gauss")["result"]["lambda_equals_balayage"]
+    from_check = read_report(out, "solvability")["result"]["lambda_equals_balayage"]
+    assert from_gauss is from_check is False
 
 
 def test_verify_bundled_fixtures(tmp_path):
@@ -234,6 +247,14 @@ def test_bad_support_exits_4(tmp_path):
     cfg["support"] = [0, 99]
     path = write_config(tmp_path, "c.json", cfg)
     assert main(["balayage", "--config", str(path)]) == EXIT_CONFIG
+
+
+def test_non_integer_thread_count_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BALAYAGE_THREADS", "abc")
+    path = write_config(tmp_path, "family.json", shell_family_config())
+    assert main(["solvability", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "BALAYAGE_THREADS" in err
 
 
 def test_verify_missing_fixture_dir_exits_4(tmp_path):
