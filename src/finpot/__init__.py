@@ -18,7 +18,6 @@ from .balayage import (
 from .core import (
     ARITHMETIC_TOL,
     SOLVER_TOL,
-    Field,
     KernelMatrix,
     Measure,
     NotNested,
@@ -31,7 +30,6 @@ from .core import (
     gauss_functional,
     mutual_energy,
     potential,
-    weighted_potential,
 )
 from .gauss import (
     CapacityResult,
@@ -60,8 +58,6 @@ from .instances import (
     Sphere,
     ThinnessReport,
     assemble,
-    build_kernel_matrix,
-    field_from_charge,
     thinness_series,
 )
 from .qp import (
@@ -72,7 +68,6 @@ from .qp import (
     TooLarge,
     brute_force_cone,
     brute_force_simplex,
-    project_simplex,
     solve_cone_qp,
     solve_simplex_qp,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SOLVER_TOL, KernelMatrix, Measure, SupportSet, gauss_functional
+from .core import SOLVER_TOL, KernelMatrix, Measure, SupportSet, gauss_functional, potential
 from .qp import ConeQpProblem, KktReport, SimplexQpProblem, solve_cone_qp, solve_simplex_qp
 
 
@@ -85,6 +85,36 @@ class MassBoundReport:
         }
 
 
+def _gap(kernel: KernelMatrix, mu: Measure, omega_potential: np.ndarray) -> np.ndarray:
+    """Potential gap ``K @ mu - K @ omega``, given the charge potential ``K @ omega``."""
+    return potential(kernel, mu) - omega_potential
+
+
+def _certify(
+    label: str, gap: np.ndarray, w: np.ndarray, idx: np.ndarray, c: float, tol: float, **extra: float
+) -> None:
+    """Gate the variational characterization shared by every solve.
+
+    The gap must dominate the constant ``c`` at every node of the target set
+    ``idx`` (``potential_dominance``) and equal it on the support, the nodes
+    where ``w`` exceeds ``10 * tol`` (``support_equality``).  ``extra`` adds
+    the problem's own residuals.  Any residual above ``10 * tol`` raises
+    :class:`CharacterizationViolated` carrying the whole residual map.
+    """
+    gate = 10.0 * tol
+    on_support = idx[w[idx] > gate]
+    residuals = {
+        "potential_dominance": float(max(0.0, c - float(gap[idx].min()))),
+        "support_equality": float(np.max(np.abs(gap[on_support] - c))) if on_support.size else 0.0,
+        **extra,
+    }
+    bad = {k: v for k, v in residuals.items() if v > gate}
+    if bad:
+        raise CharacterizationViolated(
+            f"{label} certification failed: {bad} exceed gate {gate:.1e}", residuals
+        )
+
+
 def pseudo_balayage(
     kernel: KernelMatrix,
     omega: Measure,
@@ -100,32 +130,20 @@ def pseudo_balayage(
     the input.
     """
     idx = support.as_array()
+    u = potential(kernel, omega)
     Q = kernel.restrict(support)
-    b = (kernel.entries @ omega.weights)[idx]
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
-    w_sub, report = solve_cone_qp(ConeQpProblem(Q, b), tol=tol, w0=start)
+    w_sub, report = solve_cone_qp(ConeQpProblem(Q, u[idx]), tol=tol, w0=start)
 
     w = np.zeros(kernel.size)
     w[idx] = w_sub
     swept = Measure(w, omega.node_set_id)
     value = gauss_functional(kernel, omega, swept)
-
-    gap = kernel.entries @ w - kernel.entries @ omega.weights
-    residuals = {
-        "potential_dominance": float(max(0.0, -float(gap[idx].min()))),
-        "support_equality": 0.0,
-        "self_integral": abs(float(w @ gap)),
-        "value_sign": float(max(0.0, value)),
-    }
-    on_support = idx[w_sub > 10.0 * tol]
-    if on_support.size:
-        residuals["support_equality"] = float(np.max(np.abs(gap[on_support])))
-    gate = 10.0 * tol
-    bad = {k: v for k, v in residuals.items() if v > gate}
-    if bad:
-        raise CharacterizationViolated(
-            f"pseudo-balayage certification failed: {bad} exceed gate {gate:.1e}", residuals
-        )
+    gap = _gap(kernel, swept, u)
+    _certify(
+        "pseudo-balayage", gap, w, idx, 0.0, tol,
+        self_integral=abs(float(w @ gap)), value_sign=float(max(0.0, value)),
+    )
 
     bound = None if h is None else float(h) * omega.positive_part.mass
     return BalayageResult(measure=swept, value=value, kkt=report, mass=swept.mass, mass_bound=bound)
@@ -154,7 +172,7 @@ def verify_ii1(
     off[idx] = False
     if off.any() and float(np.max(np.abs(w[off]))) > tol:
         raise ValueError("nu must vanish off the target set")
-    gap = kernel.entries @ w - kernel.entries @ omega.weights
+    gap = _gap(kernel, nu, potential(kernel, omega))
     atom_gap_min = float(gap[idx].min())
     self_abs = abs(float(w @ gap))
     ok = atom_gap_min >= -tol and self_abs <= tol
@@ -206,7 +224,7 @@ def restricted_problem_value(
         return bal.value
     idx = support.as_array()
     Q = kernel.restrict(support)
-    b = (kernel.entries @ omega.weights)[idx]
+    b = potential(kernel, omega)[idx]
     v, _ = solve_simplex_qp(SimplexQpProblem(Q, -b / mass_cap), tol=tol)
     w = mass_cap * v
     return float(w @ (Q @ w) - 2.0 * (b @ w))

@@ -273,38 +273,6 @@ class SupportSet:
         return f"SupportSet(k={len(self)}{tag})"
 
 
-class Field:
-    """External field over the node universe.
-
-    ``origin`` records whether the values were supplied directly or derived
-    from a charge, in which case ``values == -(K @ omega)`` by construction.
-    """
-
-    ORIGIN_DIRECT = "direct"
-    ORIGIN_FROM_CHARGE = "from_charge"
-
-    __slots__ = ("values", "origin")
-
-    def __init__(self, values, origin: str = ORIGIN_DIRECT):
-        arr = np.array(values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("field values must be a nonempty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("field values must be finite")
-        if origin not in (self.ORIGIN_DIRECT, self.ORIGIN_FROM_CHARGE):
-            raise ValueError(f"unknown field origin {origin!r}")
-        arr.setflags(write=False)
-        self.values = arr
-        self.origin = origin
-
-    @classmethod
-    def from_charge(cls, kernel: KernelMatrix, omega: Measure) -> "Field":
-        return cls(-potential(kernel, omega), origin=cls.ORIGIN_FROM_CHARGE)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
 def _require_sizes(kernel: KernelMatrix, *measures: Measure) -> None:
     for mu in measures:
         if len(mu) != kernel.size:
@@ -345,16 +313,6 @@ def gauss_functional(kernel: KernelMatrix, omega: Measure, mu: Measure) -> float
     """
     _require_sizes(kernel, omega, mu)
     return energy(kernel, mu) - 2.0 * mutual_energy(kernel, mu, omega)
-
-
-def weighted_potential(kernel: KernelMatrix, field: Field, mu: Measure) -> np.ndarray:
-    """Field-shifted potential ``K @ mu + f``, componentwise."""
-    _require_sizes(kernel, mu)
-    if len(field) != kernel.size:
-        raise SizeMismatchError(
-            f"field has {len(field)} values but the kernel has {kernel.size} nodes"
-        )
-    return potential(kernel, mu) + field.values
 
 
 def dumps_canonical(obj) -> str:

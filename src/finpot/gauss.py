@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .balayage import BalayageResult, CharacterizationViolated, pseudo_balayage
+from .balayage import BalayageResult, CharacterizationViolated, _certify, _gap, pseudo_balayage
 from .core import (
     SOLVER_TOL,
     KernelMatrix,
@@ -30,6 +30,7 @@ from .core import (
     SupportSet,
     energy_distance,
     gauss_functional,
+    potential,
 )
 from .qp import KktReport, SimplexQpProblem, solve_simplex_qp
 
@@ -146,34 +147,21 @@ def solve_gauss(
     equilibrium conditions themselves.
     """
     idx = support.as_array()
+    u = potential(kernel, omega)
     Q = kernel.restrict(support)
-    b = (kernel.entries @ omega.weights)[idx]
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
-    w_sub, report = solve_simplex_qp(SimplexQpProblem(Q, -b), tol=tol, w0=start)
+    w_sub, report = solve_simplex_qp(SimplexQpProblem(Q, -u[idx]), tol=tol, w0=start)
 
     w = np.zeros(kernel.size)
     w[idx] = w_sub
     lam = Measure(w, omega.node_set_id)
     value = gauss_functional(kernel, omega, lam)
-    weighted = kernel.entries @ w - kernel.entries @ omega.weights
+    weighted = _gap(kernel, lam, u)
     c_integral = float(w @ weighted)
-    c_multiplier = float(report.multiplier)
-
-    gate = 10.0 * tol
-    residuals = {
-        "constant_agreement": abs(c_multiplier - c_integral),
-        "potential_dominance": float(max(0.0, c_integral - float(weighted[idx].min()))),
-        "support_equality": 0.0,
-        "mass": abs(lam.mass - 1.0),
-    }
-    on_support = idx[w_sub > 10.0 * tol]
-    if on_support.size:
-        residuals["support_equality"] = float(np.max(np.abs(weighted[on_support] - c_integral)))
-    bad = {k: v for k, v in residuals.items() if v > gate}
-    if bad:
-        raise CharacterizationViolated(
-            f"equilibrium certification failed: {bad} exceed gate {gate:.1e}", residuals
-        )
+    _certify(
+        "equilibrium", weighted, w, idx, c_integral, tol,
+        constant_agreement=abs(float(report.multiplier) - c_integral), mass=abs(lam.mass - 1.0),
+    )
     return GaussResult(measure=lam, value=value, equilibrium_constant=c_integral, kkt=report)
 
 
@@ -187,26 +175,17 @@ def capacitary_measure(
     Solves the chargeless minimum-energy problem over probability measures on
     the set and rescales the minimizer by its energy, so the potential of the
     result is 1 on the support and at least 1 on the whole set; the total
-    mass of the rescaled measure is the capacity.
+    mass of the rescaled measure is the capacity.  Both potential properties
+    are gated at ``10 * tol`` like every other solve and raise
+    :class:`~finpot.balayage.CharacterizationViolated` when they fail.
     """
     res = solve_gauss(kernel, Measure.zero(kernel.size), support, tol=tol)
     min_energy = res.value
     gamma = res.measure.scaled(1.0 / min_energy)
     idx = support.as_array()
-    pot = kernel.entries @ gamma.weights
+    pot = potential(kernel, gamma)
+    _certify("capacitary", pot, gamma.weights, idx, 1.0, tol)
     rng = (float(pot[idx].min()), float(pot[idx].max()))
-    gate = 10.0 * tol
-    if rng[0] < 1.0 - gate:
-        raise CharacterizationViolated(
-            f"equilibrium potential drops to {rng[0]} on the set", {"potential_min": rng[0]}
-        )
-    on_support = idx[gamma.weights[idx] > 10.0 * tol]
-    if on_support.size:
-        dev = float(np.max(np.abs(pot[on_support] - 1.0)))
-        if dev > gate:
-            raise CharacterizationViolated(
-                f"equilibrium potential deviates by {dev} on the support", {"support_dev": dev}
-            )
     return CapacityResult(
         gamma=gamma, capacity=gamma.mass, equilibrium_potential_range=rng, kkt=res.kkt
     )
@@ -250,8 +229,7 @@ def solvability_check(
             diagnostic=None,
             lambda_equals_balayage=matches,
         )
-    gap = kernel.entries @ bal.measure.weights - kernel.entries @ omega.weights
-    c_xi = float(bal.measure.weights @ gap)
+    c_xi = float(bal.measure.weights @ _gap(kernel, bal.measure, potential(kernel, omega)))
     diagnostic = ExtremalDiagnostic(
         sequence_values=(bal.value,),
         constants=(c_xi,),

@@ -6,6 +6,11 @@ deterministic function of it (no random sampling anywhere: spheres use the
 Fibonacci lattice, balls radially stratified Fibonacci shells, discs the
 sunflower layout).
 
+:func:`assemble` is the one assembly path.  Its universe is the geometry
+nodes followed by one auxiliary node per charge atom, so the charge is an
+ordinary measure on that universe and its potential at the nodes is read off
+the assembled matrix; no separate field is built.
+
 Kernel values between distinct points are exact.  The diagonal, infinite in
 the continuum, is replaced by the self-energy of a charge smeared at the
 local scale: ``r**(alpha - n)`` for the Riesz family and ``-log(r)`` for the
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Field, KernelMatrix, Measure, SupportSet
+from .core import KernelMatrix, Measure, SupportSet
 from .gauss import capacitary_measure
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -470,30 +475,15 @@ def _assemble_entries(spec: InstanceSpec, points: np.ndarray) -> np.ndarray:
     return (entries + entries.T) / 2.0
 
 
-def build_kernel_matrix(spec: InstanceSpec) -> KernelMatrix:
-    """Kernel matrix on the geometry nodes alone (charges not included).
-
-    For logarithmic specs the disc rescale uses the same map as the full
-    assembly (charge atoms included in the extent), so this node block
-    agrees with the one inside :func:`assemble`.
-    """
-    points = generate_points(spec)
-    if isinstance(spec.kernel, LogKernel):
-        charges = np.asarray([a.point for a in spec.charge], dtype=float).reshape(
-            len(spec.charge), spec.dimension
-        )
-        points, _ = _log_rescale(spec, points, charges)
-    return KernelMatrix(_assemble_entries(spec, points))
-
-
 @dataclass(frozen=True)
 class Instance:
-    """Assembled instance: extended universe, kernel, target set, charge, field.
+    """Assembled instance: extended universe, kernel, target set, charge.
 
     The universe is the geometry nodes followed by one auxiliary node per
     charge atom; ``support`` covers exactly the geometry nodes.  Cross
-    entries between nodes and charges are exact kernel values, so the field
-    restricted to the support is exact.
+    entries between nodes and charges are exact kernel values, so the charge
+    potential ``potential(kernel, omega)`` restricted to the support is the
+    exact superposition of the atoms' kernel values.
     """
 
     spec: InstanceSpec
@@ -502,7 +492,6 @@ class Instance:
     kernel: KernelMatrix
     support: SupportSet
     omega: Measure
-    external_field: Field
     h: float
 
     def node_points(self) -> np.ndarray:
@@ -510,7 +499,7 @@ class Instance:
 
 
 def assemble(spec: InstanceSpec) -> Instance:
-    """Build the full instance: extended kernel, support set, charge, field."""
+    """Build the full instance: extended kernel, support set and charge."""
     nodes = generate_points(spec)
     charges = np.asarray([a.point for a in spec.charge], dtype=float).reshape(
         len(spec.charge), spec.dimension
@@ -532,47 +521,15 @@ def assemble(spec: InstanceSpec) -> Instance:
     w = np.zeros(points.shape[0])
     for j, atom in enumerate(spec.charge):
         w[n_nodes + j] += atom.mass
-    omega = Measure(w)
-    ext = Field.from_charge(kernel, omega)
     return Instance(
         spec=spec,
         points=points,
         n_nodes=n_nodes,
         kernel=kernel,
         support=support,
-        omega=omega,
-        external_field=ext,
+        omega=Measure(w),
         h=spec.ugaheri_constant(),
     )
-
-
-def field_from_charge(spec: InstanceSpec, kernel: KernelMatrix):
-    """Charge measure on the extended universe and the exact field on the nodes.
-
-    ``kernel`` is the geometry-only matrix of :func:`build_kernel_matrix`;
-    its size fixes the node count.  The returned field values are the exact
-    superposition ``-sum_k mass_k * kappa(x_i, y_k)`` (no regularization:
-    charge atoms are off the node set), and the measure lives on the
-    extended universe of nodes plus one auxiliary slot per atom.
-    """
-    nodes = generate_points(spec)
-    charges = np.asarray([a.point for a in spec.charge], dtype=float).reshape(
-        len(spec.charge), spec.dimension
-    )
-    if isinstance(spec.kernel, LogKernel):
-        nodes, charges = _log_rescale(spec, nodes, charges)
-    if nodes.shape[0] != kernel.size:
-        raise ValueError("kernel size does not match the spec geometry")
-    m = nodes.shape[0]
-    if not len(spec.charge):
-        return Measure.zero(m), Field(np.zeros(m), origin=Field.ORIGIN_FROM_CHARGE)
-    dists = np.linalg.norm(nodes[:, None, :] - charges[None, :, :], axis=2)
-    if float(dists.min()) < 1e-9:
-        raise ChargeOnNode("charge atoms must be placed off the node set")
-    masses = np.array([a.mass for a in spec.charge])
-    values = -(_kernel_values(spec.kernel, dists, spec.dimension) @ masses)
-    w = np.concatenate([np.zeros(m), masses])
-    return Measure(w), Field(values, origin=Field.ORIGIN_FROM_CHARGE)
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +589,7 @@ def thinness_series(
     alpha = spec.kernel.alpha
     caps: list[float] = []
     for j in range(len(g.counts)):
-        pts = shell_points(g, j, n)
-        if pts is None:
+        if g.counts[j] == 0:
             caps.append(0.0)
             continue
         sub = InstanceSpec(
@@ -642,9 +598,8 @@ def thinness_series(
             geometry=ShellUnion(g.q, tuple(0 if i != j else g.counts[i] for i in range(len(g.counts))), g.shrink),
             regularization=spec.regularization,
         )
-        kernel = KernelMatrix(_assemble_entries(sub, pts))
-        res = capacitary_measure(kernel, SupportSet(range(pts.shape[0])), tol=tol)
-        caps.append(res.capacity)
+        inst = assemble(sub)
+        caps.append(capacitary_measure(inst.kernel, inst.support, tol=tol).capacity)
     rate = g.q ** (np.arange(len(caps)) * (n - alpha))
     terms = np.asarray(caps) / rate
     sums = tuple(float(s) for s in np.cumsum(terms))

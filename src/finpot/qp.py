@@ -47,7 +47,7 @@ def _as_sym_matrix(Q) -> np.ndarray:
         raise ValueError("Q must be a nonempty square matrix")
     if not np.all(np.isfinite(arr)):
         raise ValueError("Q must be finite")
-    if not np.allclose(arr, arr.T, rtol=0.0, atol=0.0):
+    if not np.array_equal(arr, arr.T):
         raise ValueError("Q must be symmetric")
     arr.setflags(write=False)
     return arr
@@ -142,17 +142,6 @@ class KktReport:
             "multiplier": self.multiplier,
             "iterations": self.iterations,
         }
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    rho = np.nonzero(u + (1.0 - css) / j > 0.0)[0][-1]
-    theta = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + theta, 0.0)
 
 
 def _cone_residuals(p: ConeQpProblem, w: np.ndarray) -> tuple[float, float, float]:

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from finpot.core import KernelMatrix
+import finpot.balayage
+import finpot.gauss
+from finpot.core import KernelMatrix, Measure
 from finpot.fixtures import mixed_instance, random_spd_kernel
 
 
@@ -31,3 +35,49 @@ def double_loop_energy(entries: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> f
         for j in range(entries.shape[0]):
             total += mu[i] * entries[i, j] * nu[j]
     return total
+
+
+def nudged(w: np.ndarray) -> np.ndarray:
+    """Move 1% of the mass of ``w`` onto its first entry.
+
+    The result stays feasible for the cone and the simplex problem but
+    breaks the equality of the potential gap on the support, so every
+    certification must reject it.
+    """
+    out = 0.99 * np.asarray(w, dtype=float)
+    out[0] += 0.01
+    return out
+
+
+def _nudge_qp_solver(monkeypatch, module, name: str) -> None:
+    real = getattr(module, name)
+
+    def solve(problem, **kwargs):
+        w, report = real(problem, **kwargs)
+        return nudged(w), report
+
+    monkeypatch.setattr(module, name, solve)
+
+
+def break_cone_solver(monkeypatch) -> None:
+    """Make the sweep's cone solves return a nudged minimizer."""
+    _nudge_qp_solver(monkeypatch, finpot.balayage, "solve_cone_qp")
+
+
+def break_simplex_solver(monkeypatch) -> None:
+    """Make the Gauss problem's simplex solves return a nudged minimizer."""
+    _nudge_qp_solver(monkeypatch, finpot.gauss, "solve_simplex_qp")
+
+
+def break_gauss_solution(monkeypatch) -> None:
+    """Make ``solve_gauss``, as called by ``capacitary_measure``, return a nudged measure."""
+    real = finpot.gauss.solve_gauss
+
+    def solve(*args, **kwargs):
+        res = real(*args, **kwargs)
+        w = res.measure.weights.copy()
+        support = w > 0.0
+        w[support] = nudged(w[support])
+        return dataclasses.replace(res, measure=Measure(w))
+
+    monkeypatch.setattr(finpot.gauss, "solve_gauss", solve)

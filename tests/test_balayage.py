@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
 
+from conftest import break_cone_solver
 from finpot.balayage import (
+    CharacterizationViolated,
     mass_bound_check,
     pseudo_balayage,
     restricted_problem_value,
     verify_ii1,
 )
-from finpot.core import Measure, SupportSet, energy_distance, gauss_functional, potential
+from finpot.core import (
+    Measure,
+    SizeMismatchError,
+    SupportSet,
+    energy_distance,
+    gauss_functional,
+    potential,
+)
 from finpot.fixtures import mixed_instance, random_signed_measure, random_spd_kernel
 from finpot.instances import ChargeAtom, InstanceSpec, RieszKernel, Sphere, assemble
+from finpot.gauss import solve_gauss
 from finpot.qp import SimplexQpProblem, brute_force_simplex
 
 
@@ -124,6 +134,21 @@ def test_characterization_pins_down_the_sweep():
     other = pseudo_balayage(kernel, omega, support, w0=rng.random(kernel.size) * 2.0)
     assert verify_ii1(kernel, omega, support, other.measure).ok
     assert energy_distance(kernel, other.measure, result.measure) <= 1e-7
+
+
+def test_certification_rejects_a_perturbed_minimizer(monkeypatch):
+    kernel, omega, support, _ = first_nonvanishing(13, 11)
+    break_cone_solver(monkeypatch)
+    with pytest.raises(CharacterizationViolated) as err:
+        pseudo_balayage(kernel, omega, support)
+    assert err.value.residuals["support_equality"] > 10 * 1e-8
+
+
+@pytest.mark.parametrize("solve", [pseudo_balayage, solve_gauss])
+def test_charge_of_wrong_length_raises_size_mismatch(solve):
+    kernel, omega, support = mixed_instance(3, 8)
+    with pytest.raises(SizeMismatchError):
+        solve(kernel, Measure(np.append(omega.weights, 1.0)), support)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import break_cone_solver, break_gauss_solution, break_simplex_solver
 from finpot.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -277,6 +278,21 @@ def test_verify_corrupted_fixture_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert "broken.json" in err
+
+
+@pytest.mark.parametrize(
+    "command, breaker",
+    [
+        ("balayage", break_cone_solver),
+        ("gauss", break_simplex_solver),
+        ("capacity", break_gauss_solution),
+    ],
+)
+def test_failed_certification_exits_2(tmp_path, monkeypatch, capsys, command, breaker):
+    path = write_config(tmp_path, "c.json", {"schema": "finpot-config/1", "instance": sphere_instance()})
+    breaker(monkeypatch)
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == EXIT_INVARIANT
+    assert "invariant violated" in capsys.readouterr().err
 
 
 def test_verify_tampered_fixture_exits_2(tmp_path):

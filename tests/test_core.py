@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import double_loop_energy, double_loop_potential
 from finpot.core import (
-    Field,
     KernelMatrix,
     Measure,
     NotPositiveDefinite,
@@ -19,10 +18,9 @@ from finpot.core import (
     gauss_functional,
     mutual_energy,
     potential,
-    weighted_potential,
 )
 from finpot.fixtures import random_signed_measure, random_spd_kernel
-from finpot.instances import InstanceSpec, RieszKernel, Sphere, build_kernel_matrix
+from finpot.instances import InstanceSpec, RieszKernel, Sphere, assemble
 
 
 # ---------------------------------------------------------------------------
@@ -84,24 +82,9 @@ def test_gauss_functional_is_shifted_square():
     assert gauss_functional(K, omega, mu) == pytest.approx(expected, abs=1e-10)
 
 
-def test_weighted_potential_cases():
-    K = random_spd_kernel(15, 4)
-    omega = random_signed_measure(16, 4)
-    f = Field.from_charge(K, omega)
-    zero = Measure.zero(4)
-    assert np.allclose(weighted_potential(K, f, zero), f.values)
-    mu = random_signed_measure(17, 4)
-    f0 = Field(np.zeros(4))
-    assert np.allclose(weighted_potential(K, f0, mu), potential(K, mu))
-    expected = double_loop_potential(K.entries, mu.weights) + f.values
-    assert np.allclose(weighted_potential(K, f, mu), expected, atol=1e-12)
-
-
 def test_size_mismatch_raises(small_kernel):
     with pytest.raises(SizeMismatchError):
         potential(small_kernel, Measure.zero(small_kernel.size + 1))
-    with pytest.raises(SizeMismatchError):
-        weighted_potential(small_kernel, Field(np.zeros(2)), Measure.zero(small_kernel.size))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +110,7 @@ def test_check_energy_principle_rejects_indefinite():
 
 def test_regularized_riesz_sphere_matrix_is_pd():
     spec = InstanceSpec(3, RieszKernel(1.0), Sphere(1.0, 50))
-    kernel = build_kernel_matrix(spec)
+    kernel = assemble(spec).kernel
     assert kernel.pd_certificate.min_cholesky_pivot > 0.0
 
 
@@ -239,10 +222,3 @@ def test_kernel_roundtrip_and_csv(tmp_path, small_kernel):
     np.savetxt(path, small_kernel.entries, delimiter=",")
     loaded = KernelMatrix.from_csv(path)
     assert np.allclose(loaded.entries, small_kernel.entries, atol=1e-12)
-
-
-def test_field_from_charge_invariant(small_kernel):
-    omega = random_signed_measure(19, small_kernel.size)
-    f = Field.from_charge(small_kernel, omega)
-    assert f.origin == Field.ORIGIN_FROM_CHARGE
-    assert np.array_equal(f.values, -(small_kernel.entries @ omega.weights))

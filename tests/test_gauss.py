@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from finpot.balayage import pseudo_balayage
+from conftest import break_gauss_solution, break_simplex_solver
+from finpot.balayage import CharacterizationViolated, pseudo_balayage
 from finpot.core import (
     KernelMatrix,
     Measure,
@@ -80,6 +81,14 @@ def test_value_ordering_against_sweep():
     assert bal.value <= res.value + 1e-10
 
 
+def test_certification_rejects_a_perturbed_minimizer(monkeypatch):
+    kernel, omega, support, _ = nonvanishing_sweep(23, 12)
+    break_simplex_solver(monkeypatch)
+    with pytest.raises(CharacterizationViolated) as err:
+        solve_gauss(kernel, omega, support)
+    assert err.value.residuals["support_equality"] > 10 * 1e-8
+
+
 # ---------------------------------------------------------------------------
 # capacitary measures
 # ---------------------------------------------------------------------------
@@ -109,6 +118,14 @@ def test_capacity_monotone_in_the_set():
     small = capacitary_measure(kernel, SupportSet(range(4)))
     large = capacitary_measure(kernel, SupportSet(range(8)))
     assert small.capacity <= large.capacity + 1e-10
+
+
+def test_capacity_certification_rejects_a_perturbed_measure(monkeypatch):
+    kernel = random_spd_kernel(5, 10)
+    break_gauss_solution(monkeypatch)
+    with pytest.raises(CharacterizationViolated) as err:
+        capacitary_measure(kernel, SupportSet(range(8)))
+    assert err.value.residuals["support_equality"] > 10 * 1e-8
 
 
 def test_newtonian_sphere_capacity_near_radius():

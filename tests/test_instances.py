@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finpot.balayage import pseudo_balayage
+from finpot.core import potential
 from finpot.gauss import capacitary_measure
 from finpot.instances import (
     APPARENTLY_NOT_THIN,
@@ -21,9 +22,7 @@ from finpot.instances import (
     ShellUnion,
     Sphere,
     assemble,
-    build_kernel_matrix,
     fibonacci_sphere,
-    field_from_charge,
     generate_points,
     thinness_series,
 )
@@ -38,7 +37,7 @@ def test_two_point_riesz_entry_is_exact():
     spec = InstanceSpec(
         3, RieszKernel(1.0), Segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 2)
     )
-    kernel = build_kernel_matrix(spec)
+    kernel = assemble(spec).kernel
     # |x - y| = 1 so the off-diagonal entry is 1 ** (alpha - n) = 1
     assert kernel.entries[0, 1] == pytest.approx(1.0)
     # nearest-neighbor half regularization: (1/2) ** (1 - 3) = 4
@@ -47,9 +46,9 @@ def test_two_point_riesz_entry_is_exact():
 
 def test_log_kernel_entries_positive():
     spec = InstanceSpec(2, LogKernel(0.4), Sphere(1.0, 12, (0.0, 0.0)))
-    kernel = build_kernel_matrix(spec)
+    kernel = assemble(spec).kernel
     assert float(kernel.entries.min()) > 0.0
-    # the builder rescales the circle of radius 1 into the 0.4 disc, so the
+    # assembly rescales the circle of radius 1 into the 0.4 disc, so the
     # largest pairwise distance is 0.8 and -log of it stays positive
     assert -math.log(0.8) == pytest.approx(
         float(np.min(kernel.entries[np.triu_indices(12, 1)])), rel=1e-6
@@ -62,14 +61,14 @@ def test_log_kernel_exact_entry_at_distance():
     spec = InstanceSpec(
         2, LogKernel(0.4), Segment((-0.4, 0.0), (0.4, 0.0), 5)
     )
-    kernel = build_kernel_matrix(spec)
+    kernel = assemble(spec).kernel
     assert kernel.entries[0, 1] == pytest.approx(-math.log(0.2), rel=1e-12)
     assert kernel.entries[0, 1] == pytest.approx(1.6094, abs=1e-4)
 
 
 def test_fibonacci_sphere_matrix_is_pd_at_documented_resolution():
     spec = InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 100))
-    kernel = build_kernel_matrix(spec)
+    kernel = assemble(spec).kernel
     assert kernel.pd_certificate.min_cholesky_pivot > 0.0
 
 
@@ -85,7 +84,7 @@ def test_fibonacci_sphere_matrix_is_pd_at_documented_resolution():
 )
 def test_shipped_geometries_build_pd_matrices(geometry):
     spec = InstanceSpec(3, RieszKernel(1.5), geometry)
-    kernel = build_kernel_matrix(spec)
+    kernel = assemble(spec).kernel
     assert kernel.pd_certificate.min_cholesky_pivot > 0.0
     if isinstance(geometry, ShellUnion):
         assert kernel.size == sum(geometry.counts)
@@ -98,7 +97,7 @@ def test_fixed_length_regularization():
         Segment((0.0, 0.0, 0.0), (3.0, 0.0, 0.0), 4),
         regularization=FixedLength(0.25),
     )
-    kernel = build_kernel_matrix(spec)
+    kernel = assemble(spec).kernel
     assert np.allclose(np.diagonal(kernel.entries), 0.25 ** (2 - 3))
 
 
@@ -107,7 +106,7 @@ def test_duplicate_points_rejected():
         3, RieszKernel(2.0), Segment((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 3)
     )
     with pytest.raises(DuplicatePoints):
-        build_kernel_matrix(spec)
+        assemble(spec)
 
 
 def test_spec_validation():
@@ -130,60 +129,54 @@ def test_spec_validation():
 
 def test_zero_charge_gives_zero_field():
     spec = InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 20))
-    kernel = build_kernel_matrix(spec)
-    omega, field = field_from_charge(spec, kernel)
-    assert np.all(field.values == 0.0)
-    assert omega.mass == 0.0
+    inst = assemble(spec)
+    assert np.all(potential(inst.kernel, inst.omega) == 0.0)
+    assert inst.omega.mass == 0.0
+    assert inst.kernel.size == inst.n_nodes == 20
 
 
 def test_single_exterior_atom_field_is_negative():
     spec = InstanceSpec(
         3, RieszKernel(1.0), Sphere(1.0, 25), charge=(ChargeAtom((3.0, 0.0, 0.0), 1.0),)
     )
-    kernel = build_kernel_matrix(spec)
-    omega, field = field_from_charge(spec, kernel)
-    assert np.all(field.values < 0.0)
-    assert omega.mass == pytest.approx(1.0)
-    assert len(omega) == kernel.size + 1
+    inst = assemble(spec)
+    field = -potential(inst.kernel, inst.omega)[: inst.n_nodes]
+    assert np.all(field < 0.0)
+    assert inst.omega.mass == pytest.approx(1.0)
+    assert len(inst.omega) == inst.n_nodes + 1 == 26
 
 
 def test_field_exactness_against_double_loop():
     atoms = (ChargeAtom((2.5, 0.1, -0.3), 0.7), ChargeAtom((-1.9, 0.4, 2.2), -1.1))
     spec = InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 30), charge=atoms)
-    kernel = build_kernel_matrix(spec)
-    _, field = field_from_charge(spec, kernel)
+    inst = assemble(spec)
+    field = -potential(inst.kernel, inst.omega)[: inst.n_nodes]
     pts = generate_points(spec)
     expected = np.zeros(30)
     for i in range(30):
         for atom in atoms:
             d = math.dist(pts[i], atom.point)
             expected[i] -= atom.mass * d ** (2 - 3)
-    assert np.max(np.abs(field.values - expected)) <= 1e-12
+    assert np.max(np.abs(field - expected)) <= 1e-12
 
 
-def test_assembled_field_matches_extended_potential():
-    atoms = (ChargeAtom((2.0, 0.0, 0.0), 1.0),)
-    spec = InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 24), charge=atoms)
-    inst = assemble(spec)
-    geo = build_kernel_matrix(spec)
-    _, field = field_from_charge(spec, geo)
-    via_matrix = -(inst.kernel.entries @ inst.omega.weights)[: inst.n_nodes]
-    assert np.max(np.abs(via_matrix - field.values)) <= 1e-12
-
-
-def test_log_rescale_consistent_across_build_paths():
-    # the disc rescale must use one map: the node block of the assembled
-    # extended matrix and the geometry-only build have to agree, as do the
-    # field computed from atoms and the one read off the extended matrix
+def test_log_rescale_maps_nodes_and_charges_together():
+    # the disc rescale is one map for nodes and charge atoms: the field read
+    # off the assembled matrix is the exact -log superposition over the
+    # rescaled points, and the combined extent is the disc radius
     spec = InstanceSpec(
         2, LogKernel(0.4), Ball(1.0, 30, (0.0, 0.0)), charge=(ChargeAtom((3.0, 0.0), 1.0),)
     )
     inst = assemble(spec)
-    geo = build_kernel_matrix(spec)
-    assert np.allclose(geo.entries, inst.kernel.entries[:30, :30], atol=1e-13)
-    _, field = field_from_charge(spec, geo)
-    via_matrix = -(inst.kernel.entries @ inst.omega.weights)[:30]
-    assert np.max(np.abs(via_matrix - field.values)) <= 1e-12
+    field = -potential(inst.kernel, inst.omega)[:30]
+    expected = np.zeros(30)
+    for i in range(30):
+        for j in range(30, len(inst.omega)):
+            d = math.dist(inst.points[i], inst.points[j])
+            expected[i] -= inst.omega.weights[j] * -math.log(d)
+    assert np.max(np.abs(field - expected)) <= 1e-12
+    extent = np.linalg.norm(inst.points - inst.points.mean(axis=0), axis=1).max()
+    assert extent == pytest.approx(0.4, abs=1e-12)
 
 
 def test_charge_on_node_rejected():

@@ -19,7 +19,6 @@ from finpot.qp import (
     TooLarge,
     brute_force_cone,
     brute_force_simplex,
-    project_simplex,
     solve_cone_qp,
     solve_simplex_qp,
 )
@@ -216,7 +215,7 @@ def test_uniqueness_from_distinct_starts(seed):
     ps = random_simplex(seed, k=7, kmax=7)
     sols = []
     for _ in range(5):
-        w0 = project_simplex(rng.standard_normal(7))
+        w0 = rng.random(7) * (rng.random(7) < 0.6)
         w, _ = solve_simplex_qp(ps, w0=w0)
         sols.append(w)
     for a in sols:
@@ -257,40 +256,3 @@ def test_problem_validation():
         SimplexQpProblem(np.eye(2), [0.0])
     with pytest.raises(ValueError):
         solve_cone_qp(random_cone(0), tol=0.0)
-
-
-# ---------------------------------------------------------------------------
-# simplex projection properties
-# ---------------------------------------------------------------------------
-
-
-@given(st.integers(0, 10**6), st.integers(1, 30))
-@settings(max_examples=80)
-def test_project_simplex_feasible(seed, k):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(k) * rng.uniform(0.1, 10)
-    w = project_simplex(v)
-    assert np.all(w >= 0.0)
-    assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
-
-
-@given(st.integers(0, 10**6), st.integers(1, 12))
-@settings(max_examples=40)
-def test_project_simplex_fixes_feasible_points(seed, k):
-    rng = np.random.default_rng(seed)
-    w = rng.random(k)
-    w = w / w.sum()
-    assert np.max(np.abs(project_simplex(w) - w)) <= 1e-12
-
-
-@given(st.integers(0, 10**6), st.integers(2, 10))
-@settings(max_examples=40)
-def test_project_simplex_is_nearest_point(seed, k):
-    # the projection beats random feasible points in Euclidean distance
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(k) * 2.0
-    w = project_simplex(v)
-    for _ in range(20):
-        other = rng.random(k)
-        other = other / other.sum()
-        assert np.sum((v - w) ** 2) <= np.sum((v - other) ** 2) + 1e-12
