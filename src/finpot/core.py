@@ -103,44 +103,69 @@ def check_energy_principle(entries: np.ndarray, eig_check_max_size: int = 400) -
     return PdCertificate(method="cholesky", min_cholesky_pivot=pivot, eig_lower_bound=eig_lb)
 
 
+def frozen_float_array(data) -> np.ndarray:
+    """Read-only float64 array holding ``data``, copying only when it must.
+
+    An array that is already read-only float64, over memory that no writable
+    array can reach (every array it views is read-only as well), is adopted
+    as it is; anything else is copied and the copy frozen.  So a caller's
+    writable buffer is never shared, and a frozen one is never duplicated.
+    """
+    view = data
+    while isinstance(view, np.ndarray) and not view.flags.writeable:
+        if view.base is None:
+            if data.dtype == np.float64:
+                return data
+            break
+        view = view.base
+    arr = np.array(data, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 class KernelMatrix:
     """Symmetric, entrywise nonnegative, strictly positive definite matrix.
 
     The constructor validates all invariants (exact symmetry, nonnegative
-    entries, energy principle via :func:`check_energy_principle`) and freezes
-    the storage, so instances are immutable and safe to share between
-    threads.
+    entries, energy principle via :func:`check_energy_principle`) and keeps
+    the storage frozen (see :func:`frozen_float_array`), so instances are
+    immutable and safe to share between threads.
     """
 
     __slots__ = ("entries", "pd_certificate")
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
+        arr = frozen_float_array(entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError("kernel matrix must be square and nonempty")
         if not np.all(np.isfinite(arr)):
             raise ValueError("kernel entries must be finite; regularize the diagonal first")
-        if not np.array_equal(arr, arr.T):
-            raise ValueError("kernel matrix must be exactly symmetric")
         if float(arr.min()) < 0.0:
             raise ValueError("kernel entries must be nonnegative")
-        cert = check_energy_principle(arr)
-        arr.setflags(write=False)
+        self.pd_certificate = check_energy_principle(arr)  # also checks exact symmetry
         self.entries = arr
-        self.pd_certificate = cert
 
     @property
     def size(self) -> int:
         return int(self.entries.shape[0])
 
     def restrict(self, support: "SupportSet") -> np.ndarray:
-        """Principal submatrix on the given support (still strictly PD)."""
+        """Principal submatrix on the given support (still strictly PD), read-only.
+
+        A support that is one contiguous index run gets a view of
+        ``entries``; any other support gets a frozen gathered copy.
+        """
         idx = support.as_array()
-        if idx[-1] >= self.size:
+        lo, hi = int(idx[0]), int(idx[-1]) + 1
+        if hi > self.size:
             raise SizeMismatchError(
-                f"support index {int(idx[-1])} out of range for {self.size} nodes"
+                f"support index {hi - 1} out of range for {self.size} nodes"
             )
-        return self.entries[np.ix_(idx, idx)]
+        if hi - lo == idx.size:
+            return self.entries[lo:hi, lo:hi]
+        sub = self.entries[np.ix_(idx, idx)]
+        sub.setflags(write=False)
+        return sub
 
     def to_json(self) -> dict:
         return {"m": self.size, "entries": self.entries.tolist()}

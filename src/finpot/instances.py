@@ -417,27 +417,30 @@ def generate_points(spec: InstanceSpec) -> np.ndarray:
 
 
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix, built in one m×m buffer plus the gram matrix.
+
+    ``points @ points.T`` is evaluated as a symmetric rank-k update, so the
+    gram matrix, and with it every array derived from it entrywise, is
+    exactly symmetric.
+    """
     gram = points @ points.T
-    sq = np.diagonal(gram)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.fill_diagonal(d2, 0.0)
-    d = np.sqrt(np.maximum(d2, 0.0))
-    return (d + d.T) / 2.0
+    sq = np.diagonal(gram).copy()
+    d = np.add.outer(sq, sq)
+    gram *= 2.0
+    d -= gram
+    del gram
+    np.fill_diagonal(d, 0.0)
+    np.maximum(d, 0.0, out=d)
+    return np.sqrt(d, out=d)
 
 
-def _kernel_values(kernel, d: np.ndarray, dimension: int) -> np.ndarray:
+def _apply_kernel(kernel, d: np.ndarray, dimension: int) -> None:
+    """Replace the distances in ``d`` by kernel values, in place."""
     if isinstance(kernel, RieszKernel):
-        return d ** (kernel.alpha - dimension)
-    return -np.log(d)
-
-
-def _regularization_radii(spec: InstanceSpec, d: np.ndarray) -> np.ndarray:
-    if isinstance(spec.regularization, FixedLength):
-        return np.full(d.shape[0], spec.regularization.length)
-    if d.shape[0] == 1:
-        raise ValueError("nearest-neighbor regularization needs at least two points")
-    off = d + np.diag(np.full(d.shape[0], np.inf))
-    return off.min(axis=1) / 2.0
+        d **= kernel.alpha - dimension
+    else:
+        np.log(d, out=d)
+        np.negative(d, out=d)
 
 
 def _log_rescale(spec: InstanceSpec, points: np.ndarray, charges: np.ndarray):
@@ -459,20 +462,31 @@ def _log_rescale(spec: InstanceSpec, points: np.ndarray, charges: np.ndarray):
 
 
 def _assemble_entries(spec: InstanceSpec, points: np.ndarray) -> np.ndarray:
-    d = _pairwise_distances(points)
-    off = d + np.diag(np.full(d.shape[0], np.inf))
-    if float(off.min()) < 1e-12:
+    """Kernel matrix of ``points``, computed in the distance buffer and frozen."""
+    entries = _pairwise_distances(points)
+    # read while the diagonal is still zero; coincident points are reported first
+    too_wide = isinstance(spec.kernel, LogKernel) and float(entries.max()) >= 1.0
+    # off-diagonal minima: the duplicate test and the nearest-neighbor radii
+    np.fill_diagonal(entries, np.inf)
+    if float(entries.min()) < 1e-12:
         raise DuplicatePoints("two points coincide (or nearly so)")
-    if isinstance(spec.kernel, LogKernel) and float(d.max()) >= 1.0:
+    if too_wide:
         raise ValueError(
             "logarithmic kernel needs all pairwise distances below 1; "
             "reduce the disc radius (0.5 suffices for any shape)"
         )
-    radii = _regularization_radii(spec, d)
-    safe = d + np.eye(d.shape[0])
-    entries = _kernel_values(spec.kernel, safe, spec.dimension)
-    np.fill_diagonal(entries, _kernel_values(spec.kernel, radii, spec.dimension))
-    return (entries + entries.T) / 2.0
+    if isinstance(spec.regularization, FixedLength):
+        radii = np.full(entries.shape[0], spec.regularization.length)
+    elif entries.shape[0] == 1:
+        raise ValueError("nearest-neighbor regularization needs at least two points")
+    else:
+        radii = entries.min(axis=1) / 2.0
+    np.fill_diagonal(entries, 1.0)
+    _apply_kernel(spec.kernel, entries, spec.dimension)
+    _apply_kernel(spec.kernel, radii, spec.dimension)
+    np.fill_diagonal(entries, radii)
+    entries.setflags(write=False)
+    return entries
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ definite ``Q``:
 Both are solved by one engine, :func:`_block_pivot`: block principal
 pivoting (the primal-dual active set method) with Murty's single-pivot
 backup.  Each step solves the reduced linear system on a candidate free set
-(``Q_FF w = b_F`` for the cone, a system bordered by the mass constraint for
-the simplex), so the final iterate satisfies complementarity up to
-linear-solve roundoff, which the downstream certification relies on.
+(``Q_FF w = b_F`` for the cone; for the simplex the same matrix with a
+second right-hand side that carries the mass constraint), so the final
+iterate satisfies complementarity up to linear-solve roundoff, which the
+downstream certification relies on.
 Exhaustive small-instance oracles (:func:`brute_force_cone`,
 :func:`brute_force_simplex`) enumerate supports and serve as the
 independent ground truth in the test suite.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SOLVER_TOL
+from .core import SOLVER_TOL, frozen_float_array
 
 
 class MaxIterExceeded(RuntimeError):
@@ -42,14 +43,13 @@ class TooLarge(ValueError):
 
 
 def _as_sym_matrix(Q) -> np.ndarray:
-    arr = np.array(Q, dtype=float)
+    arr = frozen_float_array(Q)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError("Q must be a nonempty square matrix")
     if not np.all(np.isfinite(arr)):
         raise ValueError("Q must be finite")
     if not np.array_equal(arr, arr.T):
         raise ValueError("Q must be symmetric")
-    arr.setflags(write=False)
     return arr
 
 
@@ -249,8 +249,27 @@ def solve_cone_qp(
     return w, report
 
 
-def _simplex_reduced_solve(Q, f, mask):
-    """Equality-constrained solve on a candidate support; returns (z, c)."""
+def _simplex_reduced_solve(Q: np.ndarray, f: np.ndarray, mask: np.ndarray):
+    """Equality-constrained solve on a candidate support; returns (z, c).
+
+    One factorization of ``Q_FF`` serves both right-hand sides of
+    ``Q_FF [x0, x1] = [-f_F, 1]``; the mass constraint then fixes
+    ``c = (1 - sum x0) / sum x1`` (the denominator is positive because
+    ``Q_FF`` is positive definite) and ``z_F = x0 + c x1``.
+    """
+    idx = np.flatnonzero(mask)
+    rhs = np.empty((idx.size, 2))
+    rhs[:, 0] = -f[idx]
+    rhs[:, 1] = 1.0
+    x = np.linalg.solve(_principal_submatrix(Q, idx), rhs)
+    c = (1.0 - float(x[:, 0].sum())) / float(x[:, 1].sum())
+    z = np.zeros(f.size)
+    z[idx] = x[:, 0] + c * x[:, 1]
+    return z, c
+
+
+def _bordered_simplex_solve(Q, f, mask):
+    """The same solve through the bordered KKT matrix, kept for the oracle."""
     idx = np.flatnonzero(mask)
     s = idx.size
     M = np.zeros((s + 1, s + 1))
@@ -276,7 +295,7 @@ def solve_simplex_qp(
 ) -> tuple[np.ndarray, KktReport]:
     """Minimize ``w @ Q @ w + 2 f @ w`` over the probability simplex.
 
-    Runs :func:`_block_pivot` on the bordered system of the mass constraint,
+    Runs :func:`_block_pivot` on the reduced system of the mass constraint,
     from the free set ``w0 > 0`` (default, or when ``w0`` has no positive
     entry: every index).  The report's ``multiplier`` is the constant c with
     ``(Q w + f)_i >= c`` everywhere and equality on the support.  Raises
@@ -286,7 +305,7 @@ def solve_simplex_qp(
         raise ValueError("tol must be positive")
     Q, f = p.Q, p.f
     if p.size == 1:
-        # the bordered solve would round the weight off exact 1.0
+        # the reduced solve would round the weight off exact 1.0
         w = np.array([1.0])
         c = float(Q[0, 0] + f[0])
         s, comp, fe = _simplex_residuals(p, w, c)
@@ -355,7 +374,7 @@ def brute_force_simplex(p: SimplexQpProblem) -> np.ndarray:
     for mask_bits in range(1, 2**k):
         mask = np.array([(mask_bits >> i) & 1 == 1 for i in range(k)])
         try:
-            z, c = _simplex_reduced_solve(Q, f, mask)
+            z, c = _bordered_simplex_solve(Q, f, mask)
         except np.linalg.LinAlgError:
             continue
         if float(z[mask].min()) < -_BRUTE_SLACK:

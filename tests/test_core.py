@@ -222,3 +222,29 @@ def test_kernel_roundtrip_and_csv(tmp_path, small_kernel):
     np.savetxt(path, small_kernel.entries, delimiter=",")
     loaded = KernelMatrix.from_csv(path)
     assert np.allclose(loaded.entries, small_kernel.entries, atol=1e-12)
+
+
+def test_kernel_copies_a_writable_matrix_and_adopts_a_frozen_one(small_kernel):
+    source = np.array(small_kernel.entries)
+    K = KernelMatrix(source)
+    source[0, 1] = source[1, 0] = 0.0
+    assert np.array_equal(K.entries, small_kernel.entries)
+    assert not K.entries.flags.writeable
+
+    frozen = np.array(small_kernel.entries)
+    frozen.setflags(write=False)
+    assert np.shares_memory(KernelMatrix(frozen).entries, frozen)
+
+
+def test_restrict_is_read_only_and_views_contiguous_supports(small_kernel):
+    run = small_kernel.restrict(SupportSet([1, 2, 3]))
+    assert not run.flags.writeable
+    assert np.shares_memory(run, small_kernel.entries)
+    assert np.array_equal(run, small_kernel.entries[1:4, 1:4])
+
+    idx = [0, 2, 5]
+    gathered = small_kernel.restrict(SupportSet(idx))
+    assert not gathered.flags.writeable
+    assert np.array_equal(gathered, small_kernel.entries[np.ix_(idx, idx)])
+    with pytest.raises(SizeMismatchError):
+        small_kernel.restrict(SupportSet([4, 6]))

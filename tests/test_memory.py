@@ -1,0 +1,44 @@
+"""Working-memory bounds of assembly and of a solve, measured with tracemalloc.
+
+The dense kernel matrix caps the problem size, so the transient arrays around
+it are bounded in units of its own bytes: assembly may hold the distance
+buffer next to the gram matrix or the Cholesky factor next to the kernel, and
+a solve may hold one reduced matrix for its linear solves.
+"""
+
+import tracemalloc
+
+import pytest
+
+from finpot.gauss import solve_gauss
+from finpot.instances import ChargeAtom, InstanceSpec, RieszKernel, Sphere, assemble
+
+M = 600
+SPEC = InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, M), charge=(ChargeAtom((2.0, 0.0, 0.0), 1.0),))
+
+
+def peak_bytes(fn):
+    """Peak traced allocation of ``fn()`` above what was live when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def instance():
+    return assemble(SPEC)
+
+
+def test_assemble_peaks_within_two_and_a_half_matrices():
+    inst, peak = peak_bytes(lambda: assemble(SPEC))
+    assert peak <= 2.5 * inst.kernel.entries.nbytes
+
+
+def test_whole_support_gauss_solve_peaks_within_one_and_a_half_matrices(instance):
+    res, peak = peak_bytes(lambda: solve_gauss(instance.kernel, instance.omega, instance.support))
+    assert res.measure.mass == pytest.approx(1.0)
+    assert peak <= 1.5 * 8 * M * M

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finpot import qp
 from finpot.instances import (
     Ball,
     ChargeAtom,
@@ -205,7 +206,7 @@ def test_uniqueness_from_distinct_starts(seed):
     rng = np.random.default_rng(seed + 99)
     sols = []
     for _ in range(5):
-        w0 = rng.random(7) * 3.0
+        w0 = rng.random(7) * (rng.random(7) < 0.6)
         w, _ = solve_cone_qp(p, w0=w0)
         sols.append(w)
     for a in sols:
@@ -256,3 +257,55 @@ def test_problem_validation():
         SimplexQpProblem(np.eye(2), [0.0])
     with pytest.raises(ValueError):
         solve_cone_qp(random_cone(0), tol=0.0)
+
+
+@pytest.mark.parametrize("cls", [ConeQpProblem, SimplexQpProblem])
+def test_problem_copies_a_writable_matrix_and_adopts_a_frozen_one(cls):
+    Q = random_cone(3, k=5).Q.copy()
+    before = Q.copy()
+    p = cls(Q, np.ones(5))
+    Q[0, 0] += 1.0
+    Q[1, 2] = Q[2, 1] = 0.0
+    assert np.array_equal(p.Q, before)
+    assert not p.Q.flags.writeable
+
+    frozen = before.copy()
+    frozen.setflags(write=False)
+    assert np.shares_memory(cls(frozen, np.ones(5)).Q, frozen)
+    # a read-only view of a writable buffer can still change under the problem
+    view = before.view()
+    view.setflags(write=False)
+    assert not np.shares_memory(cls(view, np.ones(5)).Q, before)
+
+
+# ---------------------------------------------------------------------------
+# the engine's reduced simplex solve against the oracle's bordered one
+# ---------------------------------------------------------------------------
+
+
+def _newton_sphere_simplex(k):
+    inst = assemble(InstanceSpec(
+        3, RieszKernel(2.0), Sphere(1.0, k),
+        charge=(ChargeAtom((1.3, 0.0, 0.0), 1.0), ChargeAtom((0.0, 0.8, 1.0), -0.8)),
+    ))
+    field = (inst.kernel.entries @ inst.omega.weights)[:k]
+    return inst.kernel.restrict(inst.support), -field
+
+
+def _random_spd_simplex(k):
+    rng = np.random.default_rng(k)
+    basis = rng.random((k, k + 3))
+    Q = basis @ basis.T
+    Q[np.diag_indices(k)] += 0.5 * (1.0 + rng.random(k))
+    return Q, rng.standard_normal(k)
+
+
+@pytest.mark.parametrize("k", [60, 400])
+@pytest.mark.parametrize("make", [_newton_sphere_simplex, _random_spd_simplex])
+def test_reduced_simplex_solve_matches_bordered_system(make, k):
+    Q, f = make(k)
+    free = np.ones(k, dtype=bool)
+    z, c = qp._simplex_reduced_solve(Q, f, free)
+    z_ref, c_ref = qp._bordered_simplex_solve(Q, f, free)
+    assert np.max(np.abs(z - z_ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(z_ref))))
+    assert abs(c - c_ref) <= 1e-12 * abs(c_ref)
