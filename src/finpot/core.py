@@ -259,36 +259,46 @@ class Measure:
 
 
 class SupportSet:
-    """Nonempty set of node indices, stored strictly increasing."""
+    """Nonempty set of node indices, stored as a frozen strictly increasing array."""
 
-    __slots__ = ("indices", "label")
+    __slots__ = ("_idx", "label")
 
     def __init__(self, indices: Iterable[int], label: str = ""):
-        idx = tuple(sorted(int(i) for i in indices))
-        if not idx:
+        try:
+            idx = np.sort(np.fromiter(map(int, indices), dtype=np.intp))
+        except OverflowError:
+            raise ValueError("support indices exceed the index range") from None
+        if not idx.size:
             raise ValueError("support set must be nonempty")
         if idx[0] < 0:
             raise ValueError("support indices must be nonnegative")
-        if len(set(idx)) != len(idx):
+        if np.any(idx[1:] == idx[:-1]):
             raise ValueError("support indices must be distinct")
-        self.indices = idx
+        idx.setflags(write=False)
+        self._idx = idx
         self.label = label
 
     @classmethod
     def full(cls, m: int, label: str = "") -> "SupportSet":
         return cls(range(m), label)
 
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(self._idx.tolist())
+
     def __len__(self) -> int:
-        return len(self.indices)
+        return int(self._idx.size)
 
     def __contains__(self, i: int) -> bool:
-        return int(i) in set(self.indices)
+        i = int(i)
+        pos = int(np.searchsorted(self._idx, i))
+        return pos < self._idx.size and int(self._idx[pos]) == i
 
     def as_array(self) -> np.ndarray:
-        return np.fromiter(self.indices, dtype=np.intp, count=len(self.indices))
+        return self._idx
 
     def as_set(self) -> frozenset:
-        return frozenset(self.indices)
+        return frozenset(self._idx.tolist())
 
     def issubset(self, other: "SupportSet") -> bool:
         return self.as_set() <= other.as_set()

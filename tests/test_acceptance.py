@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from finpot import qp
 from finpot.balayage import pseudo_balayage
 from finpot.core import Measure, SupportSet, energy_distance
 from finpot.experiments import LEAKS, STABILIZES, monotone_down, monotone_up, solvability_scan
@@ -50,7 +51,9 @@ def characterization_instances(count=50, seed0=1000):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_oracle_equivalence():
+def test_criterion_1_oracle_equivalence(monkeypatch):
+    # with the gate at 1 every step after an instance's first runs on the factor
+    monkeypatch.setattr(qp, "_FACTOR_MIN", 1)
     t0 = time.time()
     rng = np.random.default_rng(20240501)
     worst_w, worst_obj = 0.0, 0.0

@@ -198,12 +198,18 @@ def test_support_set_contract():
     s = SupportSet([4, 1, 7])
     assert s.indices == (1, 4, 7)
     assert 4 in s and 2 not in s
+    assert 0 not in s and 8 not in s and 7.0 in s
+    arr = s.as_array()
+    assert arr.dtype == np.intp and arr.tolist() == [1, 4, 7] and not arr.flags.writeable
+    assert SupportSet(np.array([3, 0])).indices == (0, 3)
     with pytest.raises(ValueError):
         SupportSet([])
     with pytest.raises(ValueError):
         SupportSet([1, 1, 2])
     with pytest.raises(ValueError):
         SupportSet([-1, 0])
+    with pytest.raises(ValueError):
+        SupportSet([2**70])
     assert SupportSet([0, 1]).issubset(SupportSet([0, 1, 2]))
 
 

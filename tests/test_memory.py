@@ -3,18 +3,24 @@
 The dense kernel matrix caps the problem size, so the transient arrays around
 it are bounded in units of its own bytes: assembly may hold the distance
 buffer next to the gram matrix or the Cholesky factor next to the kernel, and
-a solve may hold one reduced matrix for its linear solves.
+a solve may hold one reduced matrix for its linear solves, or its factor.
 """
 
 import tracemalloc
 
 import pytest
 
+from finpot import qp
 from finpot.gauss import solve_gauss
 from finpot.instances import ChargeAtom, InstanceSpec, RieszKernel, Sphere, assemble
 
 M = 600
 SPEC = InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, M), charge=(ChargeAtom((2.0, 0.0, 0.0), 1.0),))
+# a mixed charge: the Gauss solve takes several steps, so it factors a free set
+MIXED = InstanceSpec(
+    3, RieszKernel(2.0), Sphere(1.0, M),
+    charge=(ChargeAtom((2.0, 0.0, 0.0), 1.0), ChargeAtom((0.0, 0.0, 1.3), -0.5)),
+)
 
 
 def peak_bytes(fn):
@@ -41,4 +47,16 @@ def test_assemble_peaks_within_two_and_a_half_matrices():
 def test_whole_support_gauss_solve_peaks_within_one_and_a_half_matrices(instance):
     res, peak = peak_bytes(lambda: solve_gauss(instance.kernel, instance.omega, instance.support))
     assert res.measure.mass == pytest.approx(1.0)
+    assert peak <= 1.5 * 8 * M * M
+
+
+def test_multi_step_gauss_solve_peaks_within_one_and_a_half_matrices(monkeypatch):
+    inst = assemble(MIXED)
+    factored = []
+    inverse_cholesky = qp._inverse_cholesky
+    monkeypatch.setattr(
+        qp, "_inverse_cholesky", lambda A: factored.append(A.shape[0]) or inverse_cholesky(A)
+    )
+    res, peak = peak_bytes(lambda: solve_gauss(inst.kernel, inst.omega, inst.support))
+    assert res.kkt.iterations > 2 and max(factored) >= qp._FACTOR_MIN
     assert peak <= 1.5 * 8 * M * M

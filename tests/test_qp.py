@@ -150,8 +150,10 @@ GEOMETRIC_SPECS = {
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRIC_SPECS))
-def test_geometric_restrictions_match_oracles(name):
-    # seeded clusters of k <= 12 nearest nodes, with the charge's potential as data
+def test_geometric_restrictions_match_oracles(name, monkeypatch):
+    # seeded clusters of k <= 12 nearest nodes, with the charge's potential as
+    # data; with the gate at 1 every step after the first runs on the factor
+    monkeypatch.setattr(qp, "_FACTOR_MIN", 1)
     inst = assemble(GEOMETRIC_SPECS[name])
     K = inst.kernel.entries
     potential = K @ inst.omega.weights
@@ -172,7 +174,8 @@ def test_geometric_restrictions_match_oracles(name):
             assert abs(p.objective(w) - p.objective(ref)) <= 1e-10
 
 
-def test_single_pivot_backup_breaks_a_full_exchange_cycle():
+def test_single_pivot_backup_breaks_a_full_exchange_cycle(monkeypatch):
+    monkeypatch.setattr(qp, "_FACTOR_MIN", 1)  # the engine's steps run on the factor
     p = ConeQpProblem([[7.0, 6.0, -4.0], [6.0, 6.0, -5.0], [-4.0, -5.0, 7.0]], [1.0, 4.0, -6.0])
     # replay the plain full-exchange rule from the default free set b > 0: it
     # cycles {0,1} -> {1,2} -> {} -> {0,1} with two infeasible indices each time
@@ -305,7 +308,83 @@ def _random_spd_simplex(k):
 def test_reduced_simplex_solve_matches_bordered_system(make, k):
     Q, f = make(k)
     free = np.ones(k, dtype=bool)
-    z, c = qp._simplex_reduced_solve(Q, f, free)
+    z, c = qp._simplex_reduced_solve(qp._FreeSetSolver(Q), f, free)
     z_ref, c_ref = qp._bordered_simplex_solve(Q, f, free)
     assert np.max(np.abs(z - z_ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(z_ref))))
     assert abs(c - c_ref) <= 1e-12 * abs(c_ref)
+
+
+# ---------------------------------------------------------------------------
+# the factor path: inverse Cholesky, and Schur steps against LU every step
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def factor_families():
+    """Three SPD families up to k = 1000, each with its bound on R Q R^T - I.
+
+    Largest entries measured over the sizes below: 1.1e-15 (Newtonian sphere,
+    cond 2.1e2 at k = 1000), 4.4e-16 (random, cond about 5) and 5.3e-14
+    (Riesz alpha = 2.9 ball, cond 4.1e4).
+    """
+
+    def random_spd(k):
+        rng = np.random.default_rng(k)
+        basis = rng.standard_normal((k, k)) / np.sqrt(k)
+        return basis @ basis.T + np.eye(k)
+
+    sphere = assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 1000))).kernel.entries
+    ball = assemble(InstanceSpec(3, RieszKernel(2.9), Ball(1.0, 1000))).kernel.entries
+    return {
+        "newton-sphere": (lambda k: sphere[:k, :k], 1e-14),
+        "random": (random_spd, 1e-14),
+        "riesz-2.9-ball": (lambda k: ball[:k, :k], 1e-12),
+    }
+
+
+@pytest.mark.parametrize("k", [1, 2, 95, 96, 97, 191, 1000])
+@pytest.mark.parametrize("family", ["newton-sphere", "random", "riesz-2.9-ball"])
+def test_inverse_cholesky_inverts(factor_families, family, k):
+    make, bound = factor_families[family]
+    Q = make(k)
+    R = qp._inverse_cholesky(np.array(Q))
+    assert np.max(np.abs(R @ Q @ R.T - np.eye(k))) <= bound
+    assert not np.triu(R, 1).any()
+
+
+@pytest.mark.parametrize("k", [2, 300])
+def test_inverse_cholesky_rejects_indefinite(k):
+    # positive diagonal, indefinite through the coupling of the first and last
+    # index, which the recursion meets in a trailing Schur complement
+    A = np.eye(k)
+    A[0, -1] = A[-1, 0] = 2.0
+    with pytest.raises(np.linalg.LinAlgError):
+        qp._inverse_cholesky(A)
+
+
+@pytest.mark.parametrize("solve, make", [
+    (solve_cone_qp, lambda Q, field: ConeQpProblem(Q, field)),
+    (solve_simplex_qp, lambda Q, field: SimplexQpProblem(Q, -field)),
+])
+def test_factor_path_matches_lu_every_step(solve, make, monkeypatch):
+    # whole 1600-node sphere, mixed charge: each problem takes 9 steps
+    inst = assemble(InstanceSpec(
+        3, RieszKernel(2.0), Sphere(1.0, 1600),
+        charge=(ChargeAtom((2.0, 0.0, 0.0), 1.0), ChargeAtom((0.0, 0.0, 1.3), -0.5)),
+    ))
+    n = inst.n_nodes
+    p = make(inst.kernel.entries[:n, :n], (inst.kernel.entries @ inst.omega.weights)[:n])
+    factored = []
+    inverse_cholesky = qp._inverse_cholesky
+    monkeypatch.setattr(
+        qp, "_inverse_cholesky", lambda A: factored.append(A.shape[0]) or inverse_cholesky(A)
+    )
+    w, report = solve(p)
+    assert max(factored) >= qp._FACTOR_MIN
+    monkeypatch.setattr(qp, "_FACTOR_MIN", n + 1)
+    factored.clear()
+    w_lu, report_lu = solve(p)
+    assert not factored
+    assert np.array_equal(w > 0.0, w_lu > 0.0)
+    assert report.iterations == report_lu.iterations > 2
+    assert np.max(np.abs(w - w_lu)) <= 1e-12 * max(1.0, float(np.max(np.abs(w_lu))))
