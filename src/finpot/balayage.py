@@ -133,7 +133,8 @@ def pseudo_balayage(
     u = potential(kernel, omega)
     Q = kernel.restrict(support)
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
-    w_sub, report = solve_cone_qp(ConeQpProblem(Q, u[idx]), tol=tol, w0=start)
+    problem = ConeQpProblem(Q, u[idx], factor=kernel.leading_factor(support))
+    w_sub, report = solve_cone_qp(problem, tol=tol, w0=start)
 
     w = np.zeros(kernel.size)
     w[idx] = w_sub
@@ -225,6 +226,7 @@ def restricted_problem_value(
     idx = support.as_array()
     Q = kernel.restrict(support)
     b = potential(kernel, omega)[idx]
-    v, _ = solve_simplex_qp(SimplexQpProblem(Q, -b / mass_cap), tol=tol)
+    problem = SimplexQpProblem(Q, -b / mass_cap, factor=kernel.leading_factor(support))
+    v, _ = solve_simplex_qp(problem, tol=tol)
     w = mass_cap * v
     return float(w @ (Q @ w) - 2.0 * (b @ w))

@@ -17,7 +17,7 @@ these constants are only the documented defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -48,18 +48,22 @@ class NotNested(ValueError):
 
 @dataclass(frozen=True)
 class PdCertificate:
-    """Evidence that a symmetric matrix is strictly positive definite.
+    """Evidence that a symmetric matrix ``A = L L^T`` is strictly positive definite.
 
-    ``min_cholesky_pivot`` is the smallest diagonal entry of the Cholesky
-    factor (positive iff the factorization completed).  For small matrices
-    the smallest eigenvalue is computed as well and stored in
-    ``eig_lower_bound``; for large matrices it is skipped and the completed
-    factorization stands as the certificate.
+    The evidence is the completed factorization: ``inverse_factor`` is the
+    read-only inverse Cholesky factor ``R = L^-1`` (so ``A^-1 = R^T R``),
+    and ``min_cholesky_pivot``, the smallest diagonal entry of ``L``, is
+    ``1 / max diag R``.  The leading ``k x k`` block of ``R`` is the inverse
+    Cholesky factor of ``A[:k, :k]``, so the factor serves every leading
+    principal submatrix as well.  For small matrices the smallest eigenvalue
+    is computed as a cross-check and stored in ``eig_lower_bound``; for large
+    matrices it is skipped.
     """
 
     method: str
     min_cholesky_pivot: float
     eig_lower_bound: float | None = None
+    inverse_factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _pd_witness(entries: np.ndarray) -> np.ndarray:
@@ -67,10 +71,51 @@ def _pd_witness(entries: np.ndarray) -> np.ndarray:
     return np.array(vecs[:, 0])
 
 
+# Leaf size of the inverse-Cholesky recursion, and the block width of its
+# in-place products (bounds their temporaries).
+_LEAF = 96
+_BLOCK = 128
+
+
+def _inverse_cholesky(A: np.ndarray) -> np.ndarray:
+    """Overwrite the SPD matrix ``A`` with ``R = L^-1``, where ``A = L L^T``.
+
+    So ``A^-1 = R^T R``; the strict upper triangle of the result is exactly
+    zero, and only the lower triangle of ``A`` is read.  The recursion on
+    halves does nearly all its flops in matrix products, which numpy runs
+    several times faster than its Cholesky: with ``R11`` from the leading
+    block, ``W = A21 R11^T`` is L's off-diagonal block, the trailing block
+    becomes its Schur complement ``A22 - W W^T`` (lower triangle only), and
+    ``R21 = -R22 W R11``.  Each product runs in blocks of ``_BLOCK`` columns
+    or rows, ordered so that it can overwrite ``A21`` in place and skip the
+    zero triangles, so beside ``A`` it holds only one block.  Raises
+    ``np.linalg.LinAlgError`` if ``A`` is not positive definite.
+    """
+    k = A.shape[0]
+    if k <= _LEAF:
+        A[...] = np.tril(np.linalg.inv(np.linalg.cholesky(A)))
+        return A
+    h, n = k // 2, _BLOCK
+    R11, A21, A22 = A[:h, :h], A[h:, :h], A[h:, h:]
+    _inverse_cholesky(R11)
+    for j in reversed(range(0, h, n)):
+        A21[:, j:j + n] = A21[:, :j + n] @ R11[j:j + n, :j + n].T
+    for j in range(0, k - h, n):
+        A22[j:, j:j + n] -= A21[j:] @ A21[j:j + n].T
+    _inverse_cholesky(A22)
+    for j in range(0, h, n):
+        A21[:, j:j + n] = A21[:, j:] @ R11[j:, j:j + n]
+    for i in reversed(range(0, k - h, n)):
+        np.negative(A22[i:i + n, :i + n] @ A21[:i + n], out=A21[i:i + n])
+    A[:h, h:] = 0.0
+    return A
+
+
 def check_energy_principle(entries: np.ndarray, eig_check_max_size: int = 400) -> PdCertificate:
     """Verify strict positive definiteness by symmetric factorization.
 
-    Returns a :class:`PdCertificate` on success and raises
+    Factors one copy of the matrix in place with :func:`_inverse_cholesky`
+    and keeps the factor in the returned :class:`PdCertificate`.  Raises
     :class:`NotPositiveDefinite` (with a witness vector of nonpositive
     quadratic form) on failure.  A failing matrix is rejected, never shifted:
     a shifted matrix would be a different kernel.
@@ -81,14 +126,15 @@ def check_energy_principle(entries: np.ndarray, eig_check_max_size: int = 400) -
     if not np.array_equal(arr, arr.T):
         raise ValueError("matrix must be symmetric")
     try:
-        factor = np.linalg.cholesky(arr)
+        factor = _inverse_cholesky(np.array(arr))
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(
             "symmetric factorization failed: matrix is not strictly positive definite",
             witness=_pd_witness(arr),
         ) from None
-    pivot = float(np.min(np.diagonal(factor)))
-    if pivot <= 0.0:
+    factor.setflags(write=False)
+    pivot = 1.0 / float(np.max(np.diagonal(factor)))
+    if not pivot > 0.0:
         raise NotPositiveDefinite(
             f"nonpositive Cholesky pivot {pivot:.6e}", witness=_pd_witness(arr)
         )
@@ -100,7 +146,9 @@ def check_energy_principle(entries: np.ndarray, eig_check_max_size: int = 400) -
                 f"smallest eigenvalue {lam:.6e} is not positive", witness=_pd_witness(arr)
             )
         eig_lb = lam
-    return PdCertificate(method="cholesky", min_cholesky_pivot=pivot, eig_lower_bound=eig_lb)
+    return PdCertificate(
+        method="cholesky", min_cholesky_pivot=pivot, eig_lower_bound=eig_lb, inverse_factor=factor
+    )
 
 
 def frozen_float_array(data) -> np.ndarray:
@@ -129,7 +177,10 @@ class KernelMatrix:
     The constructor validates all invariants (exact symmetry, nonnegative
     entries, energy principle via :func:`check_energy_principle`) and keeps
     the storage frozen (see :func:`frozen_float_array`), so instances are
-    immutable and safe to share between threads.
+    immutable and safe to share between threads.  Beside ``entries`` an
+    instance holds the certificate's read-only inverse Cholesky factor
+    ``R`` (:attr:`inverse_factor`), one more matrix of the same size, which
+    seeds the QP solves on leading supports (:meth:`leading_factor`).
     """
 
     __slots__ = ("entries", "pd_certificate")
@@ -149,6 +200,11 @@ class KernelMatrix:
     def size(self) -> int:
         return int(self.entries.shape[0])
 
+    @property
+    def inverse_factor(self) -> np.ndarray:
+        """Read-only ``R = L^-1`` for ``entries = L L^T``, kept from the certificate."""
+        return self.pd_certificate.inverse_factor
+
     def restrict(self, support: "SupportSet") -> np.ndarray:
         """Principal submatrix on the given support (still strictly PD), read-only.
 
@@ -166,6 +222,16 @@ class KernelMatrix:
         sub = self.entries[np.ix_(idx, idx)]
         sub.setflags(write=False)
         return sub
+
+    def leading_factor(self, support: "SupportSet") -> np.ndarray | None:
+        """Inverse Cholesky factor of ``restrict(support)``, or ``None``.
+
+        When the support is the leading run ``0..k-1`` (every assembled
+        target set, since charge atoms follow the nodes) this is the
+        read-only view ``R[:k, :k]``; any other support has no factor here.
+        """
+        k = len(support)
+        return self.inverse_factor[:k, :k] if int(support.as_array()[-1]) == k - 1 else None
 
     def to_json(self) -> dict:
         return {"m": self.size, "entries": self.entries.tolist()}

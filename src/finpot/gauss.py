@@ -150,7 +150,8 @@ def solve_gauss(
     u = potential(kernel, omega)
     Q = kernel.restrict(support)
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
-    w_sub, report = solve_simplex_qp(SimplexQpProblem(Q, -u[idx]), tol=tol, w0=start)
+    problem = SimplexQpProblem(Q, -u[idx], factor=kernel.leading_factor(support))
+    w_sub, report = solve_simplex_qp(problem, tol=tol, w0=start)
 
     w = np.zeros(kernel.size)
     w[idx] = w_sub

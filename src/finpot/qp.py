@@ -13,8 +13,10 @@ backup.  Each step solves the reduced linear system on a candidate free set
 second right-hand side that carries the mass constraint), so the final
 iterate satisfies complementarity up to linear-solve roundoff, which the
 downstream certification relies on.  The steps of one QP share a factor
-(:class:`_FreeSetSolver`): after the first solve, a large free set is
-factored once and later free sets inside it are solved from that factor.
+(:class:`_FreeSetSolver`): a problem may bring the inverse Cholesky factor
+of its ``Q`` (``factor``), from which the first step is solved; otherwise,
+after the first solve, a large free set is factored once.  Later free sets
+inside the factored set are solved from that factor.
 Exhaustive small-instance oracles (:func:`brute_force_cone`,
 :func:`brute_force_simplex`) enumerate supports and serve as the
 independent ground truth in the test suite.
@@ -24,11 +26,11 @@ Solvers are pure and deterministic given ``(problem, tol, w0)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SOLVER_TOL, frozen_float_array
+from .core import SOLVER_TOL, _inverse_cholesky, frozen_float_array
 
 
 class MaxIterExceeded(RuntimeError):
@@ -55,6 +57,15 @@ def _as_sym_matrix(Q) -> np.ndarray:
     return arr
 
 
+def _as_factor(R, Q: np.ndarray) -> np.ndarray | None:
+    if R is None:
+        return None
+    arr = frozen_float_array(R)
+    if arr.shape != Q.shape:
+        raise ValueError("factor must have the shape of Q")
+    return arr
+
+
 def _as_vector(v, k: int, name: str) -> np.ndarray:
     arr = np.array(v, dtype=float)
     if arr.shape != (k,):
@@ -67,15 +78,23 @@ def _as_vector(v, k: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConeQpProblem:
-    """Data of the nonnegative-cone problem ``min w@Q@w - 2 b@w, w >= 0``."""
+    """Data of the nonnegative-cone problem ``min w@Q@w - 2 b@w, w >= 0``.
+
+    ``factor``, when given, is the inverse Cholesky factor ``R`` of ``Q``
+    (lower triangular, ``Q^-1 = R^T R``); see :class:`_FreeSetSolver`.  It
+    changes how the solve runs, never its answer, which is checked against
+    ``Q`` itself.
+    """
 
     Q: np.ndarray
     b: np.ndarray
+    factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         Q = _as_sym_matrix(self.Q)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "b", _as_vector(self.b, Q.shape[0], "b"))
+        object.__setattr__(self, "factor", _as_factor(self.factor, Q))
 
     @property
     def size(self) -> int:
@@ -94,15 +113,20 @@ class ConeQpProblem:
 
 @dataclass(frozen=True)
 class SimplexQpProblem:
-    """Data of the simplex problem ``min w@Q@w + 2 f@w, w >= 0, sum(w) = 1``."""
+    """Data of the simplex problem ``min w@Q@w + 2 f@w, w >= 0, sum(w) = 1``.
+
+    ``factor`` is optional, as for :class:`ConeQpProblem`.
+    """
 
     Q: np.ndarray
     f: np.ndarray
+    factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         Q = _as_sym_matrix(self.Q)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "f", _as_vector(self.f, Q.shape[0], "f"))
+        object.__setattr__(self, "factor", _as_factor(self.factor, Q))
 
     @property
     def size(self) -> int:
@@ -214,50 +238,13 @@ def _principal_submatrix(Q: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return Q if idx.size == Q.shape[0] else Q[np.ix_(idx, idx)]
 
 
-# Free sets of at least this many indices share one factor from the second
-# solve of a QP on; below it every step is an LU solve.  On a 2-core OpenBLAS
-# host, at 400 indices a factor costs about one LU solve (2.8 against 2.6 ms)
-# and a later Schur step 0.1 ms; below it any step costs under 3 ms, and the
-# many small problems of a scan keep the plain LU path.
+# Free sets of at least this many indices are factored, from the second solve
+# of a QP that brings no factor on; below it every step that the factor does
+# not cover is an LU solve.  On a 2-core OpenBLAS host, at 400 indices a factor
+# costs about one LU solve (2.8 against 2.6 ms) and a later Schur step 0.1 ms;
+# below it any step costs under 3 ms, and the many small problems of a scan
+# keep the plain LU path.
 _FACTOR_MIN = 400
-# Leaf size of the inverse-Cholesky recursion, and the block width of its
-# in-place products (bounds their temporaries).
-_LEAF = 96
-_BLOCK = 128
-
-
-def _inverse_cholesky(A: np.ndarray) -> np.ndarray:
-    """Overwrite the SPD matrix ``A`` with ``R = L^-1``, where ``A = L L^T``.
-
-    So ``A^-1 = R^T R``; the strict upper triangle of the result is exactly
-    zero.  The recursion on halves does nearly all its flops in matrix
-    products, which numpy runs several times faster than its Cholesky: with
-    ``R11`` from the leading block, ``W = A21 R11^T`` is L's off-diagonal
-    block, the trailing block becomes its Schur complement ``A22 - W W^T``
-    (lower triangle only), and ``R21 = -R22 W R11``.  Each product runs in
-    blocks of ``_BLOCK`` columns or rows, ordered so that it can overwrite
-    ``A21`` in place and skip the zero triangles, so beside ``A`` it holds
-    only one block.  Raises ``np.linalg.LinAlgError`` if ``A`` is not
-    positive definite.
-    """
-    k = A.shape[0]
-    if k <= _LEAF:
-        A[...] = np.tril(np.linalg.inv(np.linalg.cholesky(A)))
-        return A
-    h, n = k // 2, _BLOCK
-    R11, A21, A22 = A[:h, :h], A[h:, :h], A[h:, h:]
-    _inverse_cholesky(R11)
-    for j in reversed(range(0, h, n)):
-        A21[:, j:j + n] = A21[:, :j + n] @ R11[j:j + n, :j + n].T
-    for j in range(0, k - h, n):
-        A22[j:, j:j + n] -= A21[j:] @ A21[j:j + n].T
-    _inverse_cholesky(A22)
-    for j in range(0, h, n):
-        A21[:, j:j + n] = A21[:, j:] @ R11[j:, j:j + n]
-    for i in reversed(range(0, k - h, n)):
-        np.negative(A22[i:i + n, :i + n] @ A21[:i + n], out=A21[i:i + n])
-    A[:h, h:] = 0.0
-    return A
 
 
 class _FreeSetSolver:
@@ -265,23 +252,28 @@ class _FreeSetSolver:
 
     A call takes the free mask and an ``(n, p)`` right-hand side over all
     indices and returns F's indices and the ``(|F|, p)`` solution.  The
-    first solve, and any on fewer than ``_FACTOR_MIN`` indices, is an LU
-    solve, so a QP settled in one step pays for no factor.  A later one
-    factors its free set B once, ``Q_BB^-1 = R^T R`` (:func:`_inverse_cholesky`),
-    and every following F within B is solved from that factor through the
-    Schur complement on the dropped set ``D = B \\ F`` (Bartlett & Biegler,
-    2006): with ``r~`` equal to ``r`` on F and zero on D, the solution is
-    ``R^T (R r~ + R_D s)`` on F, where ``(R_D^T R_D) s = -R_D^T R r~`` makes
-    it vanish on D.  That is two products with R and a ``|D|``-sized solve
-    in place of an O(|F|^3) factorization.  A step refactors when F leaves
-    B, or when ``2|D| > |F|`` and the Schur step would cost about as much.
+    solver keeps at most one factor ``Q_BB^-1 = R^T R`` of a set B: the
+    factor ``R`` of the whole of ``Q`` when the problem brings one (B = every
+    index), else the one it builds itself (:func:`_inverse_cholesky`).
+    Every F within B is solved from that factor through the Schur complement
+    on the dropped set ``D = B \\ F`` (Bartlett & Biegler, 2006): with ``r~``
+    equal to ``r`` on F and zero on D, the solution is ``R^T (R r~ + R_D s)``
+    on F, where ``(R_D^T R_D) s = -R_D^T R r~`` makes it vanish on D.  That
+    is two products with R and a ``|D|``-sized solve in place of an
+    O(|F|^3) factorization.  The factor is dropped when F leaves B, or when
+    ``2|D| > |F|`` and the Schur step would cost about as much.  A step
+    without a factor is an LU solve when F has fewer than ``_FACTOR_MIN``
+    indices, or when it is the first step of a QP that brought no factor,
+    so such a QP settled in one step pays for no factor; any other step
+    factors F.
     """
 
-    def __init__(self, Q: np.ndarray):
+    def __init__(self, Q: np.ndarray, R: np.ndarray | None = None):
         self.Q = Q
         self.solves = 0
-        self.base = None  # sorted indices B of the factor R
-        self.R = None
+        self.lu_first = R is None
+        self.base = None if R is None else np.arange(Q.shape[0])  # sorted indices B of R
+        self.R = R
 
     def __call__(self, free: np.ndarray, r: np.ndarray):
         idx = np.flatnonzero(free)
@@ -292,7 +284,7 @@ class _FreeSetSolver:
             if np.count_nonzero(kept) == idx.size and 2 * dropped.size <= idx.size:
                 return idx, self._schur_solve(r, kept, dropped)
             self.base = self.R = None
-        if self.solves == 1 or idx.size < _FACTOR_MIN:
+        if idx.size < _FACTOR_MIN or (self.solves == 1 and self.lu_first):
             return idx, np.linalg.solve(_principal_submatrix(self.Q, idx), r[idx])
         self.R = _inverse_cholesky(self.Q[np.ix_(idx, idx)])
         self.base = idx
@@ -335,7 +327,7 @@ def solve_cone_qp(
     b = p.b
     free = b > 0.0 if w0 is None else np.asarray(w0, dtype=float) > 0.0
     dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(b))))
-    solve = _FreeSetSolver(p.Q)
+    solve = _FreeSetSolver(p.Q, p.factor)
     w, _, solves = _block_pivot(lambda F: _cone_reduced_solve(solve, b, F), free, dual_eps)
     s, c, fe = _cone_residuals(p, w)
     report = KktReport(s, c, fe, None, solves)
@@ -407,8 +399,9 @@ def solve_simplex_qp(
     free = np.ones(p.size, dtype=bool) if w0 is None else np.asarray(w0, dtype=float) > 0.0
     if not free.any():
         free[:] = True
-    dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(f))), float(np.max(np.abs(Q))))
-    solve = _FreeSetSolver(Q)
+    # max |Q_ij| sits on the diagonal of an SPD Q (|Q_ij| < sqrt(Q_ii Q_jj)): no k x k temporary
+    dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(f))), float(np.max(np.diagonal(Q))))
+    solve = _FreeSetSolver(Q, p.factor)
     w, c, solves = _block_pivot(lambda F: _simplex_pivot_solve(solve, f, F), free, dual_eps)
     s, comp, fe = _simplex_residuals(p, w, c)
     report = KktReport(s, comp, fe, c, solves)

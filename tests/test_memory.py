@@ -2,8 +2,9 @@
 
 The dense kernel matrix caps the problem size, so the transient arrays around
 it are bounded in units of its own bytes: assembly may hold the distance
-buffer next to the gram matrix or the Cholesky factor next to the kernel, and
-a solve may hold one reduced matrix for its linear solves, or its factor.
+buffer next to the gram matrix, or the kernel next to its inverse Cholesky
+factor, which the kernel keeps; a solve may hold one reduced matrix for its
+linear solves, or its own factor.
 """
 
 import tracemalloc
@@ -11,12 +12,13 @@ import tracemalloc
 import pytest
 
 from finpot import qp
+from finpot.core import SupportSet
 from finpot.gauss import solve_gauss
 from finpot.instances import ChargeAtom, InstanceSpec, RieszKernel, Sphere, assemble
 
 M = 600
 SPEC = InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, M), charge=(ChargeAtom((2.0, 0.0, 0.0), 1.0),))
-# a mixed charge: the Gauss solve takes several steps, so it factors a free set
+# a mixed charge: the Gauss solve takes several steps
 MIXED = InstanceSpec(
     3, RieszKernel(2.0), Sphere(1.0, M),
     charge=(ChargeAtom((2.0, 0.0, 0.0), 1.0), ChargeAtom((0.0, 0.0, 1.3), -0.5)),
@@ -50,13 +52,31 @@ def test_whole_support_gauss_solve_peaks_within_one_and_a_half_matrices(instance
     assert peak <= 1.5 * 8 * M * M
 
 
-def test_multi_step_gauss_solve_peaks_within_one_and_a_half_matrices(monkeypatch):
-    inst = assemble(MIXED)
-    factored = []
+@pytest.fixture
+def factored(monkeypatch):
+    """Sizes of the free sets the QP engine factors itself."""
+    sizes = []
     inverse_cholesky = qp._inverse_cholesky
     monkeypatch.setattr(
-        qp, "_inverse_cholesky", lambda A: factored.append(A.shape[0]) or inverse_cholesky(A)
+        qp, "_inverse_cholesky", lambda A: sizes.append(A.shape[0]) or inverse_cholesky(A)
     )
+    return sizes
+
+
+def test_multi_step_gauss_solve_peaks_within_one_and_a_half_matrices(factored):
+    # the whole support is the kernel's leading block: every step runs on the
+    # kernel's own factor, so the solve factors nothing
+    inst = assemble(MIXED)
     res, peak = peak_bytes(lambda: solve_gauss(inst.kernel, inst.omega, inst.support))
+    assert res.kkt.iterations > 2 and not factored
+    assert peak <= 1.5 * 8 * M * M
+
+
+def test_multi_step_gathered_gauss_solve_peaks_within_one_and_a_half_matrices(factored):
+    # 450 nodes, every fourth left out: a gathered copy of Q, and a factor of a
+    # free set of at least _FACTOR_MIN indices (6 steps, factor at k = 421)
+    inst = assemble(MIXED)
+    support = SupportSet(i for i in range(M) if i % 4)
+    res, peak = peak_bytes(lambda: solve_gauss(inst.kernel, inst.omega, support))
     assert res.kkt.iterations > 2 and max(factored) >= qp._FACTOR_MIN
     assert peak <= 1.5 * 8 * M * M

@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finpot import qp
+from finpot import core, qp
+from finpot.balayage import pseudo_balayage
+from finpot.core import SupportSet
+from finpot.gauss import solve_gauss
 from finpot.instances import (
     Ball,
     ChargeAtom,
     InstanceSpec,
     LogKernel,
     RieszKernel,
+    ShellUnion,
     Sphere,
     assemble,
 )
@@ -347,7 +351,7 @@ def factor_families():
 def test_inverse_cholesky_inverts(factor_families, family, k):
     make, bound = factor_families[family]
     Q = make(k)
-    R = qp._inverse_cholesky(np.array(Q))
+    R = core._inverse_cholesky(np.array(Q))
     assert np.max(np.abs(R @ Q @ R.T - np.eye(k))) <= bound
     assert not np.triu(R, 1).any()
 
@@ -359,19 +363,27 @@ def test_inverse_cholesky_rejects_indefinite(k):
     A = np.eye(k)
     A[0, -1] = A[-1, 0] = 2.0
     with pytest.raises(np.linalg.LinAlgError):
-        qp._inverse_cholesky(A)
+        core._inverse_cholesky(A)
+
+
+@pytest.fixture(scope="module")
+def mixed_charge_universes():
+    """1600 nodes and a charge +1 at (2, 0, 0), -0.5 at (0, 0, 1.3)."""
+    charge = (ChargeAtom((2.0, 0.0, 0.0), 1.0), ChargeAtom((0.0, 0.0, 1.3), -0.5))
+    return {
+        "newton-sphere": assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 1600), charge=charge)),
+        "riesz-2.9-ball": assemble(InstanceSpec(3, RieszKernel(2.9), Ball(1.0, 1600), charge=charge)),
+    }
 
 
 @pytest.mark.parametrize("solve, make", [
     (solve_cone_qp, lambda Q, field: ConeQpProblem(Q, field)),
     (solve_simplex_qp, lambda Q, field: SimplexQpProblem(Q, -field)),
 ])
-def test_factor_path_matches_lu_every_step(solve, make, monkeypatch):
-    # whole 1600-node sphere, mixed charge: each problem takes 9 steps
-    inst = assemble(InstanceSpec(
-        3, RieszKernel(2.0), Sphere(1.0, 1600),
-        charge=(ChargeAtom((2.0, 0.0, 0.0), 1.0), ChargeAtom((0.0, 0.0, 1.3), -0.5)),
-    ))
+def test_factor_path_matches_lu_every_step(mixed_charge_universes, solve, make, monkeypatch):
+    # whole 1600-node sphere, mixed charge, no factor handed in: each problem
+    # takes 9 steps and factors free sets of its own
+    inst = mixed_charge_universes["newton-sphere"]
     n = inst.n_nodes
     p = make(inst.kernel.entries[:n, :n], (inst.kernel.entries @ inst.omega.weights)[:n])
     factored = []
@@ -388,3 +400,104 @@ def test_factor_path_matches_lu_every_step(solve, make, monkeypatch):
     assert np.array_equal(w > 0.0, w_lu > 0.0)
     assert report.iterations == report_lu.iterations > 2
     assert np.max(np.abs(w - w_lu)) <= 1e-12 * max(1.0, float(np.max(np.abs(w_lu))))
+
+
+# ---------------------------------------------------------------------------
+# the kernel's factor seeds QPs on leading supports
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 400)),
+    InstanceSpec(3, RieszKernel(2.9), Ball(1.0, 400)),
+    InstanceSpec(2, LogKernel(0.4), Ball(1.0, 400, (0.0, 0.0)), charge=(ChargeAtom((1.5, 0.0), 1.0),)),
+    InstanceSpec(3, RieszKernel(2.0), ShellUnion(2.0, (90, 90, 90))),
+], ids=["newton-sphere", "riesz-2.9-ball", "log-disc", "shell-union"])
+def test_largest_kernel_entry_is_on_the_diagonal(spec):
+    # so the simplex solver's dual_eps may read max diag Q for max |Q_ij|
+    K = assemble(spec).kernel.entries
+    assert np.max(np.abs(K)) == np.max(np.diagonal(K))
+    Q = K[np.ix_(np.arange(0, K.shape[0], 3), np.arange(0, K.shape[0], 3))]
+    assert np.max(np.abs(Q)) == np.max(np.diagonal(Q))
+
+
+def test_seeded_solver_starts_from_the_factor():
+    kernel = assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 1000))).kernel
+    Q, R = kernel.entries, kernel.inverse_factor
+    r = np.random.default_rng(3).standard_normal((1000, 2))
+
+    def check(solve, free):
+        idx, x = solve(free, r)
+        assert np.array_equal(idx, np.flatnonzero(free))
+        ref = np.linalg.solve(Q[np.ix_(idx, idx)], r[idx])
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # the first step is a Schur step on the factor handed in ...
+    solve = qp._FreeSetSolver(Q, R)
+    free = np.ones(1000, dtype=bool)
+    check(solve, free)
+    free[::10] = False
+    check(solve, free)
+    assert solve.R is R
+    # ... or, when it drops more than a third of the indices, a refactor
+    solve = qp._FreeSetSolver(Q, R)
+    free = np.arange(1000) < 550
+    check(solve, free)
+    assert solve.R is not R and np.array_equal(solve.base, np.flatnonzero(free))
+    # below the gate it is an LU solve, and no factor is kept
+    solve = qp._FreeSetSolver(Q, R)
+    check(solve, np.arange(1000) < qp._FACTOR_MIN - 1)
+    assert solve.R is None
+
+
+@pytest.mark.parametrize("family", ["newton-sphere", "riesz-2.9-ball"])
+@pytest.mark.parametrize("solve, make", [
+    (solve_cone_qp, lambda Q, field, R: ConeQpProblem(Q, field, factor=R)),
+    (solve_simplex_qp, lambda Q, field, R: SimplexQpProblem(Q, -field, factor=R)),
+])
+def test_seeded_factor_matches_lu_every_step(mixed_charge_universes, family, solve, make, monkeypatch):
+    # whole-support QPs: seeded with the kernel's factor, against no factor and
+    # the gate above every k (9 to 21 steps each)
+    inst = mixed_charge_universes[family]
+    n, kernel = inst.n_nodes, inst.kernel
+    support = SupportSet(range(n))
+    field = (kernel.entries @ inst.omega.weights)[:n]
+    w, report = solve(make(kernel.restrict(support), field, kernel.leading_factor(support)))
+    monkeypatch.setattr(qp, "_FACTOR_MIN", n + 1)
+    w_lu, report_lu = solve(make(kernel.restrict(support), field, None))
+    assert np.array_equal(w > 0.0, w_lu > 0.0)
+    assert report.iterations == report_lu.iterations > 2
+    assert np.max(np.abs(w - w_lu)) <= 1e-12 * max(1.0, float(np.max(np.abs(w_lu))))
+
+
+def _support(kind: str, n: int, rng) -> SupportSet:
+    k = int(rng.integers(2, 13))
+    if kind == "leading":
+        return SupportSet(range(k))
+    if kind == "offset":
+        start = int(rng.integers(1, n - k + 1))
+        return SupportSet(range(start, start + k))
+    return SupportSet(rng.choice(n, size=k, replace=False))
+
+
+@pytest.mark.parametrize("kind", ["leading", "offset", "gathered"])
+@pytest.mark.parametrize("name", sorted(GEOMETRIC_SPECS))
+def test_library_solves_match_oracles_on_every_support_kind(name, kind):
+    # leading runs take the kernel's factor; other supports take the plain path
+    inst = assemble(GEOMETRIC_SPECS[name])
+    kernel = inst.kernel
+    potential = kernel.entries @ inst.omega.weights
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        support = _support(kind, inst.n_nodes, rng)
+        idx = support.as_array()
+        assert (kernel.leading_factor(support) is not None) == (kind == "leading")
+        Q = kernel.restrict(support)
+        for p, solve, oracle in (
+            (ConeQpProblem(Q, potential[idx]), pseudo_balayage, brute_force_cone),
+            (SimplexQpProblem(Q, -potential[idx]), solve_gauss, brute_force_simplex),
+        ):
+            w = solve(kernel, inst.omega, support).measure.weights[idx]
+            ref = oracle(p)
+            assert np.max(np.abs(w - ref)) <= 1e-8
+            assert abs(p.objective(w) - p.objective(ref)) <= 1e-10
