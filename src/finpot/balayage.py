@@ -133,7 +133,7 @@ def pseudo_balayage(
     u = potential(kernel, omega)
     Q = kernel.restrict(support)
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
-    problem = ConeQpProblem(Q, u[idx], factor=kernel.leading_factor(support))
+    problem = ConeQpProblem(Q, u[idx], inverse=kernel.inverse, inverse_index=idx)
     w_sub, report = solve_cone_qp(problem, tol=tol, w0=start)
 
     w = np.zeros(kernel.size)
@@ -226,7 +226,7 @@ def restricted_problem_value(
     idx = support.as_array()
     Q = kernel.restrict(support)
     b = potential(kernel, omega)[idx]
-    problem = SimplexQpProblem(Q, -b / mass_cap, factor=kernel.leading_factor(support))
+    problem = SimplexQpProblem(Q, -b / mass_cap, inverse=kernel.inverse, inverse_index=idx)
     v, _ = solve_simplex_qp(problem, tol=tol)
     w = mass_cap * v
     return float(w @ (Q @ w) - 2.0 * (b @ w))

@@ -446,7 +446,7 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
     if len(support) <= 12:
         Q = kernel.restrict(support)
         b = (kernel.entries @ omega.weights)[idx]
-        cone = ConeQpProblem(Q, b, factor=kernel.leading_factor(support))
+        cone = ConeQpProblem(Q, b, inverse=kernel.inverse, inverse_index=idx)
         w_solver, _ = solve_cone_qp(cone, tol=tol)
         w_oracle = brute_force_cone(cone)
         record(
@@ -454,7 +454,7 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
             float(np.max(np.abs(w_solver - w_oracle))) <= 1e-8
             and abs(cone.objective(w_solver) - cone.objective(w_oracle)) <= 1e-10,
         )
-        simplex = SimplexQpProblem(Q, -b, factor=cone.factor)
+        simplex = SimplexQpProblem(Q, -b, inverse=kernel.inverse, inverse_index=idx)
         v_solver, _ = solve_simplex_qp(simplex, tol=tol)
         v_oracle = brute_force_simplex(simplex)
         record(

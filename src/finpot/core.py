@@ -50,20 +50,21 @@ class NotNested(ValueError):
 class PdCertificate:
     """Evidence that a symmetric matrix ``A = L L^T`` is strictly positive definite.
 
-    The evidence is the completed factorization: ``inverse_factor`` is the
-    read-only inverse Cholesky factor ``R = L^-1`` (so ``A^-1 = R^T R``),
-    and ``min_cholesky_pivot``, the smallest diagonal entry of ``L``, is
-    ``1 / max diag R``.  The leading ``k x k`` block of ``R`` is the inverse
-    Cholesky factor of ``A[:k, :k]``, so the factor serves every leading
-    principal submatrix as well.  For small matrices the smallest eigenvalue
-    is computed as a cross-check and stored in ``eig_lower_bound``; for large
-    matrices it is skipped.
+    The evidence is the completed factorization: ``min_cholesky_pivot``, the
+    smallest diagonal entry of ``L``, is read off the inverse Cholesky factor
+    ``R = L^-1`` as ``1 / max diag R``.  ``R`` itself is not kept: it is
+    turned into the inverse ``A^-1 = R^T R`` in its own storage, and
+    ``inverse`` holds that read-only, exactly symmetric matrix.  Every
+    principal submatrix of ``A`` can be solved from it (see
+    :class:`finpot.qp._FreeSetSolver`).  For small matrices the smallest
+    eigenvalue is computed as a cross-check and stored in
+    ``eig_lower_bound``; for large matrices it is skipped.
     """
 
     method: str
     min_cholesky_pivot: float
     eig_lower_bound: float | None = None
-    inverse_factor: np.ndarray | None = field(default=None, repr=False, compare=False)
+    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _pd_witness(entries: np.ndarray) -> np.ndarray:
@@ -111,11 +112,49 @@ def _inverse_cholesky(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _factor_to_inverse(R: np.ndarray) -> np.ndarray:
+    """Overwrite the lower triangular ``R`` with ``R^T R``, exactly symmetric.
+
+    For ``R = L^-1`` that is ``A^-1``.  Row panel ``I`` of the lower
+    triangle is ``R[i:, I]^T R[i:, :e]``, which reads only rows at or below
+    the panel, so the panels are formed top to bottom in place (LAPACK's
+    ``lauum``); the upper triangle is then mirrored from the lower one, since
+    a matrix product does not promise equal mirror entries in the diagonal
+    blocks.  The only temporaries are panels of ``_BLOCK`` rows.
+    """
+    k, n = R.shape[0], _BLOCK
+    for i in range(0, k, n):
+        e = min(i + n, k)
+        R[i:e, :e] = R[i:, i:e].T @ R[i:, :e]
+    for i in range(0, k, n):
+        e = min(i + n, k)
+        diag = R[i:e, i:e]
+        diag[...] = np.tril(diag) + np.tril(diag, -1).T
+        R[i:e, e:] = R[e:, i:e].T
+    return R
+
+
+def is_exactly_symmetric(A: np.ndarray) -> bool:
+    """``np.array_equal(A, A.T)`` for a square ``A``, one row panel at a time.
+
+    Panel ``I`` compares ``A[I, :e]`` with ``A[:e, I]^T``, so every entry is
+    compared with its mirror and a NaN anywhere fails, as in
+    ``array_equal``.  Each comparison reads two panels, which stay in cache,
+    where a strided pass over the whole transposed matrix does not.
+    """
+    k, n = A.shape[0], _BLOCK
+    return all(
+        np.array_equal(A[i:i + n, :i + n], A[:i + n, i:i + n].T) for i in range(0, k, n)
+    )
+
+
 def check_energy_principle(entries: np.ndarray, eig_check_max_size: int = 400) -> PdCertificate:
     """Verify strict positive definiteness by symmetric factorization.
 
-    Factors one copy of the matrix in place with :func:`_inverse_cholesky`
-    and keeps the factor in the returned :class:`PdCertificate`.  Raises
+    Factors one copy of the matrix in place with :func:`_inverse_cholesky`,
+    reads the smallest pivot off the factor, then turns the factor into the
+    matrix's inverse in the same storage (:func:`_factor_to_inverse`) and
+    keeps it in the returned :class:`PdCertificate`.  Raises
     :class:`NotPositiveDefinite` (with a witness vector of nonpositive
     quadratic form) on failure.  A failing matrix is rejected, never shifted:
     a shifted matrix would be a different kernel.
@@ -123,7 +162,7 @@ def check_energy_principle(entries: np.ndarray, eig_check_max_size: int = 400) -
     arr = np.asarray(entries, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError("expected a nonempty square matrix")
-    if not np.array_equal(arr, arr.T):
+    if not is_exactly_symmetric(arr):
         raise ValueError("matrix must be symmetric")
     try:
         factor = _inverse_cholesky(np.array(arr))
@@ -132,7 +171,6 @@ def check_energy_principle(entries: np.ndarray, eig_check_max_size: int = 400) -
             "symmetric factorization failed: matrix is not strictly positive definite",
             witness=_pd_witness(arr),
         ) from None
-    factor.setflags(write=False)
     pivot = 1.0 / float(np.max(np.diagonal(factor)))
     if not pivot > 0.0:
         raise NotPositiveDefinite(
@@ -146,8 +184,10 @@ def check_energy_principle(entries: np.ndarray, eig_check_max_size: int = 400) -
                 f"smallest eigenvalue {lam:.6e} is not positive", witness=_pd_witness(arr)
             )
         eig_lb = lam
+    inverse = _factor_to_inverse(factor)
+    inverse.setflags(write=False)
     return PdCertificate(
-        method="cholesky", min_cholesky_pivot=pivot, eig_lower_bound=eig_lb, inverse_factor=factor
+        method="cholesky", min_cholesky_pivot=pivot, eig_lower_bound=eig_lb, inverse=inverse
     )
 
 
@@ -178,9 +218,9 @@ class KernelMatrix:
     entries, energy principle via :func:`check_energy_principle`) and keeps
     the storage frozen (see :func:`frozen_float_array`), so instances are
     immutable and safe to share between threads.  Beside ``entries`` an
-    instance holds the certificate's read-only inverse Cholesky factor
-    ``R`` (:attr:`inverse_factor`), one more matrix of the same size, which
-    seeds the QP solves on leading supports (:meth:`leading_factor`).
+    instance holds the certificate's read-only inverse ``K^-1``
+    (:attr:`inverse`), one more matrix of the same size, which the QP solves
+    on any support use with the support's indices into it.
     """
 
     __slots__ = ("entries", "pd_certificate")
@@ -201,9 +241,9 @@ class KernelMatrix:
         return int(self.entries.shape[0])
 
     @property
-    def inverse_factor(self) -> np.ndarray:
-        """Read-only ``R = L^-1`` for ``entries = L L^T``, kept from the certificate."""
-        return self.pd_certificate.inverse_factor
+    def inverse(self) -> np.ndarray:
+        """Read-only, exactly symmetric ``entries^-1``, kept from the certificate."""
+        return self.pd_certificate.inverse
 
     def restrict(self, support: "SupportSet") -> np.ndarray:
         """Principal submatrix on the given support (still strictly PD), read-only.
@@ -222,16 +262,6 @@ class KernelMatrix:
         sub = self.entries[np.ix_(idx, idx)]
         sub.setflags(write=False)
         return sub
-
-    def leading_factor(self, support: "SupportSet") -> np.ndarray | None:
-        """Inverse Cholesky factor of ``restrict(support)``, or ``None``.
-
-        When the support is the leading run ``0..k-1`` (every assembled
-        target set, since charge atoms follow the nodes) this is the
-        read-only view ``R[:k, :k]``; any other support has no factor here.
-        """
-        k = len(support)
-        return self.inverse_factor[:k, :k] if int(support.as_array()[-1]) == k - 1 else None
 
     def to_json(self) -> dict:
         return {"m": self.size, "entries": self.entries.tolist()}

@@ -150,7 +150,7 @@ def solve_gauss(
     u = potential(kernel, omega)
     Q = kernel.restrict(support)
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
-    problem = SimplexQpProblem(Q, -u[idx], factor=kernel.leading_factor(support))
+    problem = SimplexQpProblem(Q, -u[idx], inverse=kernel.inverse, inverse_index=idx)
     w_sub, report = solve_simplex_qp(problem, tol=tol, w0=start)
 
     w = np.zeros(kernel.size)

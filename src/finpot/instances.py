@@ -636,5 +636,15 @@ def thinness_series(
 
 
 def points_to_csv(points: np.ndarray, path) -> None:
-    """Export a node cloud, one point per row."""
-    np.savetxt(path, points, delimiter=",")
+    """Export a node cloud, one point per row.
+
+    Writes the bytes of ``np.savetxt(path, points, delimiter=",")`` (``%.18e``
+    per coordinate), formatted by one ``%`` of the repeated row format rather
+    than one per row.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]  # one value per row, as savetxt writes a vector
+    row = ",".join(["%.18e"] * points.shape[1]) + "\n"
+    with open(path, "w") as out:
+        out.write((row * points.shape[0]) % tuple(points.ravel().tolist()))

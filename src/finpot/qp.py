@@ -12,11 +12,12 @@ backup.  Each step solves the reduced linear system on a candidate free set
 (``Q_FF w = b_F`` for the cone; for the simplex the same matrix with a
 second right-hand side that carries the mass constraint), so the final
 iterate satisfies complementarity up to linear-solve roundoff, which the
-downstream certification relies on.  The steps of one QP share a factor
-(:class:`_FreeSetSolver`): a problem may bring the inverse Cholesky factor
-of its ``Q`` (``factor``), from which the first step is solved; otherwise,
-after the first solve, a large free set is factored once.  Later free sets
-inside the factored set are solved from that factor.
+downstream certification relies on.  The steps of one QP share an inverse
+(:class:`_FreeSetSolver`): a problem may bring the inverse of a matrix that
+holds its ``Q`` as a principal submatrix (``inverse``, with ``Q``'s indices
+in it, ``inverse_index``), from which every step it serves is solved; a
+later large free set that no inverse serves is inverted once, and the free
+sets inside it are solved from that inverse.
 Exhaustive small-instance oracles (:func:`brute_force_cone`,
 :func:`brute_force_simplex`) enumerate supports and serve as the
 independent ground truth in the test suite.
@@ -30,7 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SOLVER_TOL, _inverse_cholesky, frozen_float_array
+from .core import (
+    SOLVER_TOL,
+    _factor_to_inverse,
+    _inverse_cholesky,
+    frozen_float_array,
+    is_exactly_symmetric,
+)
 
 
 class MaxIterExceeded(RuntimeError):
@@ -52,18 +59,28 @@ def _as_sym_matrix(Q) -> np.ndarray:
         raise ValueError("Q must be a nonempty square matrix")
     if not np.all(np.isfinite(arr)):
         raise ValueError("Q must be finite")
-    if not np.array_equal(arr, arr.T):
+    if not is_exactly_symmetric(arr):
         raise ValueError("Q must be symmetric")
     return arr
 
 
-def _as_factor(R, Q: np.ndarray) -> np.ndarray | None:
-    if R is None:
-        return None
-    arr = frozen_float_array(R)
-    if arr.shape != Q.shape:
-        raise ValueError("factor must have the shape of Q")
-    return arr
+def _set_inverse(p, Q: np.ndarray) -> None:
+    """Validate and freeze ``p.inverse`` and ``p.inverse_index``, given together."""
+    if (p.inverse is None) != (p.inverse_index is None):
+        raise ValueError("inverse and inverse_index must be given together")
+    if p.inverse is None:
+        return
+    G = frozen_float_array(p.inverse)
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise ValueError("inverse must be a square matrix")
+    idx = np.array(p.inverse_index, dtype=np.intp)
+    if idx.shape != (Q.shape[0],):
+        raise ValueError("inverse_index must hold one index per row of Q")
+    if idx[0] < 0 or idx[-1] >= G.shape[0] or np.any(idx[1:] <= idx[:-1]):
+        raise ValueError("inverse_index must increase strictly within the inverse")
+    idx.setflags(write=False)
+    object.__setattr__(p, "inverse", G)
+    object.__setattr__(p, "inverse_index", idx)
 
 
 def _as_vector(v, k: int, name: str) -> np.ndarray:
@@ -80,21 +97,23 @@ def _as_vector(v, k: int, name: str) -> np.ndarray:
 class ConeQpProblem:
     """Data of the nonnegative-cone problem ``min w@Q@w - 2 b@w, w >= 0``.
 
-    ``factor``, when given, is the inverse Cholesky factor ``R`` of ``Q``
-    (lower triangular, ``Q^-1 = R^T R``); see :class:`_FreeSetSolver`.  It
-    changes how the solve runs, never its answer, which is checked against
-    ``Q`` itself.
+    ``inverse``, when given, is the inverse ``G = K^-1`` of a symmetric
+    positive definite ``K`` with ``Q = K[ix, ix]`` for the strictly
+    increasing ``ix = inverse_index`` (a kernel's inverse and a support's
+    indices); see :class:`_FreeSetSolver`.  It changes how the solve runs,
+    never its answer, which is checked against ``Q`` itself.
     """
 
     Q: np.ndarray
     b: np.ndarray
-    factor: np.ndarray | None = field(default=None, repr=False, compare=False)
+    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
+    inverse_index: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         Q = _as_sym_matrix(self.Q)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "b", _as_vector(self.b, Q.shape[0], "b"))
-        object.__setattr__(self, "factor", _as_factor(self.factor, Q))
+        _set_inverse(self, Q)
 
     @property
     def size(self) -> int:
@@ -115,18 +134,20 @@ class ConeQpProblem:
 class SimplexQpProblem:
     """Data of the simplex problem ``min w@Q@w + 2 f@w, w >= 0, sum(w) = 1``.
 
-    ``factor`` is optional, as for :class:`ConeQpProblem`.
+    ``inverse`` and ``inverse_index`` are optional, as for
+    :class:`ConeQpProblem`.
     """
 
     Q: np.ndarray
     f: np.ndarray
-    factor: np.ndarray | None = field(default=None, repr=False, compare=False)
+    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
+    inverse_index: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         Q = _as_sym_matrix(self.Q)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "f", _as_vector(self.f, Q.shape[0], "f"))
-        object.__setattr__(self, "factor", _as_factor(self.factor, Q))
+        _set_inverse(self, Q)
 
     @property
     def size(self) -> int:
@@ -238,12 +259,11 @@ def _principal_submatrix(Q: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return Q if idx.size == Q.shape[0] else Q[np.ix_(idx, idx)]
 
 
-# Free sets of at least this many indices are factored, from the second solve
-# of a QP that brings no factor on; below it every step that the factor does
-# not cover is an LU solve.  On a 2-core OpenBLAS host, at 400 indices a factor
-# costs about one LU solve (2.8 against 2.6 ms) and a later Schur step 0.1 ms;
-# below it any step costs under 3 ms, and the many small problems of a scan
-# keep the plain LU path.
+# Free sets of at least this many indices are inverted from the second step
+# of a QP that no inverse serves on; below it every such step is an LU solve.
+# On a 2-core OpenBLAS host, at 400 indices an inverse costs 2.6 ms, an LU
+# solve 1.5 ms and a later Schur step 0.07 ms; below it any step costs under
+# 3 ms, and the many small problems of a scan keep the plain LU path.
 _FACTOR_MIN = 400
 
 
@@ -252,53 +272,64 @@ class _FreeSetSolver:
 
     A call takes the free mask and an ``(n, p)`` right-hand side over all
     indices and returns F's indices and the ``(|F|, p)`` solution.  The
-    solver keeps at most one factor ``Q_BB^-1 = R^T R`` of a set B: the
-    factor ``R`` of the whole of ``Q`` when the problem brings one (B = every
-    index), else the one it builds itself (:func:`_inverse_cholesky`).
-    Every F within B is solved from that factor through the Schur complement
-    on the dropped set ``D = B \\ F`` (Bartlett & Biegler, 2006): with ``r~``
-    equal to ``r`` on F and zero on D, the solution is ``R^T (R r~ + R_D s)``
-    on F, where ``(R_D^T R_D) s = -R_D^T R r~`` makes it vanish on D.  That
-    is two products with R and a ``|D|``-sized solve in place of an
-    O(|F|^3) factorization.  The factor is dropped when F leaves B, or when
+    solver keeps at most one inverse ``G = K_UU^-1`` of a universe U that
+    holds Q's indices (or some of them) as a principal submatrix: the
+    kernel's inverse when the problem brings one (U = the kernel's nodes),
+    else the one it builds of a free set B itself (U = B; a gathered copy
+    overwritten by :func:`_inverse_cholesky` and :func:`_factor_to_inverse`).
+    Every F within U is solved from G by the principal-submatrix inverse
+    identity ``(K_FF)^-1 = G_FF - G_FD G_DD^-1 G_DF`` on the rest
+    ``D = U \\ F`` (Golub & Van Loan, block inverse by Schur complements;
+    Bartlett & Biegler, QPSchur, 2006): with ``r~`` equal to ``r`` on F and
+    zero on D, ``y = G r~``, ``s = G_DD^-1 y_D`` and ``x = y_F - G_FD s``.
+    That is one product with G and a ``|D|``-sized solve in place of an
+    O(|F|^3) factorization.  The inverse is dropped when F leaves U, or when
     ``2|D| > |F|`` and the Schur step would cost about as much.  A step
-    without a factor is an LU solve when F has fewer than ``_FACTOR_MIN``
-    indices, or when it is the first step of a QP that brought no factor,
-    so such a QP settled in one step pays for no factor; any other step
-    factors F.
+    that no inverse serves is an LU solve when F has fewer than
+    ``_FACTOR_MIN`` indices, or when it is the first such step of the QP, so
+    a QP settled in that step pays for no inverse; any other such step
+    inverts F.
     """
 
-    def __init__(self, Q: np.ndarray, R: np.ndarray | None = None):
+    def __init__(self, Q: np.ndarray, G: np.ndarray | None = None, index: np.ndarray | None = None):
         self.Q = Q
-        self.solves = 0
-        self.lu_first = R is None
-        self.base = None if R is None else np.arange(Q.shape[0])  # sorted indices B of R
-        self.R = R
+        self.lu_first = True
+        self.G = G
+        self.where = index  # position in G of each index of Q, -1 outside U
 
     def __call__(self, free: np.ndarray, r: np.ndarray):
         idx = np.flatnonzero(free)
-        self.solves += 1
-        if self.base is not None:
-            kept = free[self.base]
-            dropped = np.flatnonzero(~kept)
-            if np.count_nonzero(kept) == idx.size and 2 * dropped.size <= idx.size:
-                return idx, self._schur_solve(r, kept, dropped)
-            self.base = self.R = None
-        if idx.size < _FACTOR_MIN or (self.solves == 1 and self.lu_first):
-            return idx, np.linalg.solve(_principal_submatrix(self.Q, idx), r[idx])
-        self.R = _inverse_cholesky(self.Q[np.ix_(idx, idx)])
-        self.base = idx
-        return idx, self.R.T @ (self.R @ r[idx])
+        step = self._schur_sets(idx)
+        if step is None:
+            self.G = self.where = None
+            if idx.size < _FACTOR_MIN or self.lu_first:
+                self.lu_first = False
+                return idx, np.linalg.solve(_principal_submatrix(self.Q, idx), r[idx])
+            self.G = _factor_to_inverse(_inverse_cholesky(self.Q[np.ix_(idx, idx)]))
+            self.where = np.full(self.Q.shape[0], -1)
+            self.where[idx] = np.arange(idx.size)
+            step = self._schur_sets(idx)
+        at, rest = step
+        G = self.G
+        rt = np.zeros((G.shape[0], r.shape[1]))
+        rt[at] = r[idx]
+        y = G @ rt
+        if rest.size:
+            GD = G[rest]
+            y -= GD.T @ np.linalg.solve(GD[:, rest], y[rest])
+        return idx, y[at]
 
-    def _schur_solve(self, r, kept, dropped):
-        R = self.R
-        rt = r[self.base]
-        rt[dropped] = 0.0
-        u = R @ rt
-        if dropped.size:
-            RD = R[:, dropped]
-            u += RD @ np.linalg.solve(RD.T @ RD, -(RD.T @ u))
-        return (R.T @ u)[kept]
+    def _schur_sets(self, idx):
+        """F's positions in G and the rest D of U, if the inverse serves F."""
+        if self.G is None:
+            return None
+        at = self.where[idx]
+        if at.size and at.min() < 0:
+            return None
+        rest = np.ones(self.G.shape[0], dtype=bool)
+        rest[at] = False
+        rest = np.flatnonzero(rest)
+        return (at, rest) if 2 * rest.size <= idx.size else None
 
 
 def _cone_reduced_solve(solve: _FreeSetSolver, b: np.ndarray, free: np.ndarray):
@@ -327,7 +358,7 @@ def solve_cone_qp(
     b = p.b
     free = b > 0.0 if w0 is None else np.asarray(w0, dtype=float) > 0.0
     dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(b))))
-    solve = _FreeSetSolver(p.Q, p.factor)
+    solve = _FreeSetSolver(p.Q, p.inverse, p.inverse_index)
     w, _, solves = _block_pivot(lambda F: _cone_reduced_solve(solve, b, F), free, dual_eps)
     s, c, fe = _cone_residuals(p, w)
     report = KktReport(s, c, fe, None, solves)
@@ -401,7 +432,7 @@ def solve_simplex_qp(
         free[:] = True
     # max |Q_ij| sits on the diagonal of an SPD Q (|Q_ij| < sqrt(Q_ii Q_jj)): no k x k temporary
     dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(f))), float(np.max(np.diagonal(Q))))
-    solve = _FreeSetSolver(Q, p.factor)
+    solve = _FreeSetSolver(Q, p.inverse, p.inverse_index)
     w, c, solves = _block_pivot(lambda F: _simplex_pivot_solve(solve, f, F), free, dual_eps)
     s, comp, fe = _simplex_residuals(p, w, c)
     report = KktReport(s, comp, fe, c, solves)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import double_loop_energy, double_loop_potential
+from finpot import core
 from finpot.core import (
     KernelMatrix,
     Measure,
@@ -16,6 +17,7 @@ from finpot.core import (
     energy,
     energy_distance,
     gauss_functional,
+    is_exactly_symmetric,
     mutual_energy,
     potential,
 )
@@ -124,44 +126,56 @@ def test_kernel_constructor_validations():
 
 
 # ---------------------------------------------------------------------------
-# the certificate's factor, kept by the kernel
+# the certificate's inverse, kept by the kernel
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def factored_kernels():
-    """Assembled kernels, each with its bound on the largest entry of R K R^T - I.
+    """Assembled kernels, each with its bound on the largest entry of G K - I.
 
-    Measured: 1.0e-15 on the 1602-node Newtonian sphere (cond 3.1e2) and
-    5.3e-14 on the 1000-node Riesz alpha = 2.9 ball (cond 4.1e4).
+    Measured: 7.2e-15 on the 1602-node Newtonian sphere (cond 3.1e2) and
+    1.1e-13 on the 1000-node Riesz alpha = 2.9 ball (cond 4.1e4).
     """
     return {
-        "newton-sphere": (assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 1602))).kernel, 1e-14),
+        "newton-sphere": (assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 1602))).kernel, 1e-13),
         "riesz-2.9-ball": (assemble(InstanceSpec(3, RieszKernel(2.9), Ball(1.0, 1000))).kernel, 1e-12),
     }
 
 
 @pytest.mark.parametrize("family", ["newton-sphere", "riesz-2.9-ball"])
-def test_kernel_keeps_a_frozen_lower_triangular_factor(factored_kernels, family):
+def test_kernel_keeps_a_frozen_symmetric_inverse(factored_kernels, family):
     kernel, _ = factored_kernels[family]
-    R = kernel.inverse_factor
-    assert R.shape == kernel.entries.shape and not R.flags.writeable
-    assert not np.triu(R, 1).any()
+    G = kernel.inverse
+    assert G is kernel.pd_certificate.inverse
+    assert G.shape == kernel.entries.shape and not G.flags.writeable
+    assert np.array_equal(G, G.T)
     with pytest.raises(ValueError):
-        R[0, 0] = 1.0
-    # leading supports get a view of R's leading block; any other support none
-    lead = kernel.leading_factor(SupportSet(range(400)))
-    assert np.shares_memory(lead, R) and np.array_equal(lead, R[:400, :400])
-    assert not lead.flags.writeable
-    assert kernel.leading_factor(SupportSet(range(1, 400))) is None
-    assert kernel.leading_factor(SupportSet([0, 1, 3])) is None
+        G[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("family", ["newton-sphere", "riesz-2.9-ball"])
-def test_kernel_factor_inverts(factored_kernels, family):
+def test_kernel_inverse_inverts(factored_kernels, family):
     kernel, bound = factored_kernels[family]
-    R, K = kernel.inverse_factor, kernel.entries
-    assert np.max(np.abs(R @ K @ R.T - np.eye(kernel.size))) <= bound
+    G, K = kernel.inverse, kernel.entries
+    assert np.max(np.abs(G @ K - np.eye(kernel.size))) <= bound
+
+
+@pytest.mark.parametrize("family", ["newton-sphere", "riesz-2.9-ball"])
+def test_min_cholesky_pivot_is_read_off_the_inverse_cholesky_factor(factored_kernels, family):
+    # the certificate turns R into G only after reading the pivot off R
+    kernel, _ = factored_kernels[family]
+    R = core._inverse_cholesky(np.array(kernel.entries))
+    assert kernel.pd_certificate.min_cholesky_pivot == 1.0 / float(np.max(np.diagonal(R)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 127, 128, 129, 300])
+def test_factor_to_inverse_forms_r_transpose_r(k):
+    rng = np.random.default_rng(k)
+    R = np.tril(rng.standard_normal((k, k)))
+    G = core._factor_to_inverse(np.array(R))
+    assert np.array_equal(G, G.T)
+    assert np.max(np.abs(G - R.T @ R)) <= 1e-12 * max(1.0, float(np.max(np.abs(R.T @ R))))
 
 
 @pytest.mark.parametrize("family", ["newton-sphere", "riesz-2.9-ball"])
@@ -183,6 +197,28 @@ def test_indefinite_kernel_raises_with_witness(k):
             build(A)
         w = err.value.witness
         assert w is not None and float(w @ A @ w) <= 0.0
+
+
+@pytest.mark.parametrize("k", [1, 5, 128, 300])
+def test_exact_symmetry_check_agrees_with_array_equal(k):
+    rng = np.random.default_rng(k)
+    A = rng.standard_normal((k, k))
+    A = A + A.T
+    assert is_exactly_symmetric(A) and np.array_equal(A, A.T)
+    # one asymmetric entry in the first panel, an interior one and the last,
+    # partial panel (k = 300 has panels 0-127, 128-255 and 256-299), on
+    # either side of the diagonal; and a NaN, on and off the diagonal
+    cells = {(0, k - 1), (k - 1, 0), (k // 2, k // 3), (k // 3, k // 2), (k - 1, k - 2), (k - 2, k - 1)}
+    for i, j in sorted(c for c in cells if min(c) >= 0 and c[0] != c[1]):
+        B = A.copy()
+        B[i, j] = np.nextafter(B[i, j], np.inf)
+        assert not is_exactly_symmetric(B) and not np.array_equal(B, B.T)
+    for i, j in {(0, 0), (k - 1, k - 1), (k // 2, k // 3)}:
+        B = A.copy()
+        B[i, j] = np.nan
+        if i != j:
+            B[j, i] = np.nan
+        assert not is_exactly_symmetric(B) and not np.array_equal(B, B.T)
 
 
 def test_energy_principle_random_vectors():

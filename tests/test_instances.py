@@ -24,6 +24,7 @@ from finpot.instances import (
     assemble,
     fibonacci_sphere,
     generate_points,
+    points_to_csv,
     thinness_series,
 )
 
@@ -287,3 +288,22 @@ def test_generated_points_deterministic():
     assert a.shape == (77, 3)
     assert fibonacci_sphere(50).shape == (50, 3)
     assert np.allclose(np.linalg.norm(fibonacci_sphere(50), axis=1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# node export
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 1000)),
+    InstanceSpec(3, RieszKernel(2.9), Ball(1.0, 300)),
+    InstanceSpec(2, LogKernel(0.4), Ball(1.0, 200, (0.0, 0.0)), charge=(ChargeAtom((1.5, 0.0), 1.0),)),
+    InstanceSpec(3, RieszKernel(2.0), ShellUnion(2.0, (40, 40, 40))),
+    InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 1), regularization=FixedLength(0.1)),
+], ids=["sphere", "ball", "log-disc", "shell-union", "one-node"])
+def test_points_to_csv_writes_the_bytes_of_savetxt(spec, tmp_path):
+    points = assemble(spec).node_points()
+    points_to_csv(points, tmp_path / "nodes.csv")
+    np.savetxt(tmp_path / "ref.csv", points, delimiter=",")
+    assert (tmp_path / "nodes.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

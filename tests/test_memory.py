@@ -3,10 +3,11 @@
 The dense kernel matrix caps the problem size, so the transient arrays around
 it are bounded in units of its own bytes: assembly may hold the distance
 buffer next to the gram matrix, or the kernel next to its inverse Cholesky
-factor, which the kernel keeps; a solve may hold one reduced matrix for its
-linear solves, or its own factor.
+factor, which becomes the inverse the kernel keeps; a solve may hold one
+reduced matrix for its linear solves, or an inverse of its own.
 """
 
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -54,7 +55,7 @@ def test_whole_support_gauss_solve_peaks_within_one_and_a_half_matrices(instance
 
 @pytest.fixture
 def factored(monkeypatch):
-    """Sizes of the free sets the QP engine factors itself."""
+    """Sizes of the free sets the QP engine inverts itself."""
     sizes = []
     inverse_cholesky = qp._inverse_cholesky
     monkeypatch.setattr(
@@ -64,8 +65,7 @@ def factored(monkeypatch):
 
 
 def test_multi_step_gauss_solve_peaks_within_one_and_a_half_matrices(factored):
-    # the whole support is the kernel's leading block: every step runs on the
-    # kernel's own factor, so the solve factors nothing
+    # every step runs on the kernel's own inverse, so the solve inverts nothing
     inst = assemble(MIXED)
     res, peak = peak_bytes(lambda: solve_gauss(inst.kernel, inst.omega, inst.support))
     assert res.kkt.iterations > 2 and not factored
@@ -73,10 +73,23 @@ def test_multi_step_gauss_solve_peaks_within_one_and_a_half_matrices(factored):
 
 
 def test_multi_step_gathered_gauss_solve_peaks_within_one_and_a_half_matrices(factored):
-    # 450 nodes, every fourth left out: a gathered copy of Q, and a factor of a
-    # free set of at least _FACTOR_MIN indices (6 steps, factor at k = 421)
+    # 450 nodes, every fourth left out: a gathered copy of Q; the kernel's
+    # inverse serves the first two steps, and the rest are LU solves of fewer
+    # than _FACTOR_MIN indices after one of 401, so no inverse is built
     inst = assemble(MIXED)
     support = SupportSet(i for i in range(M) if i % 4)
     res, peak = peak_bytes(lambda: solve_gauss(inst.kernel, inst.omega, support))
-    assert res.kkt.iterations > 2 and max(factored) >= qp._FACTOR_MIN
+    assert res.kkt.iterations > 2 and not factored
     assert peak <= 1.5 * 8 * M * M
+
+
+def test_multi_step_gauss_solve_on_a_small_support_peaks_within_one_and_a_half_matrices(factored):
+    # 540 of 902 indices, under 2/3 of the universe, so the kernel's inverse
+    # serves no step: an LU solve, then an inverse of a free set of at least
+    # _FACTOR_MIN indices (6 steps, inverse at k = 504)
+    m = 900
+    inst = assemble(dataclasses.replace(MIXED, geometry=Sphere(1.0, m)))
+    support = SupportSet(i for i in range(m) if i % 5 < 3)
+    res, peak = peak_bytes(lambda: solve_gauss(inst.kernel, inst.omega, support))
+    assert res.kkt.iterations > 2 and max(factored) >= qp._FACTOR_MIN
+    assert peak <= 1.5 * 8 * m * m

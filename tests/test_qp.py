@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finpot.balayage
+import finpot.gauss
 from finpot import core, qp
 from finpot.balayage import pseudo_balayage
 from finpot.core import SupportSet
@@ -403,7 +405,7 @@ def test_factor_path_matches_lu_every_step(mixed_charge_universes, solve, make, 
 
 
 # ---------------------------------------------------------------------------
-# the kernel's factor seeds QPs on leading supports
+# the kernel's inverse seeds QPs on every support
 # ---------------------------------------------------------------------------
 
 
@@ -422,51 +424,123 @@ def test_largest_kernel_entry_is_on_the_diagonal(spec):
 
 
 def test_seeded_solver_starts_from_the_factor():
+    # the kernel hands its inverse G to the solver, and G serves any support
     kernel = assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 1000))).kernel
-    Q, R = kernel.entries, kernel.inverse_factor
+    K, G = kernel.entries, kernel.inverse
     r = np.random.default_rng(3).standard_normal((1000, 2))
 
     def check(solve, free):
-        idx, x = solve(free, r)
+        idx, x = solve(free, r[:free.size])
         assert np.array_equal(idx, np.flatnonzero(free))
-        ref = np.linalg.solve(Q[np.ix_(idx, idx)], r[idx])
+        ref = np.linalg.solve(solve.Q[np.ix_(idx, idx)], r[idx])
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    # the first step is a Schur step on the factor handed in ...
-    solve = qp._FreeSetSolver(Q, R)
-    free = np.ones(1000, dtype=bool)
-    check(solve, free)
-    free[::10] = False
-    check(solve, free)
-    assert solve.R is R
-    # ... or, when it drops more than a third of the indices, a refactor
-    solve = qp._FreeSetSolver(Q, R)
-    free = np.arange(1000) < 550
-    check(solve, free)
-    assert solve.R is not R and np.array_equal(solve.base, np.flatnonzero(free))
-    # below the gate it is an LU solve, and no factor is kept
-    solve = qp._FreeSetSolver(Q, R)
+    # the first step is a Schur step on the inverse handed in, for a leading,
+    # an offset and a gathered support alike ...
+    for ix in (np.arange(900), np.arange(100, 1000), np.flatnonzero(np.arange(1000) % 10)):
+        solve = qp._FreeSetSolver(K[np.ix_(ix, ix)], G, ix)
+        free = np.ones(ix.size, dtype=bool)
+        check(solve, free)
+        free[::17] = False
+        check(solve, free)
+        assert solve.G is G
+    # ... when the rest of the universe outweighs half the free set, the
+    # first such step is an LU solve, and a later one of at least
+    # _FACTOR_MIN indices builds an inverse of its own
+    solve = qp._FreeSetSolver(K, G, np.arange(1000))
+    check(solve, np.arange(1000) < 650)
+    assert solve.G is None
+    check(solve, np.arange(1000) < 600)
+    assert solve.G.shape == (600, 600) and np.array_equal(solve.G, solve.G.T)
+    check(solve, np.arange(1000) < 500)
+    assert solve.G.shape == (600, 600)
+    # below the gate it is an LU solve, and no inverse is kept
+    solve = qp._FreeSetSolver(K, G, np.arange(1000))
+    check(solve, np.arange(1000) < 650)
     check(solve, np.arange(1000) < qp._FACTOR_MIN - 1)
-    assert solve.R is None
+    assert solve.G is None
 
 
 @pytest.mark.parametrize("family", ["newton-sphere", "riesz-2.9-ball"])
 @pytest.mark.parametrize("solve, make", [
-    (solve_cone_qp, lambda Q, field, R: ConeQpProblem(Q, field, factor=R)),
-    (solve_simplex_qp, lambda Q, field, R: SimplexQpProblem(Q, -field, factor=R)),
+    (solve_cone_qp, lambda Q, field, G, ix: ConeQpProblem(Q, field, inverse=G, inverse_index=ix)),
+    (solve_simplex_qp, lambda Q, field, G, ix: SimplexQpProblem(Q, -field, inverse=G, inverse_index=ix)),
 ])
 def test_seeded_factor_matches_lu_every_step(mixed_charge_universes, family, solve, make, monkeypatch):
-    # whole-support QPs: seeded with the kernel's factor, against no factor and
-    # the gate above every k (9 to 21 steps each)
+    # whole-support (leading) QPs: seeded with the kernel's inverse, against no
+    # inverse and the gate above every k (9 to 21 steps each)
     inst = mixed_charge_universes[family]
     n, kernel = inst.n_nodes, inst.kernel
     support = SupportSet(range(n))
     field = (kernel.entries @ inst.omega.weights)[:n]
-    w, report = solve(make(kernel.restrict(support), field, kernel.leading_factor(support)))
+    w, report = solve(make(kernel.restrict(support), field, kernel.inverse, support.as_array()))
     monkeypatch.setattr(qp, "_FACTOR_MIN", n + 1)
-    w_lu, report_lu = solve(make(kernel.restrict(support), field, None))
+    w_lu, report_lu = solve(make(kernel.restrict(support), field, None, None))
     assert np.array_equal(w > 0.0, w_lu > 0.0)
     assert report.iterations == report_lu.iterations > 2
+    assert np.max(np.abs(w - w_lu)) <= 1e-12 * max(1.0, float(np.max(np.abs(w_lu))))
+
+
+def _warm_solve_sphere():
+    """1600-node Newtonian sphere with 8 unit atoms at radii 1.1 to 3."""
+    rng = np.random.default_rng(8)
+    atoms = []
+    for j in range(8):
+        x = rng.standard_normal(3)
+        radius = 1.1 + 1.9 * (j + rng.random()) / 8
+        atoms.append(ChargeAtom(tuple(radius * x / np.linalg.norm(x)), 1.0))
+    return assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 1600), charge=tuple(atoms)))
+
+
+@pytest.fixture(scope="module")
+def cap_universes(mixed_charge_universes):
+    """The 8-atom sphere with +1, -0.7, +0.5 on three atoms, and the mixed-charge ball."""
+    sphere = _warm_solve_sphere()
+    omega = np.zeros(sphere.kernel.size)
+    omega[sphere.n_nodes + np.array([0, 3, 6])] = [1.0, -0.7, 0.5]
+    ball = mixed_charge_universes["riesz-2.9-ball"]
+    return {
+        "warm-solve-sphere": (sphere, omega),
+        "riesz-2.9-ball": (ball, ball.omega.weights),
+    }
+
+
+def _cap(inst, frac):
+    """Indices of the ``frac`` share of the nodes highest along a fixed axis."""
+    height = inst.node_points() @ np.array([0.36, -0.48, 0.8])
+    return np.sort(np.argsort(-height, kind="stable")[:int(round(frac * inst.n_nodes))])
+
+
+@pytest.mark.parametrize("support", ["offset", "cap-0.70", "cap-0.80", "cap-0.90"])
+@pytest.mark.parametrize("family", ["warm-solve-sphere", "riesz-2.9-ball"])
+@pytest.mark.parametrize("solve, make", [
+    (solve_cone_qp, lambda Q, field, G, ix: ConeQpProblem(Q, field, inverse=G, inverse_index=ix)),
+    (solve_simplex_qp, lambda Q, field, G, ix: SimplexQpProblem(Q, -field, inverse=G, inverse_index=ix)),
+])
+def test_kernel_inverse_matches_lu_every_step_off_the_leading_block(
+    cap_universes, family, support, solve, make, monkeypatch
+):
+    # offset runs and gathered caps of 70-90%: seeded with the kernel's
+    # inverse, whose first step is a Schur step, against no inverse and the
+    # gate above every k
+    inst, omega = cap_universes[family]
+    n, kernel = inst.n_nodes, inst.kernel
+    ix = np.arange(n // 10, n) if support == "offset" else _cap(inst, float(support[4:]))
+    Q, field = kernel.entries[np.ix_(ix, ix)], (kernel.entries @ omega)[ix]
+    served = []
+
+    class Spy(qp._FreeSetSolver):
+        def __call__(self, free, r):
+            served.append(self.G is kernel.inverse and self._schur_sets(np.flatnonzero(free)) is not None)
+            return super().__call__(free, r)
+
+    monkeypatch.setattr(qp, "_FreeSetSolver", Spy)
+    w, report = solve(make(Q, field, kernel.inverse, ix))
+    assert served[0]
+    monkeypatch.setattr(qp, "_FACTOR_MIN", n + 1)
+    w_lu, report_lu = solve(make(Q, field, None, None))
+    assert np.array_equal(w > 0.0, w_lu > 0.0)
+    assert report.iterations == report_lu.iterations
     assert np.max(np.abs(w - w_lu)) <= 1e-12 * max(1.0, float(np.max(np.abs(w_lu))))
 
 
@@ -482,22 +556,27 @@ def _support(kind: str, n: int, rng) -> SupportSet:
 
 @pytest.mark.parametrize("kind", ["leading", "offset", "gathered"])
 @pytest.mark.parametrize("name", sorted(GEOMETRIC_SPECS))
-def test_library_solves_match_oracles_on_every_support_kind(name, kind):
-    # leading runs take the kernel's factor; other supports take the plain path
+def test_library_solves_match_oracles_on_every_support_kind(name, kind, monkeypatch):
+    # every kind of support hands its QPs the kernel's inverse and its indices
     inst = assemble(GEOMETRIC_SPECS[name])
     kernel = inst.kernel
     potential = kernel.entries @ inst.omega.weights
+    seen = []
+    for module, solver in ((finpot.balayage, "solve_cone_qp"), (finpot.gauss, "solve_simplex_qp")):
+        real = getattr(module, solver)
+        monkeypatch.setattr(module, solver, lambda p, real=real, **kw: seen.append(p) or real(p, **kw))
     rng = np.random.default_rng(11)
     for _ in range(6):
         support = _support(kind, inst.n_nodes, rng)
         idx = support.as_array()
-        assert (kernel.leading_factor(support) is not None) == (kind == "leading")
         Q = kernel.restrict(support)
         for p, solve, oracle in (
             (ConeQpProblem(Q, potential[idx]), pseudo_balayage, brute_force_cone),
             (SimplexQpProblem(Q, -potential[idx]), solve_gauss, brute_force_simplex),
         ):
             w = solve(kernel, inst.omega, support).measure.weights[idx]
+            assert seen[-1].inverse is kernel.inverse
+            assert np.array_equal(seen[-1].inverse_index, idx)
             ref = oracle(p)
             assert np.max(np.abs(w - ref)) <= 1e-8
             assert abs(p.objective(w) - p.objective(ref)) <= 1e-10
