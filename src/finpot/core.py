@@ -112,25 +112,38 @@ def _inverse_cholesky(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _mirror_lower(A: np.ndarray) -> None:
+    """Copy the strict lower triangle of the square ``A`` onto its upper one.
+
+    The off-diagonal quarter is copied by one transposed assignment, which
+    needs no temporary, and the two diagonal quarters recurse, so the only
+    temporaries are those of blocks of at most 32 rows.
+    """
+    k = A.shape[0]
+    if k <= 32:
+        A[...] = np.tril(A) + np.tril(A, -1).T
+        return
+    h = k // 2
+    A[:h, h:] = A[h:, :h].T
+    _mirror_lower(A[:h, :h])
+    _mirror_lower(A[h:, h:])
+
+
 def _factor_to_inverse(R: np.ndarray) -> np.ndarray:
     """Overwrite the lower triangular ``R`` with ``R^T R``, exactly symmetric.
 
     For ``R = L^-1`` that is ``A^-1``.  Row panel ``I`` of the lower
     triangle is ``R[i:, I]^T R[i:, :e]``, which reads only rows at or below
     the panel, so the panels are formed top to bottom in place (LAPACK's
-    ``lauum``); the upper triangle is then mirrored from the lower one, since
-    a matrix product does not promise equal mirror entries in the diagonal
-    blocks.  The only temporaries are panels of ``_BLOCK`` rows.
+    ``lauum``), each through one temporary of at most ``_BLOCK`` rows.  A
+    matrix product does not promise equal mirror entries, so the upper
+    triangle is then copied from the lower one (:func:`_mirror_lower`).
     """
     k, n = R.shape[0], _BLOCK
     for i in range(0, k, n):
         e = min(i + n, k)
         R[i:e, :e] = R[i:, i:e].T @ R[i:, :e]
-    for i in range(0, k, n):
-        e = min(i + n, k)
-        diag = R[i:e, i:e]
-        diag[...] = np.tril(diag) + np.tril(diag, -1).T
-        R[i:e, e:] = R[e:, i:e].T
+    _mirror_lower(R)
     return R
 
 
