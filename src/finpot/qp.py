@@ -259,8 +259,8 @@ def _principal_submatrix(Q: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return Q if idx.size == Q.shape[0] else Q[np.ix_(idx, idx)]
 
 
-# Free sets of at least this many indices are inverted from the second step
-# of a QP that no inverse serves on; below it every such step is an LU solve.
+# Free sets of at least this many indices that no inverse serves are inverted
+# from the second step of a QP on; below it every such step is an LU solve.
 # On a 2-core OpenBLAS host, at 400 indices an inverse costs 2.6 ms, an LU
 # solve 1.5 ms and a later Schur step 0.07 ms; below it any step costs under
 # 3 ms, and the many small problems of a scan keep the plain LU path.
@@ -286,24 +286,23 @@ class _FreeSetSolver:
     O(|F|^3) factorization.  The inverse is dropped when F leaves U, or when
     ``2|D| > |F|`` and the Schur step would cost about as much.  A step
     that no inverse serves is an LU solve when F has fewer than
-    ``_FACTOR_MIN`` indices, or when it is the first such step of the QP, so
-    a QP settled in that step pays for no inverse; any other such step
-    inverts F.
+    ``_FACTOR_MIN`` indices, or when it is the QP's first step, so a QP
+    settled in one step pays for no inverse; any later such step inverts F.
     """
 
     def __init__(self, Q: np.ndarray, G: np.ndarray | None = None, index: np.ndarray | None = None):
         self.Q = Q
-        self.lu_first = True
+        self.first = True
         self.G = G
         self.where = index  # position in G of each index of Q, -1 outside U
 
     def __call__(self, free: np.ndarray, r: np.ndarray):
         idx = np.flatnonzero(free)
+        first, self.first = self.first, False
         step = self._schur_sets(idx)
         if step is None:
             self.G = self.where = None
-            if idx.size < _FACTOR_MIN or self.lu_first:
-                self.lu_first = False
+            if idx.size < _FACTOR_MIN or first:
                 return idx, np.linalg.solve(_principal_submatrix(self.Q, idx), r[idx])
             self.G = _factor_to_inverse(_inverse_cholesky(self.Q[np.ix_(idx, idx)]))
             self.where = np.full(self.Q.shape[0], -1)

@@ -74,12 +74,12 @@ def test_multi_step_gauss_solve_peaks_within_one_and_a_half_matrices(factored):
 
 def test_multi_step_gathered_gauss_solve_peaks_within_one_and_a_half_matrices(factored):
     # 450 nodes, every fourth left out: a gathered copy of Q; the kernel's
-    # inverse serves the first two steps, and the rest are LU solves of fewer
-    # than _FACTOR_MIN indices after one of 401, so no inverse is built
+    # inverse serves the first two steps, and only the third, on 401 indices,
+    # leaves it and builds an inverse of its own (6 steps)
     inst = assemble(MIXED)
     support = SupportSet(i for i in range(M) if i % 4)
     res, peak = peak_bytes(lambda: solve_gauss(inst.kernel, inst.omega, support))
-    assert res.kkt.iterations > 2 and not factored
+    assert res.kkt.iterations > 2 and factored == [401]
     assert peak <= 1.5 * 8 * M * M
 
 

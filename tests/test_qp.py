@@ -445,8 +445,8 @@ def test_seeded_solver_starts_from_the_factor():
         check(solve, free)
         assert solve.G is G
     # ... when the rest of the universe outweighs half the free set, the
-    # first such step is an LU solve, and a later one of at least
-    # _FACTOR_MIN indices builds an inverse of its own
+    # first step is an LU solve, and a later one of at least _FACTOR_MIN
+    # indices builds an inverse of its own, which serves the steps after it
     solve = qp._FreeSetSolver(K, G, np.arange(1000))
     check(solve, np.arange(1000) < 650)
     assert solve.G is None
@@ -454,9 +454,14 @@ def test_seeded_solver_starts_from_the_factor():
     assert solve.G.shape == (600, 600) and np.array_equal(solve.G, solve.G.T)
     check(solve, np.arange(1000) < 500)
     assert solve.G.shape == (600, 600)
+    # a later step that leaves the kernel's inverse builds one right away
+    solve = qp._FreeSetSolver(K, G, np.arange(1000))
+    check(solve, np.ones(1000, dtype=bool))
+    check(solve, np.arange(1000) < 650)
+    assert solve.G.shape == (650, 650)
     # below the gate it is an LU solve, and no inverse is kept
     solve = qp._FreeSetSolver(K, G, np.arange(1000))
-    check(solve, np.arange(1000) < 650)
+    check(solve, np.ones(1000, dtype=bool))
     check(solve, np.arange(1000) < qp._FACTOR_MIN - 1)
     assert solve.G is None
 
