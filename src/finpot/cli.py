@@ -9,8 +9,7 @@ operation defines one.  Wall-clock metadata goes to a sidecar ``.meta.json``
 so the main report is byte-identical across runs of the same config.
 
 Exit codes: 0 success, 2 violated invariant (certification or verify
-failure), 3 solver failure, 4 config error.  The ``BALAYAGE_THREADS``
-environment variable caps internal parallelism.
+failure), 3 solver failure, 4 config error.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .core import (
 )
 from .experiments import (
     EmptyIntersection,
-    ThreadCountError,
     monotone_down,
     monotone_up,
     solvability_scan,
@@ -91,6 +89,24 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+def _finite(value, name: str) -> float:
+    """A config number as a finite float, or :class:`ConfigError`."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not np.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def _tolerance(value, name: str = "tol") -> float:
+    tol = _finite(value, name)
+    if tol <= 0.0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return tol
+
+
 def validate_report(report: dict) -> None:
     """Schema gate applied to every report before writing and after reading."""
     if report.get("schema") != REPORT_SCHEMA:
@@ -139,9 +155,7 @@ def _read_config(args) -> dict:
         if schema != CONFIG_SCHEMA:
             raise ConfigError(f"unsupported config schema {schema!r} (expected {CONFIG_SCHEMA})")
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigError("--tol must be positive")
-        cfg["tol"] = args.tol
+        cfg["tol"] = _tolerance(args.tol, "--tol")
     if args.out is not None:
         cfg["out"] = args.out
     cfg["_summary"] = bool(args.summary)
@@ -154,16 +168,16 @@ def _load_problem(cfg: dict, need_omega: bool = True):
     has_kernel = "kernel" in cfg
     if has_instance == has_kernel:
         raise ConfigError("exactly one of 'instance' or 'kernel' must be given")
+    scale = cfg.get("omega_scale")
+    if scale is not None:
+        scale = _finite(scale, "omega_scale")
     if has_instance:
         try:
             spec = InstanceSpec.from_json(cfg["instance"])
             inst = assemble(spec)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid instance spec: {exc}") from None
-        omega = inst.omega
-        scale = cfg.get("omega_scale")
-        if scale is not None:
-            omega = omega.scaled(float(scale))
+        omega = inst.omega if scale is None else inst.omega.scaled(scale)
         return inst.kernel, omega, inst.support, inst.h, inst
     kobj = cfg["kernel"]
     try:
@@ -178,9 +192,8 @@ def _load_problem(cfg: dict, need_omega: bool = True):
             omega = Measure.from_json(cfg["omega"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid omega: {exc}") from None
-        scale = cfg.get("omega_scale")
         if scale is not None:
-            omega = omega.scaled(float(scale))
+            omega = omega.scaled(scale)
     elif need_omega:
         raise ConfigError("raw-kernel configs need an 'omega' measure")
     else:
@@ -244,9 +257,10 @@ def _chain_from_config(cfg: dict, support: SupportSet, decreasing: bool):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid chain: {exc}") from None
         return stages
-    stages_n = int(cfg.get("stages", 4))
-    if stages_n < 1:
-        raise ConfigError("stages must be positive")
+    stages_n = _finite(cfg.get("stages", 4), "stages")
+    if stages_n < 1 or not stages_n.is_integer():
+        raise ConfigError(f"stages must be a positive integer, got {cfg['stages']!r}")
+    stages_n = int(stages_n)
     order = list(support.indices)
     sizes = sorted({max(1, round(len(order) * (j + 1) / stages_n)) for j in range(stages_n)})
     chain = [SupportSet(order[:s]) for s in sizes]
@@ -261,8 +275,8 @@ def _chain_from_config(cfg: dict, support: SupportSet, decreasing: bool):
 
 
 def _cmd_balayage(cfg: dict) -> int:
+    tol = _tolerance(cfg.get("tol", 1e-8))
     kernel, omega, support, h, inst = _load_problem(cfg)
-    tol = float(cfg.get("tol", 1e-8))
     _maybe_export_nodes(cfg, "balayage", inst)
     result = pseudo_balayage(kernel, omega, support, tol=tol, h=h)
     payload = result.to_json()
@@ -279,8 +293,8 @@ def _cmd_balayage(cfg: dict) -> int:
 
 
 def _cmd_gauss(cfg: dict) -> int:
+    tol = _tolerance(cfg.get("tol", 1e-8))
     kernel, omega, support, h, inst = _load_problem(cfg)
-    tol = float(cfg.get("tol", 1e-8))
     _maybe_export_nodes(cfg, "gauss", inst)
     res = solve_gauss(kernel, omega, support, tol=tol)
     bal = pseudo_balayage(kernel, omega, support, tol=tol, h=h)
@@ -299,8 +313,8 @@ def _cmd_gauss(cfg: dict) -> int:
 
 
 def _cmd_capacity(cfg: dict) -> int:
+    tol = _tolerance(cfg.get("tol", 1e-8))
     kernel, _, support, _, inst = _load_problem(cfg, need_omega=False)
-    tol = float(cfg.get("tol", 1e-8))
     _maybe_export_nodes(cfg, "capacity", inst)
     res = capacitary_measure(kernel, support, tol=tol)
     _emit(cfg, "capacity", res.to_json())
@@ -310,13 +324,16 @@ def _cmd_capacity(cfg: dict) -> int:
 
 
 def _cmd_solvability(cfg: dict) -> int:
-    tol = float(cfg.get("tol", 1e-8))
+    tol = _tolerance(cfg.get("tol", 1e-8))
     if "family" in cfg:
+        scalings = cfg.get("scalings", [1.0])
+        if not isinstance(scalings, list) or not scalings:
+            raise ConfigError(f"scalings must be a nonempty list of numbers, got {scalings!r}")
+        scalings = [_finite(s, "each scaling") for s in scalings]
         try:
             family = [assemble(InstanceSpec.from_json(obj)) for obj in cfg["family"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid family: {exc}") from None
-        scalings = [float(s) for s in cfg.get("scalings", [1.0])]
         table = solvability_scan(family, scalings, tol=tol)
         _emit(cfg, "solvability", table.to_json(), csv_rows=table.csv_rows())
         for row in table.rows:
@@ -340,8 +357,8 @@ def _cmd_solvability(cfg: dict) -> int:
 
 
 def _cmd_converge(cfg: dict, direction: str) -> int:
+    tol = _tolerance(cfg.get("tol", 1e-8))
     kernel, omega, support, _, inst = _load_problem(cfg)
-    tol = float(cfg.get("tol", 1e-8))
     _maybe_export_nodes(cfg, f"converge-{direction}", inst)
     chain = _chain_from_config(cfg, support, decreasing=(direction == "down"))
     runner = monotone_up if direction == "up" else monotone_down
@@ -366,7 +383,7 @@ def _cmd_thinness(cfg: dict) -> int:
         spec = InstanceSpec.from_json(cfg["instance"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid instance spec: {exc}") from None
-    tol = float(cfg.get("tol", 1e-8))
+    tol = _tolerance(cfg.get("tol", 1e-8))
     try:
         report = thinness_series(spec, tol=tol)
     except ValueError as exc:
@@ -414,7 +431,7 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
             raise ValueError("omega length does not match the kernel size")
         if support.indices[-1] >= kernel.size:
             raise ValueError("support indices exceed the kernel size")
-        tol = float(obj.get("tol", 1e-8)) if tol_override is None else tol_override
+        tol = _tolerance(obj.get("tol", 1e-8)) if tol_override is None else tol_override
         h = obj.get("h")
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         record("fixture-readable", False, str(exc))
@@ -482,7 +499,7 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
 
 def _cmd_verify(cfg: dict) -> int:
     paths = _fixture_paths(cfg)
-    tol_override = float(cfg["tol"]) if "tol" in cfg else None
+    tol_override = _tolerance(cfg["tol"]) if "tol" in cfg else None
     all_checks: list[dict] = []
     for path in paths:
         all_checks.extend(_verify_fixture(path, tol_override))
@@ -544,7 +561,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NotPositiveDefinite, DuplicatePoints, ChargeOnNode, NotNested,
-            EmptyIntersection, SizeMismatchError, ThreadCountError) as exc:
+            EmptyIntersection, SizeMismatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CharacterizationViolated as exc:

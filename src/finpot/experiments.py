@@ -2,16 +2,11 @@
 
 Every experiment is a pure function of its configuration.  Subset sampling
 in :func:`ugaheri_estimate` uses a seeded generator that is part of the
-configuration, so identical configs produce identical reports.  Cells of a
-solvability scan are independent and run on a thread pool whose width is
-capped by the ``BALAYAGE_THREADS`` environment variable; report assembly is
-ordered and single-threaded.
+configuration, so identical configs produce identical reports.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,10 +27,6 @@ from .instances import Instance
 
 class EmptyIntersection(ValueError):
     """A decreasing chain of support sets has empty intersection."""
-
-
-class ThreadCountError(ValueError):
-    """The ``BALAYAGE_THREADS`` environment variable is not an integer."""
 
 
 @dataclass(frozen=True)
@@ -255,18 +246,6 @@ LEAKS = "leaks"
 INCONCLUSIVE = "inconclusive"
 
 
-def _thread_count(requested: int | None) -> int:
-    env = os.environ.get("BALAYAGE_THREADS")
-    if requested is not None:
-        return max(1, requested)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ThreadCountError(f"BALAYAGE_THREADS must be an integer, got {env!r}") from None
-    return min(4, os.cpu_count() or 1)
-
-
 def _scan_cell(instance: Instance, scaling: float, truncation: int, tol: float, outer_fraction: float) -> ScanCell:
     omega = instance.omega.scaled(scaling)
     bal = pseudo_balayage(instance.kernel, omega, instance.support, tol=tol)
@@ -296,7 +275,6 @@ def solvability_scan(
     tol: float = SOLVER_TOL,
     threshold: float = 0.5,
     outer_fraction: float = 0.2,
-    threads: int | None = None,
 ) -> ScanTable:
     """Tabulate swept mass and minimizer localization over a truncation family.
 
@@ -305,21 +283,16 @@ def solvability_scan(
     ``scaling`` multiplies the charge.  Rows whose swept mass reaches 1 keep
     the minimizer in the interior; rows with deficient swept mass push the
     surplus onto the outermost rim, which moves outward with the family.
+    Cells are solved one after another, scaling-major: every truncation of
+    the first scaling, then every truncation of the next.
     """
     if not family:
         raise ValueError("family must be nonempty")
-    jobs = [
-        (float(s), t, inst)
+    cells = [
+        _scan_cell(inst, float(s), t, tol, outer_fraction)
         for s in scalings
         for t, inst in enumerate(family)
     ]
-    workers = _thread_count(threads)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        cells = list(
-            pool.map(
-                lambda job: _scan_cell(job[2], job[0], job[1], tol, outer_fraction), jobs
-            )
-        )
     rows = []
     per_row = len(family)
     for i, s in enumerate(scalings):

@@ -352,8 +352,8 @@ def solve_cone_qp(
     :class:`MaxIterExceeded` with the best iterate if the contract is not
     met.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:  # NaN or inf would pass every residual test
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     b = p.b
     free = b > 0.0 if w0 is None else np.asarray(w0, dtype=float) > 0.0
     dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(b))))
@@ -416,8 +416,8 @@ def solve_simplex_qp(
     ``(Q w + f)_i >= c`` everywhere and equality on the support.  Raises
     :class:`MaxIterExceeded` if residuals above ``tol`` persist.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:  # NaN or inf would pass every residual test
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     Q, f = p.Q, p.f
     if p.size == 1:
         # the reduced solve would round the weight off exact 1.0

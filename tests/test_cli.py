@@ -250,12 +250,60 @@ def test_bad_support_exits_4(tmp_path):
     assert main(["balayage", "--config", str(path)]) == EXIT_CONFIG
 
 
-def test_non_integer_thread_count_exits_4(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BALAYAGE_THREADS", "abc")
+def test_thread_count_variable_is_ignored(tmp_path, monkeypatch):
     path = write_config(tmp_path, "family.json", shell_family_config())
-    assert main(["solvability", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    plain, with_env = tmp_path / "plain", tmp_path / "env"
+    assert main(["solvability", "--config", str(path), "--out", str(plain)]) == EXIT_OK
+    monkeypatch.setenv("BALAYAGE_THREADS", "abc")
+    assert main(["solvability", "--config", str(path), "--out", str(with_env)]) == EXIT_OK
+    for name in ("solvability-report.json", "solvability-report.csv"):
+        assert (with_env / name).read_bytes() == (plain / name).read_bytes()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_flag_exits_4(tmp_path, capsys, tol):
+    path = write_config(tmp_path, "c.json", raw_config("mixed_small.json"))
+    argv = ["balayage", "--config", str(path), "--out", str(tmp_path), "--tol", tol]
+    assert main(argv) == EXIT_CONFIG
+    assert "--tol must be finite" in capsys.readouterr().err
+
+
+def _instance_config():
+    return {"schema": "finpot-config/1", "instance": sphere_instance(20)}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("balayage", {**raw_config("mixed_small.json"), "tol": "abc"}, "tol"),
+        ("balayage", {**raw_config("mixed_small.json"), "tol": 0}, "tol"),
+        ("balayage", {**raw_config("mixed_small.json"), "tol": -1}, "tol"),
+        ("balayage", {**_instance_config(), "omega_scale": "abc"}, "omega_scale"),
+        ("balayage", {**_instance_config(), "omega_scale": float("nan")}, "omega_scale"),
+        ("converge-up", {**raw_config("mixed_small.json"), "stages": "abc"}, "stages"),
+        ("solvability", {**shell_family_config(), "scalings": ["x"]}, "scaling"),
+        ("solvability", {**shell_family_config(), "scalings": 5}, "scalings"),
+        ("solvability", {**shell_family_config(), "scalings": [float("nan")]}, "scaling"),
+    ],
+    ids=["tol-abc", "tol-0", "tol-neg", "omega_scale-abc", "omega_scale-nan",
+         "stages-abc", "scalings-x", "scalings-5", "scalings-nan"],
+)
+def test_malformed_config_number_exits_4(tmp_path, capsys, command, cfg, key):
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "config error" in err and "BALAYAGE_THREADS" in err
+    assert err.startswith("config error") and key in err
+
+
+def test_fixture_with_non_finite_tol_fails_verify(tmp_path, capsys):
+    fxdir = tmp_path / "fx"
+    fxdir.mkdir()
+    fx = load_fixture("mixed_small.json")
+    fx["tol"] = float("nan")
+    (fxdir / "nan_tol.json").write_text(json.dumps(fx))
+    cfg = write_config(tmp_path, "c.json", {"schema": "finpot-config/1", "fixtures_dir": str(fxdir)})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_INVARIANT
+    assert "nan_tol.json:fixture-readable" in capsys.readouterr().err
 
 
 def test_verify_missing_fixture_dir_exits_4(tmp_path):
@@ -278,6 +326,19 @@ def test_verify_corrupted_fixture_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert "broken.json" in err
+
+
+def test_scan_cell_failure_exits_2(tmp_path, monkeypatch, capsys):
+    import finpot.experiments
+    from finpot.balayage import CharacterizationViolated
+
+    def solve(*args, **kwargs):
+        raise CharacterizationViolated("gate fired", {"support_equality": 1.0})
+
+    monkeypatch.setattr(finpot.experiments, "solve_gauss", solve)
+    path = write_config(tmp_path, "family.json", shell_family_config())
+    assert main(["solvability", "--config", str(path), "--out", str(tmp_path)]) == EXIT_INVARIANT
+    assert "invariant violated: gate fired" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -165,11 +165,52 @@ def test_scan_determinism():
     assert t1.to_json() == t2.to_json()
 
 
-def test_scan_thread_cap(monkeypatch):
-    monkeypatch.setenv("BALAYAGE_THREADS", "1")
+def test_scan_thread_cap():
     family = shell_family(truncations=(2, 3), per_shell=24)
     table = solvability_scan(family, scalings=[1.0])
     assert table.rows[0].verdict == STABILIZES
+
+
+def test_scan_is_its_cells_in_scaling_major_order():
+    from finpot.balayage import pseudo_balayage
+    from finpot.gauss import solve_gauss
+
+    family = shell_family(truncations=(2, 3, 4), per_shell=24)
+    scalings = [0.3, 1.0, 2.5]
+    table = solvability_scan(family, scalings)
+    cells = [c for row in table.rows for c in row.cells]
+    assert [(c.scaling, c.truncation) for c in cells] == [
+        (s, t) for s in scalings for t in range(len(family))
+    ]
+    for c in cells:
+        inst = family[c.truncation]
+        omega = inst.omega.scaled(c.scaling)
+        bal = pseudo_balayage(inst.kernel, omega, inst.support)
+        res = solve_gauss(inst.kernel, omega, inst.support)
+        assert c.balayage_mass == bal.mass
+        assert c.gauss_value == res.value
+        assert c.equilibrium_constant == res.equilibrium_constant
+
+
+def test_scan_cell_failure_propagates(monkeypatch):
+    import finpot.experiments
+    from finpot.balayage import CharacterizationViolated
+
+    real = finpot.experiments.solve_gauss
+    raised = CharacterizationViolated("gate fired", {"support_equality": 1.0})
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 4:  # the second scaling's first cell
+            raise raised
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(finpot.experiments, "solve_gauss", solve)
+    family = shell_family(truncations=(2, 3, 4), per_shell=24)
+    with pytest.raises(CharacterizationViolated) as err:
+        solvability_scan(family, scalings=[0.3, 1.0, 2.5])
+    assert err.value is raised
 
 
 # ---------------------------------------------------------------------------

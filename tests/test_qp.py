@@ -268,6 +268,17 @@ def test_problem_validation():
         solve_cone_qp(random_cone(0), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "solve, problem", [(solve_cone_qp, random_cone), (solve_simplex_qp, random_simplex)]
+)
+def test_non_finite_tol_is_rejected(solve, problem, tol):
+    # every ``residual > tol`` test is false at NaN or inf, so such a tol
+    # would certify any iterate
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve(problem(0), tol=tol)
+
+
 @pytest.mark.parametrize("cls", [ConeQpProblem, SimplexQpProblem])
 def test_problem_copies_a_writable_matrix_and_adopts_a_frozen_one(cls):
     Q = random_cone(3, k=5).Q.copy()
