@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SOLVER_TOL, KernelMatrix, Measure, SupportSet, gauss_functional, potential
+from .core import SOLVER_TOL, KernelMatrix, Measure, SupportSet, potential
 from .qp import ConeQpProblem, KktReport, SimplexQpProblem, solve_cone_qp, solve_simplex_qp
 
 
@@ -85,9 +85,18 @@ class MassBoundReport:
         }
 
 
-def _gap(kernel: KernelMatrix, mu: Measure, omega_potential: np.ndarray) -> np.ndarray:
-    """Potential gap ``K @ mu - K @ omega``, given the charge potential ``K @ omega``."""
-    return potential(kernel, mu) - omega_potential
+def _value_and_gap(
+    kernel: KernelMatrix, mu: Measure, omega_potential: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Weighted energy of ``mu`` and its potential gap, from one product ``K @ mu``.
+
+    Given the charge potential ``u = K @ omega``, the value is
+    :func:`~finpot.core.gauss_functional` ``mu@(K@mu) - 2 mu@u``, bit for bit,
+    and the gap is ``K @ mu - u``.
+    """
+    pot = potential(kernel, mu)
+    w = mu.weights
+    return float(w @ pot) - 2.0 * float(w @ omega_potential), pot - omega_potential
 
 
 def _certify(
@@ -131,16 +140,14 @@ def pseudo_balayage(
     """
     idx = support.as_array()
     u = potential(kernel, omega)
-    Q = kernel.restrict(support)
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
-    problem = ConeQpProblem(Q, u[idx], inverse=kernel.inverse, inverse_index=idx)
+    problem = ConeQpProblem.on_kernel(kernel, support, u[idx])
     w_sub, report = solve_cone_qp(problem, tol=tol, w0=start)
 
     w = np.zeros(kernel.size)
     w[idx] = w_sub
     swept = Measure(w, omega.node_set_id)
-    value = gauss_functional(kernel, omega, swept)
-    gap = _gap(kernel, swept, u)
+    value, gap = _value_and_gap(kernel, swept, u)
     _certify(
         "pseudo-balayage", gap, w, idx, 0.0, tol,
         self_integral=abs(float(w @ gap)), value_sign=float(max(0.0, value)),
@@ -173,7 +180,7 @@ def verify_ii1(
     off[idx] = False
     if off.any() and float(np.max(np.abs(w[off]))) > tol:
         raise ValueError("nu must vanish off the target set")
-    gap = _gap(kernel, nu, potential(kernel, omega))
+    _, gap = _value_and_gap(kernel, nu, potential(kernel, omega))
     atom_gap_min = float(gap[idx].min())
     self_abs = abs(float(w @ gap))
     ok = atom_gap_min >= -tol and self_abs <= tol
@@ -223,10 +230,8 @@ def restricted_problem_value(
     bal = pseudo_balayage(kernel, omega, support, tol=tol)
     if bal.mass <= mass_cap * (1.0 + 1e-12) + tol:
         return bal.value
-    idx = support.as_array()
-    Q = kernel.restrict(support)
-    b = potential(kernel, omega)[idx]
-    problem = SimplexQpProblem(Q, -b / mass_cap, inverse=kernel.inverse, inverse_index=idx)
+    b = potential(kernel, omega)[support.as_array()]
+    problem = SimplexQpProblem.on_kernel(kernel, support, -b / mass_cap)
     v, _ = solve_simplex_qp(problem, tol=tol)
     w = mass_cap * v
-    return float(w @ (Q @ w) - 2.0 * (b @ w))
+    return float(w @ (problem.Q @ w) - 2.0 * (b @ w))

@@ -107,6 +107,16 @@ def _tolerance(value, name: str = "tol") -> float:
     return tol
 
 
+def _h_constant(value) -> float | None:
+    """A maximum-principle constant h from a config: absent, or a finite number >= 1."""
+    if value is None:
+        return None
+    h = _finite(value, "h")
+    if h < 1.0:
+        raise ConfigError(f"h must be at least 1, got {value!r}")
+    return h
+
+
 def validate_report(report: dict) -> None:
     """Schema gate applied to every report before writing and after reading."""
     if report.get("schema") != REPORT_SCHEMA:
@@ -207,7 +217,7 @@ def _load_problem(cfg: dict, need_omega: bool = True):
         raise ConfigError("omega length does not match the kernel size")
     if support.indices[-1] >= kernel.size:
         raise ConfigError("support indices exceed the kernel size")
-    return kernel, omega, support, cfg.get("h"), None
+    return kernel, omega, support, _h_constant(cfg.get("h")), None
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -330,8 +340,11 @@ def _cmd_solvability(cfg: dict) -> int:
         if not isinstance(scalings, list) or not scalings:
             raise ConfigError(f"scalings must be a nonempty list of numbers, got {scalings!r}")
         scalings = [_finite(s, "each scaling") for s in scalings]
+        specs = cfg["family"]
+        if not isinstance(specs, list) or not specs:
+            raise ConfigError(f"family must be a nonempty list of instance specs, got {specs!r}")
         try:
-            family = [assemble(InstanceSpec.from_json(obj)) for obj in cfg["family"]]
+            family = [assemble(InstanceSpec.from_json(obj)) for obj in specs]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid family: {exc}") from None
         table = solvability_scan(family, scalings, tol=tol)
@@ -403,6 +416,8 @@ def _cmd_thinness(cfg: dict) -> int:
 
 def _fixture_paths(cfg: dict) -> list[Path]:
     if "fixtures_dir" in cfg:
+        if not isinstance(cfg["fixtures_dir"], str):
+            raise ConfigError(f"fixtures_dir must be a path string, got {cfg['fixtures_dir']!r}")
         root = Path(cfg["fixtures_dir"])
     else:
         root = Path(str(resources.files("finpot") / "fixtures"))
@@ -432,7 +447,7 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
         if support.indices[-1] >= kernel.size:
             raise ValueError("support indices exceed the kernel size")
         tol = _tolerance(obj.get("tol", 1e-8)) if tol_override is None else tol_override
-        h = obj.get("h")
+        h = _h_constant(obj.get("h"))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         record("fixture-readable", False, str(exc))
         return checks
@@ -461,9 +476,8 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
         record("gauss-equilibrium", False, str(exc))
 
     if len(support) <= 12:
-        Q = kernel.restrict(support)
         b = (kernel.entries @ omega.weights)[idx]
-        cone = ConeQpProblem(Q, b, inverse=kernel.inverse, inverse_index=idx)
+        cone = ConeQpProblem.on_kernel(kernel, support, b)
         w_solver, _ = solve_cone_qp(cone, tol=tol)
         w_oracle = brute_force_cone(cone)
         record(
@@ -471,7 +485,7 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
             float(np.max(np.abs(w_solver - w_oracle))) <= 1e-8
             and abs(cone.objective(w_solver) - cone.objective(w_oracle)) <= 1e-10,
         )
-        simplex = SimplexQpProblem(Q, -b, inverse=kernel.inverse, inverse_index=idx)
+        simplex = SimplexQpProblem.on_kernel(kernel, support, -b)
         v_solver, _ = solve_simplex_qp(simplex, tol=tol)
         v_oracle = brute_force_simplex(simplex)
         record(

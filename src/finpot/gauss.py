@@ -21,15 +21,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .balayage import BalayageResult, CharacterizationViolated, _certify, _gap, pseudo_balayage
+from .balayage import (
+    BalayageResult,
+    CharacterizationViolated,
+    _certify,
+    _value_and_gap,
+    pseudo_balayage,
+)
 from .core import (
     SOLVER_TOL,
     KernelMatrix,
     Measure,
     NotNested,
     SupportSet,
+    _require_sizes,
     energy_distance,
-    gauss_functional,
     potential,
 )
 from .qp import KktReport, SimplexQpProblem, solve_simplex_qp
@@ -147,17 +153,17 @@ def solve_gauss(
     equilibrium conditions themselves.
     """
     idx = support.as_array()
-    u = potential(kernel, omega)
-    Q = kernel.restrict(support)
+    _require_sizes(kernel, omega)
+    # a chargeless problem (the capacity) has a zero field: K @ 0 is exactly 0
+    u = potential(kernel, omega) if omega.weights.any() else np.zeros(kernel.size)
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
-    problem = SimplexQpProblem(Q, -u[idx], inverse=kernel.inverse, inverse_index=idx)
+    problem = SimplexQpProblem.on_kernel(kernel, support, -u[idx])
     w_sub, report = solve_simplex_qp(problem, tol=tol, w0=start)
 
     w = np.zeros(kernel.size)
     w[idx] = w_sub
     lam = Measure(w, omega.node_set_id)
-    value = gauss_functional(kernel, omega, lam)
-    weighted = _gap(kernel, lam, u)
+    value, weighted = _value_and_gap(kernel, lam, u)
     c_integral = float(w @ weighted)
     _certify(
         "equilibrium", weighted, w, idx, c_integral, tol,
@@ -230,7 +236,8 @@ def solvability_check(
             diagnostic=None,
             lambda_equals_balayage=matches,
         )
-    c_xi = float(bal.measure.weights @ _gap(kernel, bal.measure, potential(kernel, omega)))
+    _, gap = _value_and_gap(kernel, bal.measure, potential(kernel, omega))
+    c_xi = float(bal.measure.weights @ gap)
     diagnostic = ExtremalDiagnostic(
         sequence_values=(bal.value,),
         constants=(c_xi,),

@@ -18,6 +18,12 @@ holds its ``Q`` as a principal submatrix (``inverse``, with ``Q``'s indices
 in it, ``inverse_index``), from which every step it serves is solved; a
 later large free set that no inverse serves is inverted once, and the free
 sets inside it are solved from that inverse.
+A problem on a certified kernel is built with ``on_kernel(kernel, support,
+...)``: the kernel's checks (finite, exactly symmetric, positive definite,
+frozen) already hold for its principal submatrix and its inverse, so only
+the vector is checked; the plain constructor checks everything it is given.
+The KKT residuals are read off the dual the last pivot step formed, which is
+half the gradient, so no product with ``Q`` is spent on them.
 Exhaustive small-instance oracles (:func:`brute_force_cone`,
 :func:`brute_force_simplex`) enumerate supports and serve as the
 independent ground truth in the test suite.
@@ -33,6 +39,8 @@ import numpy as np
 
 from .core import (
     SOLVER_TOL,
+    KernelMatrix,
+    SupportSet,
     _factor_to_inverse,
     _inverse_cholesky,
     frozen_float_array,
@@ -93,6 +101,23 @@ def _as_vector(v, k: int, name: str) -> np.ndarray:
     return arr
 
 
+def _on_kernel(cls, kernel: KernelMatrix, support: SupportSet, name: str, v):
+    """A ``cls`` problem on ``kernel.restrict(support)``, seeded with the kernel's inverse.
+
+    The kernel guarantees what ``_as_sym_matrix`` and ``_set_inverse`` check:
+    its entries are finite, exactly symmetric, positive definite and frozen,
+    ``restrict`` keeps them frozen and range-checks the support, whose
+    indices are strictly increasing and frozen.  Only the vector is checked.
+    """
+    Q = kernel.restrict(support)
+    p = object.__new__(cls)
+    object.__setattr__(p, "Q", Q)
+    object.__setattr__(p, name, _as_vector(v, Q.shape[0], name))
+    object.__setattr__(p, "inverse", kernel.inverse)
+    object.__setattr__(p, "inverse_index", support.as_array())
+    return p
+
+
 @dataclass(frozen=True)
 class ConeQpProblem:
     """Data of the nonnegative-cone problem ``min w@Q@w - 2 b@w, w >= 0``.
@@ -101,7 +126,9 @@ class ConeQpProblem:
     positive definite ``K`` with ``Q = K[ix, ix]`` for the strictly
     increasing ``ix = inverse_index`` (a kernel's inverse and a support's
     indices); see :class:`_FreeSetSolver`.  It changes how the solve runs,
-    never its answer, which is checked against ``Q`` itself.
+    never its answer, which is checked against ``Q`` itself.  The
+    constructor checks every argument; :meth:`on_kernel` builds the problem
+    on a kernel's support without re-checking what the kernel certified.
     """
 
     Q: np.ndarray
@@ -114,6 +141,11 @@ class ConeQpProblem:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "b", _as_vector(self.b, Q.shape[0], "b"))
         _set_inverse(self, Q)
+
+    @classmethod
+    def on_kernel(cls, kernel: KernelMatrix, support: SupportSet, b) -> "ConeQpProblem":
+        """The problem with ``Q = kernel.restrict(support)``, seeded with the kernel's inverse."""
+        return _on_kernel(cls, kernel, support, "b", b)
 
     @property
     def size(self) -> int:
@@ -134,8 +166,8 @@ class ConeQpProblem:
 class SimplexQpProblem:
     """Data of the simplex problem ``min w@Q@w + 2 f@w, w >= 0, sum(w) = 1``.
 
-    ``inverse`` and ``inverse_index`` are optional, as for
-    :class:`ConeQpProblem`.
+    ``inverse`` and ``inverse_index`` are optional, and :meth:`on_kernel`
+    builds the problem on a kernel's support, as for :class:`ConeQpProblem`.
     """
 
     Q: np.ndarray
@@ -148,6 +180,11 @@ class SimplexQpProblem:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "f", _as_vector(self.f, Q.shape[0], "f"))
         _set_inverse(self, Q)
+
+    @classmethod
+    def on_kernel(cls, kernel: KernelMatrix, support: SupportSet, f) -> "SimplexQpProblem":
+        """The problem with ``Q = kernel.restrict(support)``, seeded with the kernel's inverse."""
+        return _on_kernel(cls, kernel, support, "f", f)
 
     @property
     def size(self) -> int:
@@ -191,20 +228,18 @@ class KktReport:
         }
 
 
-def _cone_residuals(p: ConeQpProblem, w: np.ndarray) -> tuple[float, float, float]:
-    g = p.gradient(w)
+def _cone_residuals(w: np.ndarray, g: np.ndarray) -> tuple[float, float, float]:
+    """Residuals at ``w`` of the cone problem whose gradient there is ``g``."""
     stationarity = float(max(0.0, -float(g.min())))
     complementarity = float(np.max(np.abs(w * g)))
     feasibility = float(max(0.0, -float(w.min())))
     return stationarity, complementarity, feasibility
 
 
-def _simplex_residuals(
-    p: SimplexQpProblem, w: np.ndarray, c: float
-) -> tuple[float, float, float]:
-    g = p.gradient(w)
-    stationarity = float(max(0.0, -float((g - 2.0 * c).min())))
-    complementarity = float(np.max(np.abs(w * (g - 2.0 * c))))
+def _simplex_residuals(w: np.ndarray, eta: np.ndarray) -> tuple[float, float, float]:
+    """Residuals at ``w`` of the simplex problem, given ``eta = g - 2c`` there."""
+    stationarity = float(max(0.0, -float(eta.min())))
+    complementarity = float(np.max(np.abs(w * eta)))
     feasibility = float(max(abs(float(w.sum()) - 1.0), max(0.0, -float(w.min()))))
     return stationarity, complementarity, feasibility
 
@@ -228,9 +263,9 @@ def _block_pivot(reduced_solve, free: np.ndarray, dual_eps: float):
     it.  Every infeasible index changes sides while their count keeps
     falling; after ``_BACKUP_ROUNDS`` exchanges without a fall only the
     largest infeasible index does (Murty's rule), which terminates finitely
-    on a P-matrix (Judice & Pires, 1994).  Returns ``(w, c, solves)``; when
-    the budget runs out, ``w`` is the iterate with the fewest infeasible
-    indices.
+    on a P-matrix (Judice & Pires, 1994).  Returns ``(w, y, c, solves)``
+    for the accepted iterate; when the budget runs out, that is the iterate
+    with the fewest infeasible indices.
     """
     fewest = free.size + 1
     backup = _BACKUP_ROUNDS
@@ -240,9 +275,9 @@ def _block_pivot(reduced_solve, free: np.ndarray, dual_eps: float):
         infeasible = np.where(free, w < 0.0, y < -dual_eps)
         count = int(np.count_nonzero(infeasible))
         if count == 0:
-            return w, c, solves
+            return w, y, c, solves
         if count < fewest:
-            fewest, backup, best = count, _BACKUP_ROUNDS, (w, c)
+            fewest, backup, best = count, _BACKUP_ROUNDS, (w, y, c)
             free = free ^ infeasible
         elif backup > 0:
             backup -= 1
@@ -251,7 +286,7 @@ def _block_pivot(reduced_solve, free: np.ndarray, dual_eps: float):
             free = free.copy()
             last = int(np.flatnonzero(infeasible)[-1])
             free[last] = not free[last]
-    return best[0], best[1], _MAX_SOLVES
+    return (*best, _MAX_SOLVES)
 
 
 def _principal_submatrix(Q: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -358,8 +393,8 @@ def solve_cone_qp(
     free = b > 0.0 if w0 is None else np.asarray(w0, dtype=float) > 0.0
     dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(b))))
     solve = _FreeSetSolver(p.Q, p.inverse, p.inverse_index)
-    w, _, solves = _block_pivot(lambda F: _cone_reduced_solve(solve, b, F), free, dual_eps)
-    s, c, fe = _cone_residuals(p, w)
+    w, y, _, solves = _block_pivot(lambda F: _cone_reduced_solve(solve, b, F), free, dual_eps)
+    s, c, fe = _cone_residuals(w, 2.0 * y)  # y = Q w - b, and doubling is exact
     report = KktReport(s, c, fe, None, solves)
     if max(s, c, fe) > tol:
         raise MaxIterExceeded(
@@ -423,7 +458,7 @@ def solve_simplex_qp(
         # the reduced solve would round the weight off exact 1.0
         w = np.array([1.0])
         c = float(Q[0, 0] + f[0])
-        s, comp, fe = _simplex_residuals(p, w, c)
+        s, comp, fe = _simplex_residuals(w, p.gradient(w) - 2.0 * c)
         return w, KktReport(s, comp, fe, c, 0)
 
     free = np.ones(p.size, dtype=bool) if w0 is None else np.asarray(w0, dtype=float) > 0.0
@@ -432,8 +467,9 @@ def solve_simplex_qp(
     # max |Q_ij| sits on the diagonal of an SPD Q (|Q_ij| < sqrt(Q_ii Q_jj)): no k x k temporary
     dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(f))), float(np.max(np.diagonal(Q))))
     solve = _FreeSetSolver(Q, p.inverse, p.inverse_index)
-    w, c, solves = _block_pivot(lambda F: _simplex_pivot_solve(solve, f, F), free, dual_eps)
-    s, comp, fe = _simplex_residuals(p, w, c)
+    w, y, c, solves = _block_pivot(lambda F: _simplex_pivot_solve(solve, f, F), free, dual_eps)
+    # y = Q w + f - c, so 2y is g - 2c exactly: doubling commutes with rounding
+    s, comp, fe = _simplex_residuals(w, 2.0 * y)
     report = KktReport(s, comp, fe, c, solves)
     if max(s, comp, fe) > tol:
         raise MaxIterExceeded(

@@ -284,9 +284,14 @@ def _instance_config():
         ("solvability", {**shell_family_config(), "scalings": ["x"]}, "scaling"),
         ("solvability", {**shell_family_config(), "scalings": 5}, "scalings"),
         ("solvability", {**shell_family_config(), "scalings": [float("nan")]}, "scaling"),
+        ("balayage", {**raw_config("mixed_small.json"), "h": "abc"}, "h must be a number"),
+        ("balayage", {**raw_config("mixed_small.json"), "h": 0.5}, "h must be at least 1"),
+        ("solvability", {**shell_family_config(), "family": []}, "family must be"),
+        ("verify", {"schema": "finpot-config/1", "fixtures_dir": 5}, "fixtures_dir must be"),
     ],
     ids=["tol-abc", "tol-0", "tol-neg", "omega_scale-abc", "omega_scale-nan",
-         "stages-abc", "scalings-x", "scalings-5", "scalings-nan"],
+         "stages-abc", "scalings-x", "scalings-5", "scalings-nan", "h-abc", "h-half",
+         "family-empty", "fixtures_dir-5"],
 )
 def test_malformed_config_number_exits_4(tmp_path, capsys, command, cfg, key):
     path = write_config(tmp_path, "c.json", cfg)
@@ -304,6 +309,18 @@ def test_fixture_with_non_finite_tol_fails_verify(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"schema": "finpot-config/1", "fixtures_dir": str(fxdir)})
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_INVARIANT
     assert "nan_tol.json:fixture-readable" in capsys.readouterr().err
+
+
+def test_fixture_with_malformed_h_fails_verify(tmp_path, capsys):
+    fxdir = tmp_path / "fx"
+    fxdir.mkdir()
+    fx = load_fixture("riesz_sphere.json")
+    fx["h"] = "abc"
+    (fxdir / "bad_h.json").write_text(json.dumps(fx))
+    cfg = write_config(tmp_path, "c.json", {"schema": "finpot-config/1", "fixtures_dir": str(fxdir)})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "bad_h.json:fixture-readable" in err and "h must be a number" in err
 
 
 def test_verify_missing_fixture_dir_exits_4(tmp_path):

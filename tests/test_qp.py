@@ -268,6 +268,28 @@ def test_problem_validation():
         solve_cone_qp(random_cone(0), tol=0.0)
 
 
+_G3 = np.linalg.inv(np.array([[2.0, 0.5, 0.1], [0.5, 2.0, 0.3], [0.1, 0.3, 2.0]]))
+
+
+@pytest.mark.parametrize("cls", [ConeQpProblem, SimplexQpProblem])
+@pytest.mark.parametrize("Q, kw, match", [
+    ([[1.0, 0.2], [0.1, 1.0]], {}, "symmetric"),
+    ([[1.0, np.nan], [np.nan, 1.0]], {}, "finite"),
+    ([[np.inf, 0.0], [0.0, 1.0]], {}, "finite"),
+    (np.eye(2), {"inverse": _G3}, "together"),
+    (np.eye(2), {"inverse_index": [0, 1]}, "together"),
+    (np.eye(2), {"inverse": _G3, "inverse_index": [1, 3]}, "increase strictly"),
+    (np.eye(2), {"inverse": _G3, "inverse_index": [-1, 1]}, "increase strictly"),
+    (np.eye(2), {"inverse": _G3, "inverse_index": [1, 1]}, "increase strictly"),
+    (np.eye(2), {"inverse": _G3, "inverse_index": [0, 1, 2]}, "one index per row"),
+    (np.eye(2), {"inverse": _G3[:2], "inverse_index": [0, 1]}, "square"),
+], ids=["asymmetric", "nan", "inf", "inverse-alone", "index-alone", "index-past-end",
+        "index-negative", "index-repeated", "index-length", "inverse-not-square"])
+def test_raw_constructor_checks_everything_it_is_given(cls, Q, kw, match):
+    with pytest.raises(ValueError, match=match):
+        cls(Q, np.zeros(len(Q)), **kw)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
 @pytest.mark.parametrize(
     "solve, problem", [(solve_cone_qp, random_cone), (solve_simplex_qp, random_simplex)]
@@ -596,3 +618,137 @@ def test_library_solves_match_oracles_on_every_support_kind(name, kind, monkeypa
             ref = oracle(p)
             assert np.max(np.abs(w - ref)) <= 1e-8
             assert abs(p.objective(w) - p.objective(ref)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# problems on a certified kernel
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sphere_400():
+    """400 nodes and a charge +1 at (2, 0, 0), -0.5 at (0, 0, 1.3)."""
+    charge = (ChargeAtom((2.0, 0.0, 0.0), 1.0), ChargeAtom((0.0, 0.0, 1.3), -0.5))
+    return assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 400), charge=charge))
+
+
+_KERNEL_SUPPORTS = {
+    "leading": SupportSet(range(300)),
+    "offset": SupportSet(range(60, 400)),
+    "gathered": SupportSet(i for i in range(400) if i % 7),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_SUPPORTS))
+@pytest.mark.parametrize("cls, solve, sign", [
+    (ConeQpProblem, solve_cone_qp, 1.0), (SimplexQpProblem, solve_simplex_qp, -1.0),
+])
+def test_on_kernel_problem_solves_as_the_raw_one(sphere_400, kind, cls, solve, sign):
+    kernel, support = sphere_400.kernel, _KERNEL_SUPPORTS[kind]
+    idx = support.as_array()
+    field = sign * (kernel.entries @ sphere_400.omega.weights)[idx]
+    p = cls.on_kernel(kernel, support, field)
+    raw = cls(kernel.restrict(support), field, inverse=kernel.inverse, inverse_index=idx)
+    for name in ("Q", "b" if cls is ConeQpProblem else "f", "inverse", "inverse_index"):
+        assert np.array_equal(getattr(p, name), getattr(raw, name))
+    assert p.inverse is kernel.inverse and p.inverse_index is idx
+    assert not p.Q.flags.writeable and not p.inverse_index.flags.writeable
+    w, report = solve(p)
+    w_raw, report_raw = solve(raw)
+    assert np.array_equal(w, w_raw)
+    assert report == report_raw and report.iterations > 1
+
+
+def test_on_kernel_checks_its_vector_and_support(sphere_400):
+    kernel = sphere_400.kernel
+    with pytest.raises(ValueError, match="finite"):
+        ConeQpProblem.on_kernel(kernel, SupportSet(range(3)), [1.0, np.nan, 0.0])
+    with pytest.raises(ValueError, match="length 3"):
+        SimplexQpProblem.on_kernel(kernel, SupportSet(range(3)), np.zeros(4))
+    with pytest.raises(core.SizeMismatchError):
+        ConeQpProblem.on_kernel(kernel, SupportSet([0, kernel.size]), np.zeros(2))
+
+
+def _gradient_residuals(p, w, report):
+    """The report's residuals, recomputed from a fresh gradient."""
+    g = p.gradient(w)
+    if report.multiplier is not None:
+        g = g - 2.0 * report.multiplier
+    return (float(max(0.0, -float(g.min()))), float(np.max(np.abs(w * g))),
+            report.feasibility_residual if report.multiplier is not None
+            else float(max(0.0, -float(w.min()))))
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("make, solve", [
+    (random_cone, solve_cone_qp), (random_simplex, solve_simplex_qp),
+])
+def test_reported_residuals_are_those_of_a_fresh_gradient(make, solve, seed):
+    p = make(seed, kmax=40)
+    w, report = solve(p)
+    assert (report.stationarity_residual, report.complementarity_residual,
+            report.feasibility_residual) == _gradient_residuals(p, w, report)
+
+
+@pytest.mark.parametrize("budget", [1, qp._MAX_SOLVES])
+@pytest.mark.parametrize("make, solve", [
+    (random_cone, solve_cone_qp), (random_simplex, solve_simplex_qp),
+])
+def test_max_iter_exceeded_residuals_are_those_of_a_fresh_gradient(make, solve, budget, monkeypatch):
+    # an unattainable tol raises on the accepted iterate; a budget of one
+    # solve from an infeasible start raises on the fewest-infeasible one
+    monkeypatch.setattr(qp, "_MAX_SOLVES", budget)
+    p = make(3, k=40)
+    w0 = np.ones(p.size) if budget == 1 else None
+    with pytest.raises(MaxIterExceeded) as err:
+        solve(p, tol=1e-300, w0=w0)
+    w, report = err.value.best_w, err.value.report
+    if budget == 1:
+        assert report.iterations == 1 and (w < 0.0).any()
+    assert (report.stationarity_residual, report.complementarity_residual,
+            report.feasibility_residual) == _gradient_residuals(p, w, report)
+
+
+def test_fewest_infeasible_iterate_reports_its_own_residuals(monkeypatch):
+    # the cycling instance of the single-pivot test: each full exchange leaves
+    # two infeasible indices, so with three solves the first iterate, on
+    # {0, 1}, is the one returned, and its residuals are not the last step's
+    monkeypatch.setattr(qp, "_MAX_SOLVES", 3)
+    p = ConeQpProblem([[7.0, 6.0, -4.0], [6.0, 6.0, -5.0], [-4.0, -5.0, 7.0]], [1.0, 4.0, -6.0])
+    with pytest.raises(MaxIterExceeded) as err:
+        solve_cone_qp(p)
+    w, report = err.value.best_w, err.value.report
+    assert w[0] < 0.0 < w[1] and w[2] == 0.0
+    assert (report.stationarity_residual, report.complementarity_residual,
+            report.feasibility_residual) == _gradient_residuals(p, w, report)
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_SUPPORTS))
+def test_solve_values_are_the_gauss_functional(sphere_400, kind):
+    kernel, omega, support = sphere_400.kernel, sphere_400.omega, _KERNEL_SUPPORTS[kind]
+    zero = core.Measure.zero(kernel.size)
+    for charge, res in (
+        (omega, pseudo_balayage(kernel, omega, support)),
+        (omega, solve_gauss(kernel, omega, support)),
+        (zero, solve_gauss(kernel, zero, support)),
+    ):
+        assert res.value == core.gauss_functional(kernel, charge, res.measure)
+
+
+def test_library_solves_do_not_revalidate_the_kernel(sphere_400, monkeypatch):
+    from finpot.balayage import restricted_problem_value
+    from finpot.gauss import capacitary_measure, solvability_check
+
+    checked = []
+    real = qp._as_sym_matrix
+    monkeypatch.setattr(qp, "_as_sym_matrix", lambda Q: checked.append(Q) or real(Q))
+    kernel, omega = sphere_400.kernel, sphere_400.omega
+    for support in _KERNEL_SUPPORTS.values():
+        bal = pseudo_balayage(kernel, omega, support)
+        solve_gauss(kernel, omega, support)
+        capacitary_measure(kernel, support)
+        solvability_check(kernel, omega, support)
+        restricted_problem_value(kernel, omega, support, 0.5 * bal.mass)
+    assert not checked
+    ConeQpProblem(np.eye(2), np.ones(2))
+    assert len(checked) == 1
