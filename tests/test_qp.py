@@ -672,11 +672,13 @@ def test_on_kernel_checks_its_vector_and_support(sphere_400):
 def _gradient_residuals(p, w, report):
     """The report's residuals, recomputed from a fresh gradient."""
     g = p.gradient(w)
-    if report.multiplier is not None:
+    negative = float(max(0.0, -float(w.min())))
+    if report.multiplier is None:
+        feasibility = negative
+    else:
         g = g - 2.0 * report.multiplier
-    return (float(max(0.0, -float(g.min()))), float(np.max(np.abs(w * g))),
-            report.feasibility_residual if report.multiplier is not None
-            else float(max(0.0, -float(w.min()))))
+        feasibility = float(max(abs(float(w.sum()) - 1.0), negative))
+    return float(max(0.0, -float(g.min()))), float(np.max(np.abs(w * g))), feasibility
 
 
 @pytest.mark.parametrize("seed", range(10))
