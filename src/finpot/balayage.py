@@ -85,18 +85,9 @@ class MassBoundReport:
         }
 
 
-def _value_and_gap(
-    kernel: KernelMatrix, mu: Measure, omega_potential: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Weighted energy of ``mu`` and its potential gap, from one product ``K @ mu``.
-
-    Given the charge potential ``u = K @ omega``, the value is
-    :func:`~finpot.core.gauss_functional` ``mu@(K@mu) - 2 mu@u``, bit for bit,
-    and the gap is ``K @ mu - u``.
-    """
-    pot = potential(kernel, mu)
-    w = mu.weights
-    return float(w @ pot) - 2.0 * float(w @ omega_potential), pot - omega_potential
+def _gap(kernel: KernelMatrix, mu: Measure, omega_potential: np.ndarray) -> np.ndarray:
+    """Potential gap ``K @ mu - K @ omega``, given the charge potential ``K @ omega``."""
+    return potential(kernel, mu) - omega_potential
 
 
 def _certify(
@@ -147,7 +138,10 @@ def pseudo_balayage(
     w = np.zeros(kernel.size)
     w[idx] = w_sub
     swept = Measure(w, omega.node_set_id)
-    value, gap = _value_and_gap(kernel, swept, u)
+    pot = potential(kernel, swept)
+    # gauss_functional(kernel, omega, swept), bit for bit, from the one product K @ w
+    value = float(w @ pot) - 2.0 * float(w @ u)
+    gap = pot - u
     _certify(
         "pseudo-balayage", gap, w, idx, 0.0, tol,
         self_integral=abs(float(w @ gap)), value_sign=float(max(0.0, value)),
@@ -180,7 +174,7 @@ def verify_ii1(
     off[idx] = False
     if off.any() and float(np.max(np.abs(w[off]))) > tol:
         raise ValueError("nu must vanish off the target set")
-    _, gap = _value_and_gap(kernel, nu, potential(kernel, omega))
+    gap = _gap(kernel, nu, potential(kernel, omega))
     atom_gap_min = float(gap[idx].min())
     self_abs = abs(float(w @ gap))
     ok = atom_gap_min >= -tol and self_abs <= tol

@@ -21,20 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .balayage import (
-    BalayageResult,
-    CharacterizationViolated,
-    _certify,
-    _value_and_gap,
-    pseudo_balayage,
-)
+from .balayage import BalayageResult, CharacterizationViolated, _certify, _gap, pseudo_balayage
 from .core import (
     SOLVER_TOL,
     KernelMatrix,
     Measure,
     NotNested,
     SupportSet,
-    _require_sizes,
     energy_distance,
     potential,
 )
@@ -153,9 +146,7 @@ def solve_gauss(
     equilibrium conditions themselves.
     """
     idx = support.as_array()
-    _require_sizes(kernel, omega)
-    # a chargeless problem (the capacity) has a zero field: K @ 0 is exactly 0
-    u = potential(kernel, omega) if omega.weights.any() else np.zeros(kernel.size)
+    u = potential(kernel, omega)
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
     problem = SimplexQpProblem.on_kernel(kernel, support, -u[idx])
     w_sub, report = solve_simplex_qp(problem, tol=tol, w0=start)
@@ -163,7 +154,10 @@ def solve_gauss(
     w = np.zeros(kernel.size)
     w[idx] = w_sub
     lam = Measure(w, omega.node_set_id)
-    value, weighted = _value_and_gap(kernel, lam, u)
+    pot = potential(kernel, lam)
+    # gauss_functional(kernel, omega, lam), bit for bit, from the one product K @ w
+    value = float(w @ pot) - 2.0 * float(w @ u)
+    weighted = pot - u
     c_integral = float(w @ weighted)
     _certify(
         "equilibrium", weighted, w, idx, c_integral, tol,
@@ -236,8 +230,7 @@ def solvability_check(
             diagnostic=None,
             lambda_equals_balayage=matches,
         )
-    _, gap = _value_and_gap(kernel, bal.measure, potential(kernel, omega))
-    c_xi = float(bal.measure.weights @ gap)
+    c_xi = float(bal.measure.weights @ _gap(kernel, bal.measure, potential(kernel, omega)))
     diagnostic = ExtremalDiagnostic(
         sequence_values=(bal.value,),
         constants=(c_xi,),

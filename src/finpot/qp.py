@@ -18,10 +18,11 @@ holds its ``Q`` as a principal submatrix (``inverse``, with ``Q``'s indices
 in it, ``inverse_index``), from which every step it serves is solved; a
 later large free set that no inverse serves is inverted once, and the free
 sets inside it are solved from that inverse.
-A problem on a certified kernel is built with ``on_kernel(kernel, support,
-...)``: the kernel's checks (finite, exactly symmetric, positive definite,
-frozen) already hold for its principal submatrix and its inverse, so only
-the vector is checked; the plain constructor checks everything it is given.
+Only a problem built on a certified kernel, ``on_kernel(kernel, support,
+...)``, brings an inverse (the kernel's, with the support's indices); the
+kernel's checks (finite, exactly symmetric, positive definite, frozen)
+already hold for its principal submatrix, so only the vector is checked.
+The plain constructor checks everything it is given and brings no inverse.
 The KKT residuals are read off the dual the last pivot step formed, which is
 half the gradient, so no product with ``Q`` is spent on them.
 Exhaustive small-instance oracles (:func:`brute_force_cone`,
@@ -33,7 +34,7 @@ Solvers are pure and deterministic given ``(problem, tol, w0)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -72,25 +73,6 @@ def _as_sym_matrix(Q) -> np.ndarray:
     return arr
 
 
-def _set_inverse(p, Q: np.ndarray) -> None:
-    """Validate and freeze ``p.inverse`` and ``p.inverse_index``, given together."""
-    if (p.inverse is None) != (p.inverse_index is None):
-        raise ValueError("inverse and inverse_index must be given together")
-    if p.inverse is None:
-        return
-    G = frozen_float_array(p.inverse)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ValueError("inverse must be a square matrix")
-    idx = np.array(p.inverse_index, dtype=np.intp)
-    if idx.shape != (Q.shape[0],):
-        raise ValueError("inverse_index must hold one index per row of Q")
-    if idx[0] < 0 or idx[-1] >= G.shape[0] or np.any(idx[1:] <= idx[:-1]):
-        raise ValueError("inverse_index must increase strictly within the inverse")
-    idx.setflags(write=False)
-    object.__setattr__(p, "inverse", G)
-    object.__setattr__(p, "inverse_index", idx)
-
-
 def _as_vector(v, k: int, name: str) -> np.ndarray:
     arr = np.array(v, dtype=float)
     if arr.shape != (k,):
@@ -101,51 +83,50 @@ def _as_vector(v, k: int, name: str) -> np.ndarray:
     return arr
 
 
-def _on_kernel(cls, kernel: KernelMatrix, support: SupportSet, name: str, v):
-    """A ``cls`` problem on ``kernel.restrict(support)``, seeded with the kernel's inverse.
+def _check_problem(p, name: str, kernel_index) -> None:
+    """Check and freeze ``p.Q`` and the vector ``name``; seed the inverse from ``kernel_index``.
 
-    The kernel guarantees what ``_as_sym_matrix`` and ``_set_inverse`` check:
-    its entries are finite, exactly symmetric, positive definite and frozen,
-    ``restrict`` keeps them frozen and range-checks the support, whose
-    indices are strictly increasing and frozen.  Only the vector is checked.
+    ``kernel_index`` is :meth:`~ConeQpProblem.on_kernel`'s ``(kernel, idx)``,
+    with ``p.Q = kernel.restrict(idx)``: the kernel's entries are finite,
+    exactly symmetric, positive definite and frozen, and ``restrict`` keeps
+    them frozen and range-checks the strictly increasing, frozen ``idx``, so
+    ``Q`` is not checked again.
     """
-    Q = kernel.restrict(support)
-    p = object.__new__(cls)
-    object.__setattr__(p, "Q", Q)
-    object.__setattr__(p, name, _as_vector(v, Q.shape[0], name))
-    object.__setattr__(p, "inverse", kernel.inverse)
-    object.__setattr__(p, "inverse_index", support.as_array())
-    return p
+    if kernel_index is None:
+        object.__setattr__(p, "Q", _as_sym_matrix(p.Q))
+    else:
+        kernel, idx = kernel_index
+        object.__setattr__(p, "inverse", kernel.inverse)
+        object.__setattr__(p, "inverse_index", idx)
+    object.__setattr__(p, name, _as_vector(getattr(p, name), p.Q.shape[0], name))
 
 
 @dataclass(frozen=True)
 class ConeQpProblem:
     """Data of the nonnegative-cone problem ``min w@Q@w - 2 b@w, w >= 0``.
 
-    ``inverse``, when given, is the inverse ``G = K^-1`` of a symmetric
-    positive definite ``K`` with ``Q = K[ix, ix]`` for the strictly
-    increasing ``ix = inverse_index`` (a kernel's inverse and a support's
-    indices); see :class:`_FreeSetSolver`.  It changes how the solve runs,
-    never its answer, which is checked against ``Q`` itself.  The
-    constructor checks every argument; :meth:`on_kernel` builds the problem
-    on a kernel's support without re-checking what the kernel certified.
+    The constructor checks ``Q`` and ``b``.  :meth:`on_kernel` builds the
+    problem on a kernel's support without re-checking what the kernel
+    certified, and seeds it with the kernel's inverse ``G = K^-1`` and the
+    support's indices ``ix`` (``inverse`` and ``inverse_index``, with
+    ``Q = K[ix, ix]``); see :class:`_FreeSetSolver`.  The inverse changes
+    how the solve runs, never its answer, which is checked against ``Q``.
     """
 
     Q: np.ndarray
     b: np.ndarray
-    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
-    inverse_index: np.ndarray | None = field(default=None, repr=False, compare=False)
+    inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    inverse_index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _: KW_ONLY
+    _kernel_index: InitVar[tuple[KernelMatrix, np.ndarray] | None] = None
 
-    def __post_init__(self):
-        Q = _as_sym_matrix(self.Q)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "b", _as_vector(self.b, Q.shape[0], "b"))
-        _set_inverse(self, Q)
+    def __post_init__(self, _kernel_index):
+        _check_problem(self, "b", _kernel_index)
 
     @classmethod
     def on_kernel(cls, kernel: KernelMatrix, support: SupportSet, b) -> "ConeQpProblem":
         """The problem with ``Q = kernel.restrict(support)``, seeded with the kernel's inverse."""
-        return _on_kernel(cls, kernel, support, "b", b)
+        return cls(kernel.restrict(support), b, _kernel_index=(kernel, support.as_array()))
 
     @property
     def size(self) -> int:
@@ -166,25 +147,25 @@ class ConeQpProblem:
 class SimplexQpProblem:
     """Data of the simplex problem ``min w@Q@w + 2 f@w, w >= 0, sum(w) = 1``.
 
-    ``inverse`` and ``inverse_index`` are optional, and :meth:`on_kernel`
-    builds the problem on a kernel's support, as for :class:`ConeQpProblem`.
+    The constructor checks ``Q`` and ``f``, and :meth:`on_kernel` builds the
+    problem on a kernel's support with the kernel's inverse, as for
+    :class:`ConeQpProblem`.
     """
 
     Q: np.ndarray
     f: np.ndarray
-    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
-    inverse_index: np.ndarray | None = field(default=None, repr=False, compare=False)
+    inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    inverse_index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _: KW_ONLY
+    _kernel_index: InitVar[tuple[KernelMatrix, np.ndarray] | None] = None
 
-    def __post_init__(self):
-        Q = _as_sym_matrix(self.Q)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "f", _as_vector(self.f, Q.shape[0], "f"))
-        _set_inverse(self, Q)
+    def __post_init__(self, _kernel_index):
+        _check_problem(self, "f", _kernel_index)
 
     @classmethod
     def on_kernel(cls, kernel: KernelMatrix, support: SupportSet, f) -> "SimplexQpProblem":
         """The problem with ``Q = kernel.restrict(support)``, seeded with the kernel's inverse."""
-        return _on_kernel(cls, kernel, support, "f", f)
+        return cls(kernel.restrict(support), f, _kernel_index=(kernel, support.as_array()))
 
     @property
     def size(self) -> int:

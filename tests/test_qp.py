@@ -268,26 +268,22 @@ def test_problem_validation():
         solve_cone_qp(random_cone(0), tol=0.0)
 
 
-_G3 = np.linalg.inv(np.array([[2.0, 0.5, 0.1], [0.5, 2.0, 0.3], [0.1, 0.3, 2.0]]))
+@pytest.mark.parametrize("cls", [ConeQpProblem, SimplexQpProblem])
+@pytest.mark.parametrize("Q, match", [
+    ([[1.0, 0.2], [0.1, 1.0]], "symmetric"),
+    ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
+    ([[np.inf, 0.0], [0.0, 1.0]], "finite"),
+], ids=["asymmetric", "nan", "inf"])
+def test_raw_constructor_checks_everything_it_is_given(cls, Q, match):
+    with pytest.raises(ValueError, match=match):
+        cls(Q, np.zeros(len(Q)))
 
 
 @pytest.mark.parametrize("cls", [ConeQpProblem, SimplexQpProblem])
-@pytest.mark.parametrize("Q, kw, match", [
-    ([[1.0, 0.2], [0.1, 1.0]], {}, "symmetric"),
-    ([[1.0, np.nan], [np.nan, 1.0]], {}, "finite"),
-    ([[np.inf, 0.0], [0.0, 1.0]], {}, "finite"),
-    (np.eye(2), {"inverse": _G3}, "together"),
-    (np.eye(2), {"inverse_index": [0, 1]}, "together"),
-    (np.eye(2), {"inverse": _G3, "inverse_index": [1, 3]}, "increase strictly"),
-    (np.eye(2), {"inverse": _G3, "inverse_index": [-1, 1]}, "increase strictly"),
-    (np.eye(2), {"inverse": _G3, "inverse_index": [1, 1]}, "increase strictly"),
-    (np.eye(2), {"inverse": _G3, "inverse_index": [0, 1, 2]}, "one index per row"),
-    (np.eye(2), {"inverse": _G3[:2], "inverse_index": [0, 1]}, "square"),
-], ids=["asymmetric", "nan", "inf", "inverse-alone", "index-alone", "index-past-end",
-        "index-negative", "index-repeated", "index-length", "inverse-not-square"])
-def test_raw_constructor_checks_everything_it_is_given(cls, Q, kw, match):
-    with pytest.raises(ValueError, match=match):
-        cls(Q, np.zeros(len(Q)), **kw)
+def test_only_on_kernel_seeds_an_inverse(cls):
+    assert cls(np.eye(2), np.zeros(2)).inverse is None
+    with pytest.raises(TypeError, match="inverse"):
+        cls(np.eye(2), np.zeros(2), inverse=np.eye(2), inverse_index=[0, 1])
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
@@ -499,10 +495,15 @@ def test_seeded_solver_starts_from_the_factor():
     assert solve.G is None
 
 
+def _unseeded(p):
+    """``p`` built by the raw constructor, which seeds no inverse."""
+    return type(p)(p.Q, p.b if isinstance(p, ConeQpProblem) else p.f)
+
+
 @pytest.mark.parametrize("family", ["newton-sphere", "riesz-2.9-ball"])
 @pytest.mark.parametrize("solve, make", [
-    (solve_cone_qp, lambda Q, field, G, ix: ConeQpProblem(Q, field, inverse=G, inverse_index=ix)),
-    (solve_simplex_qp, lambda Q, field, G, ix: SimplexQpProblem(Q, -field, inverse=G, inverse_index=ix)),
+    (solve_cone_qp, lambda kernel, ix, field: ConeQpProblem.on_kernel(kernel, SupportSet(ix), field)),
+    (solve_simplex_qp, lambda kernel, ix, field: SimplexQpProblem.on_kernel(kernel, SupportSet(ix), -field)),
 ])
 def test_seeded_factor_matches_lu_every_step(mixed_charge_universes, family, solve, make, monkeypatch):
     # whole-support (leading) QPs: seeded with the kernel's inverse, against no
@@ -511,9 +512,10 @@ def test_seeded_factor_matches_lu_every_step(mixed_charge_universes, family, sol
     n, kernel = inst.n_nodes, inst.kernel
     support = SupportSet(range(n))
     field = (kernel.entries @ inst.omega.weights)[:n]
-    w, report = solve(make(kernel.restrict(support), field, kernel.inverse, support.as_array()))
+    p = make(kernel, support.as_array(), field)
+    w, report = solve(p)
     monkeypatch.setattr(qp, "_FACTOR_MIN", n + 1)
-    w_lu, report_lu = solve(make(kernel.restrict(support), field, None, None))
+    w_lu, report_lu = solve(_unseeded(p))
     assert np.array_equal(w > 0.0, w_lu > 0.0)
     assert report.iterations == report_lu.iterations > 2
     assert np.max(np.abs(w - w_lu)) <= 1e-12 * max(1.0, float(np.max(np.abs(w_lu))))
@@ -552,8 +554,8 @@ def _cap(inst, frac):
 @pytest.mark.parametrize("support", ["offset", "cap-0.70", "cap-0.80", "cap-0.90"])
 @pytest.mark.parametrize("family", ["warm-solve-sphere", "riesz-2.9-ball"])
 @pytest.mark.parametrize("solve, make", [
-    (solve_cone_qp, lambda Q, field, G, ix: ConeQpProblem(Q, field, inverse=G, inverse_index=ix)),
-    (solve_simplex_qp, lambda Q, field, G, ix: SimplexQpProblem(Q, -field, inverse=G, inverse_index=ix)),
+    (solve_cone_qp, lambda kernel, ix, field: ConeQpProblem.on_kernel(kernel, SupportSet(ix), field)),
+    (solve_simplex_qp, lambda kernel, ix, field: SimplexQpProblem.on_kernel(kernel, SupportSet(ix), -field)),
 ])
 def test_kernel_inverse_matches_lu_every_step_off_the_leading_block(
     cap_universes, family, support, solve, make, monkeypatch
@@ -564,7 +566,7 @@ def test_kernel_inverse_matches_lu_every_step_off_the_leading_block(
     inst, omega = cap_universes[family]
     n, kernel = inst.n_nodes, inst.kernel
     ix = np.arange(n // 10, n) if support == "offset" else _cap(inst, float(support[4:]))
-    Q, field = kernel.entries[np.ix_(ix, ix)], (kernel.entries @ omega)[ix]
+    field = (kernel.entries @ omega)[ix]
     served = []
 
     class Spy(qp._FreeSetSolver):
@@ -573,10 +575,11 @@ def test_kernel_inverse_matches_lu_every_step_off_the_leading_block(
             return super().__call__(free, r)
 
     monkeypatch.setattr(qp, "_FreeSetSolver", Spy)
-    w, report = solve(make(Q, field, kernel.inverse, ix))
+    p = make(kernel, ix, field)
+    w, report = solve(p)
     assert served[0]
     monkeypatch.setattr(qp, "_FACTOR_MIN", n + 1)
-    w_lu, report_lu = solve(make(Q, field, None, None))
+    w_lu, report_lu = solve(_unseeded(p))
     assert np.array_equal(w > 0.0, w_lu > 0.0)
     assert report.iterations == report_lu.iterations
     assert np.max(np.abs(w - w_lu)) <= 1e-12 * max(1.0, float(np.max(np.abs(w_lu))))
@@ -644,19 +647,23 @@ _KERNEL_SUPPORTS = {
     (ConeQpProblem, solve_cone_qp, 1.0), (SimplexQpProblem, solve_simplex_qp, -1.0),
 ])
 def test_on_kernel_problem_solves_as_the_raw_one(sphere_400, kind, cls, solve, sign):
+    # what on_kernel does not check holds: the raw constructor's checks pass
+    # on the same data, and only the seeded inverse tells the two apart
     kernel, support = sphere_400.kernel, _KERNEL_SUPPORTS[kind]
     idx = support.as_array()
     field = sign * (kernel.entries @ sphere_400.omega.weights)[idx]
     p = cls.on_kernel(kernel, support, field)
-    raw = cls(kernel.restrict(support), field, inverse=kernel.inverse, inverse_index=idx)
-    for name in ("Q", "b" if cls is ConeQpProblem else "f", "inverse", "inverse_index"):
+    raw = cls(kernel.restrict(support), field)
+    for name in ("Q", "b" if cls is ConeQpProblem else "f"):
         assert np.array_equal(getattr(p, name), getattr(raw, name))
+    assert raw.inverse is None and raw.inverse_index is None
     assert p.inverse is kernel.inverse and p.inverse_index is idx
     assert not p.Q.flags.writeable and not p.inverse_index.flags.writeable
     w, report = solve(p)
     w_raw, report_raw = solve(raw)
-    assert np.array_equal(w, w_raw)
-    assert report == report_raw and report.iterations > 1
+    assert np.array_equal(w > 0.0, w_raw > 0.0)
+    assert report.iterations == report_raw.iterations > 1
+    assert np.max(np.abs(w - w_raw)) <= 1e-12 * max(1.0, float(np.max(np.abs(w_raw))))
 
 
 def test_on_kernel_checks_its_vector_and_support(sphere_400):
