@@ -107,6 +107,19 @@ def _tolerance(value, name: str = "tol") -> float:
     return tol
 
 
+def _indices(value, name: str, size: int) -> SupportSet:
+    """A config list of node indices (JSON integers below ``size``) as a support set."""
+    if not isinstance(value, list) or not all(type(i) is int for i in value):
+        raise ConfigError(f"{name} must be a list of integer node indices, got {value!r}")
+    try:
+        support = SupportSet(value)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from None
+    if support.indices[-1] >= size:
+        raise ConfigError(f"{name} indices exceed the kernel size {size}")
+    return support
+
+
 def _h_constant(value) -> float | None:
     """A maximum-principle constant h from a config: absent, or a finite number >= 1."""
     if value is None:
@@ -208,15 +221,10 @@ def _load_problem(cfg: dict, need_omega: bool = True):
         raise ConfigError("raw-kernel configs need an 'omega' measure")
     else:
         omega = Measure.zero(kernel.size)
-    sup = cfg.get("support", "all")
-    try:
-        support = SupportSet.full(kernel.size) if sup == "all" else SupportSet(sup)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid support: {exc}") from None
     if len(omega) != kernel.size:
         raise ConfigError("omega length does not match the kernel size")
-    if support.indices[-1] >= kernel.size:
-        raise ConfigError("support indices exceed the kernel size")
+    sup = cfg.get("support", "all")
+    support = SupportSet.full(kernel.size) if sup == "all" else _indices(sup, "support", kernel.size)
     return kernel, omega, support, _h_constant(cfg.get("h")), None
 
 
@@ -260,13 +268,11 @@ def _maybe_export_nodes(cfg: dict, command: str, inst) -> None:
     points_to_csv(inst.node_points(), _out_dir(cfg) / f"{command}-nodes.csv")
 
 
-def _chain_from_config(cfg: dict, support: SupportSet, decreasing: bool):
+def _chain_from_config(cfg: dict, size: int, support: SupportSet, decreasing: bool):
     if "chain" in cfg:
-        try:
-            stages = [SupportSet(ix) for ix in cfg["chain"]]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid chain: {exc}") from None
-        return stages
+        if not isinstance(cfg["chain"], list) or not cfg["chain"]:
+            raise ConfigError(f"chain must be a nonempty list of index lists, got {cfg['chain']!r}")
+        return [_indices(ix, "chain stage", size) for ix in cfg["chain"]]
     stages_n = _finite(cfg.get("stages", 4), "stages")
     if stages_n < 1 or not stages_n.is_integer():
         raise ConfigError(f"stages must be a positive integer, got {cfg['stages']!r}")
@@ -355,11 +361,12 @@ def _cmd_solvability(cfg: dict) -> int:
                 f"verdict={row.verdict}"
             )
         return EXIT_OK
+    capacity_finite = cfg.get("capacity_finite", True)
+    if not isinstance(capacity_finite, bool):
+        raise ConfigError(f"capacity_finite must be true or false, got {capacity_finite!r}")
     kernel, omega, support, _, inst = _load_problem(cfg)
     _maybe_export_nodes(cfg, "solvability", inst)
-    outcome = solvability_check(
-        kernel, omega, support, tol=tol, capacity_finite=bool(cfg.get("capacity_finite", True))
-    )
+    outcome = solvability_check(kernel, omega, support, tol=tol, capacity_finite=capacity_finite)
     rows = outcome.diagnostic.csv_rows() if outcome.diagnostic is not None else None
     _emit(cfg, "solvability", outcome.to_json(), csv_rows=rows)
     print(
@@ -373,7 +380,7 @@ def _cmd_converge(cfg: dict, direction: str) -> int:
     tol = _tolerance(cfg.get("tol", 1e-8))
     kernel, omega, support, _, inst = _load_problem(cfg)
     _maybe_export_nodes(cfg, f"converge-{direction}", inst)
-    chain = _chain_from_config(cfg, support, decreasing=(direction == "down"))
+    chain = _chain_from_config(cfg, kernel.size, support, decreasing=(direction == "down"))
     runner = monotone_up if direction == "up" else monotone_down
     report = runner(kernel, omega, chain, tol=tol)
     _emit(cfg, f"converge-{direction}", report.to_json(), csv_rows=report.csv_rows())
@@ -441,11 +448,9 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
             raise ValueError(f"bad fixture schema {obj.get('schema')!r}")
         kernel = KernelMatrix.from_json(obj["kernel"])
         omega = Measure.from_json(obj["omega"])
-        support = SupportSet(obj["support"])
+        support = _indices(obj["support"], "support", kernel.size)
         if len(omega) != kernel.size:
             raise ValueError("omega length does not match the kernel size")
-        if support.indices[-1] >= kernel.size:
-            raise ValueError("support indices exceed the kernel size")
         tol = _tolerance(obj.get("tol", 1e-8)) if tol_override is None else tol_override
         h = _h_constant(obj.get("h"))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

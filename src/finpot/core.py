@@ -56,20 +56,21 @@ class PdCertificate:
     turned into the inverse ``A^-1 = R^T R`` in its own storage, and
     ``inverse`` holds that read-only, exactly symmetric matrix.  Every
     principal submatrix of ``A`` can be solved from it (see
-    :class:`finpot.qp._FreeSetSolver`).  For small matrices the smallest
-    eigenvalue is computed as a cross-check and stored in
-    ``eig_lower_bound``; for large matrices it is skipped.
+    :class:`finpot.qp._FreeSetSolver`).  ``eig_lower_bound``, the reciprocal
+    of the inverse's largest absolute row sum ``||A^-1||_inf >= ||A^-1||_2``,
+    bounds the smallest eigenvalue of ``A`` from below at O(m^2) cost.
     """
 
     method: str
     min_cholesky_pivot: float
-    eig_lower_bound: float | None = None
+    eig_lower_bound: float
     inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def _pd_witness(entries: np.ndarray) -> np.ndarray:
-    _, vecs = np.linalg.eigh(entries)
-    return np.array(vecs[:, 0])
+def _not_pd(entries: np.ndarray, reason: str) -> NotPositiveDefinite:
+    """The failure, witnessed by the smallest eigenvector if its quadratic form is not positive."""
+    w = np.array(np.linalg.eigh(entries)[1][:, 0])
+    return NotPositiveDefinite(reason, witness=w if float(w @ entries @ w) <= 0.0 else None)
 
 
 # Leaf size of the inverse-Cholesky recursion, and the block width of its
@@ -161,16 +162,20 @@ def is_exactly_symmetric(A: np.ndarray) -> bool:
     )
 
 
-def check_energy_principle(entries: np.ndarray, eig_check_max_size: int = 400) -> PdCertificate:
+def check_energy_principle(entries: np.ndarray) -> PdCertificate:
     """Verify strict positive definiteness by symmetric factorization.
 
-    Factors one copy of the matrix in place with :func:`_inverse_cholesky`,
-    reads the smallest pivot off the factor, then turns the factor into the
-    matrix's inverse in the same storage (:func:`_factor_to_inverse`) and
-    keeps it in the returned :class:`PdCertificate`.  Raises
-    :class:`NotPositiveDefinite` (with a witness vector of nonpositive
-    quadratic form) on failure.  A failing matrix is rejected, never shifted:
-    a shifted matrix would be a different kernel.
+    Factors one copy of the matrix in place (:func:`_inverse_cholesky`),
+    reads the smallest pivot off the factor and turns it into the inverse in
+    the same storage (:func:`_factor_to_inverse`), whose row sums, taken in
+    panels of ``_BLOCK`` rows, give the eigenvalue bound.  A completed
+    factorization proves only that ``A + E`` is positive definite for a
+    backward error ``||E||_2 <= gamma_{m+1} m max diag A``, with
+    ``gamma_n = n u / (1 - n u)`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 10), so a bound within that margin fails too.
+    Raises :class:`NotPositiveDefinite` on failure, with a witness of
+    nonpositive quadratic form if the smallest eigenvector is one.  A
+    failing matrix is rejected, never shifted: it would be another kernel.
     """
     arr = np.asarray(entries, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
@@ -178,29 +183,22 @@ def check_energy_principle(entries: np.ndarray, eig_check_max_size: int = 400) -
     if not is_exactly_symmetric(arr):
         raise ValueError("matrix must be symmetric")
     try:
-        factor = _inverse_cholesky(np.array(arr))
+        inverse = _inverse_cholesky(np.array(arr))
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            "symmetric factorization failed: matrix is not strictly positive definite",
-            witness=_pd_witness(arr),
+        raise _not_pd(
+            arr, "symmetric factorization failed: matrix is not strictly positive definite"
         ) from None
-    pivot = 1.0 / float(np.max(np.diagonal(factor)))
-    if not pivot > 0.0:
-        raise NotPositiveDefinite(
-            f"nonpositive Cholesky pivot {pivot:.6e}", witness=_pd_witness(arr)
-        )
-    eig_lb = None
-    if arr.shape[0] <= eig_check_max_size:
-        lam = float(np.linalg.eigvalsh(arr)[0])
-        if lam <= 0.0:
-            raise NotPositiveDefinite(
-                f"smallest eigenvalue {lam:.6e} is not positive", witness=_pd_witness(arr)
-            )
-        eig_lb = lam
-    inverse = _factor_to_inverse(factor)
+    pivot = 1.0 / float(np.max(np.diagonal(inverse)))
+    m, n, u = arr.shape[0], _BLOCK, np.finfo(float).eps / 2
+    with np.errstate(over="ignore", invalid="ignore"):  # the bound test below rejects inf and NaN
+        _factor_to_inverse(inverse)
+        bound = 1.0 / np.max([np.abs(inverse[i:i + n]).sum(axis=1).max() for i in range(0, m, n)])
+    margin = (m + 1) * u / (1.0 - (m + 1) * u) * m * float(np.max(np.diagonal(arr)))
+    if not bound > margin:
+        raise _not_pd(arr, f"eigenvalue bound {bound:.6e} is within the backward error {margin:.6e}")
     inverse.setflags(write=False)
     return PdCertificate(
-        method="cholesky", min_cholesky_pivot=pivot, eig_lower_bound=eig_lb, inverse=inverse
+        method="cholesky", min_cholesky_pivot=pivot, eig_lower_bound=float(bound), inverse=inverse
     )
 
 

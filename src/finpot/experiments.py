@@ -246,27 +246,31 @@ LEAKS = "leaks"
 INCONCLUSIVE = "inconclusive"
 
 
-def _scan_cell(instance: Instance, scaling: float, truncation: int, tol: float, outer_fraction: float) -> ScanCell:
+def _outer_rim(instance: Instance, outer_fraction: float) -> np.ndarray:
+    """Indices of the outermost ``outer_fraction`` of the instance's nodes (at least one)."""
+    radii = np.linalg.norm(instance.node_points(), axis=1)
+    return np.argsort(radii)[-max(1, int(np.ceil(outer_fraction * radii.size))):]
+
+
+def _scan_cell(
+    instance: Instance, scaling: float, truncation: int, tol: float, outer_idx: np.ndarray, warm: tuple
+) -> tuple[ScanCell, tuple]:
+    """One cell, and its balayage and Gauss weights, which seed the next scaling's cell."""
     omega = instance.omega.scaled(scaling)
-    bal = pseudo_balayage(instance.kernel, omega, instance.support, tol=tol)
-    res = solve_gauss(instance.kernel, omega, instance.support, tol=tol)
-    nodes = instance.node_points()
-    radii = np.linalg.norm(nodes, axis=1)
-    order = np.argsort(radii)
-    n_outer = max(1, int(np.ceil(outer_fraction * nodes.shape[0])))
-    outer_idx = order[-n_outer:]
-    lam = res.measure.weights[: instance.n_nodes]
-    outer = float(lam[outer_idx].sum())
-    return ScanCell(
+    bal = pseudo_balayage(instance.kernel, omega, instance.support, tol=tol, w0=warm[0])
+    res = solve_gauss(instance.kernel, omega, instance.support, tol=tol, w0=warm[1])
+    outer = float(res.measure.weights[outer_idx].sum())
+    cell = ScanCell(
         scaling=scaling,
         truncation=truncation,
-        node_count=nodes.shape[0],
+        node_count=instance.n_nodes,
         balayage_mass=bal.mass,
         gauss_value=res.value,
         equilibrium_constant=res.equilibrium_constant,
         outer_mass_fraction=outer,
         interior_mass_fraction=1.0 - outer,
     )
+    return cell, (bal.measure.weights, res.measure.weights)
 
 
 def solvability_scan(
@@ -284,15 +288,20 @@ def solvability_scan(
     the minimizer in the interior; rows with deficient swept mass push the
     surplus onto the outermost rim, which moves outward with the family.
     Cells are solved one after another, scaling-major: every truncation of
-    the first scaling, then every truncation of the next.
+    the first scaling, then every truncation of the next.  Each truncation's
+    cell is warm-started from the balayage and Gauss weights that truncation
+    got at the previous scaling: the sweep is positively homogeneous in the
+    charge, so its support, and mostly the minimizer's, carries over.
     """
     if not family:
         raise ValueError("family must be nonempty")
-    cells = [
-        _scan_cell(inst, float(s), t, tol, outer_fraction)
-        for s in scalings
-        for t, inst in enumerate(family)
-    ]
+    rims = [_outer_rim(inst, outer_fraction) for inst in family]
+    warm = [(None, None)] * len(family)
+    cells = []
+    for s in scalings:
+        for t, inst in enumerate(family):
+            cell, warm[t] = _scan_cell(inst, float(s), t, tol, rims[t], warm[t])
+            cells.append(cell)
     rows = []
     per_row = len(family)
     for i, s in enumerate(scalings):

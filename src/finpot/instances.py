@@ -105,11 +105,21 @@ class FixedLength:
             raise ValueError("regularization length must be positive")
 
 
+def _require_radius_and_count(radius: float, count: int) -> None:
+    if not radius > 0.0:
+        raise ValueError(f"radius must be positive, got {radius!r}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
+
+
 @dataclass(frozen=True)
 class Sphere:
     radius: float
     count: int
     center: tuple = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        _require_radius_and_count(self.radius, self.count)
 
 
 @dataclass(frozen=True)
@@ -117,6 +127,9 @@ class Ball:
     radius: float
     count: int
     center: tuple = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        _require_radius_and_count(self.radius, self.count)
 
 
 @dataclass(frozen=True)

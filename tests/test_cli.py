@@ -272,6 +272,19 @@ def _instance_config():
     return {"schema": "finpot-config/1", "instance": sphere_instance(20)}
 
 
+def _three_node_config():
+    return {
+        "schema": "finpot-config/1",
+        "kernel": {"m": 3, "entries": [[1.0, 0.1, 0.1], [0.1, 1.0, 0.1], [0.1, 0.1, 1.0]]},
+        "omega": {"m": 3, "weights": [1.0, 0.0, 0.0]},
+    }
+
+
+def _geometry_config(**geometry):
+    instance = sphere_instance(20)
+    return {"schema": "finpot-config/1", "instance": {**instance, "geometry": {**instance["geometry"], **geometry}}}
+
+
 @pytest.mark.parametrize(
     "command, cfg, key",
     [
@@ -288,10 +301,22 @@ def _instance_config():
         ("balayage", {**raw_config("mixed_small.json"), "h": 0.5}, "h must be at least 1"),
         ("solvability", {**shell_family_config(), "family": []}, "family must be"),
         ("verify", {"schema": "finpot-config/1", "fixtures_dir": 5}, "fixtures_dir must be"),
+        ("converge-up", {**_three_node_config(), "chain": [[0], [0, 7]]}, "exceed the kernel size 3"),
+        ("converge-up", {**_three_node_config(), "chain": [[0], [0, 1.0]]}, "chain stage must be"),
+        ("converge-up", {**_three_node_config(), "chain": []}, "chain must be"),
+        ("balayage", {**_three_node_config(), "support": [0.5]}, "support must be"),
+        ("balayage", {**_three_node_config(), "support": [True]}, "support must be"),
+        ("solvability", {**_three_node_config(), "capacity_finite": "no"}, "capacity_finite must be"),
+        ("balayage", _geometry_config(radius=-1.0), "radius must be positive"),
+        ("balayage", _geometry_config(radius=0.0), "radius must be positive"),
+        ("balayage", _geometry_config(count=0), "count must be at least 1"),
+        ("balayage", _geometry_config(type="ball", radius=-2.0), "radius must be positive"),
     ],
     ids=["tol-abc", "tol-0", "tol-neg", "omega_scale-abc", "omega_scale-nan",
          "stages-abc", "scalings-x", "scalings-5", "scalings-nan", "h-abc", "h-half",
-         "family-empty", "fixtures_dir-5"],
+         "family-empty", "fixtures_dir-5", "chain-out-of-range", "chain-float", "chain-empty",
+         "support-float", "support-bool", "capacity_finite-string", "sphere-radius-negative",
+         "sphere-radius-zero", "sphere-count-zero", "ball-radius-negative"],
 )
 def test_malformed_config_number_exits_4(tmp_path, capsys, command, cfg, key):
     path = write_config(tmp_path, "c.json", cfg)

@@ -199,6 +199,49 @@ def test_indefinite_kernel_raises_with_witness(k):
         assert w is not None and float(w @ A @ w) <= 0.0
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.sampled_from(["spd", "near-singular", "indefinite"]),
+    st.floats(-8.0, 8.0),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_certificate_accepts_only_what_eigvalsh_accepts(seed, m, family, shift):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((m, m))
+    if family == "spd":
+        K = B @ B.T + rng.uniform(1e-3, 1.0) * np.eye(m)
+    elif family == "near-singular":
+        # rank-deficient PSD, shifted by a few m u max diag either way
+        r = int(rng.integers(0, m))
+        K = B[:, :r] @ B[:, :r].T
+        K += shift * m * (np.finfo(float).eps / 2) * max(float(np.max(np.diagonal(K))), 1.0) * np.eye(m)
+    else:
+        K = (B * rng.uniform(-1.0, 1.0, m)) @ B.T
+    K = (K + K.T) / 2.0
+    lam = float(np.linalg.eigvalsh(K)[0])
+    try:
+        cert = check_energy_principle(K)
+    except NotPositiveDefinite as err:
+        assert family != "spd"
+        assert err.witness is None or float(err.witness @ K @ err.witness) <= 0.0
+        return
+    assert lam > 0.0
+    # eigvalsh's lambda is exact for some K + E with ||E||_2 about eps ||K||_2
+    # (LAPACK Users' Guide, sec. 4.7), the size of a near-singular lambda itself
+    eig_err = np.finfo(float).eps * float(np.linalg.norm(K, 2))
+    assert 0.0 < cert.eig_lower_bound <= lam * (1.0 + 1e-12) + eig_err
+
+
+@pytest.mark.parametrize("family", ["newton-sphere", "riesz-2.9-ball"])
+def test_eig_lower_bound_is_the_inverse_row_sum_bound(factored_kernels, family):
+    # 1602 and 1000 rows: the row sums run over several panels of _BLOCK rows
+    kernel, _ = factored_kernels[family]
+    bound = kernel.pd_certificate.eig_lower_bound
+    assert bound == 1.0 / float(np.max(np.abs(kernel.inverse).sum(axis=1)))
+    assert 0.0 < bound <= float(np.linalg.eigvalsh(kernel.entries)[0])
+
+
 @pytest.mark.parametrize("k", [1, 5, 128, 300])
 def test_exact_symmetry_check_agrees_with_array_equal(k):
     rng = np.random.default_rng(k)

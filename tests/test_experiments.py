@@ -23,14 +23,14 @@ from finpot.instances import (
 )
 
 
-def shell_family(truncations=(3, 4, 5), per_shell=48, mass=1.0):
+def shell_family(truncations=(3, 4, 5), per_shell=48, mass=1.0, extra=()):
     out = []
     for shells in truncations:
         spec = InstanceSpec(
             3,
             RieszKernel(2.0),
             ShellUnion(2.0, (per_shell,) * shells),
-            charge=(ChargeAtom((0.3, 0.0, 0.0), mass),),
+            charge=(ChargeAtom((0.3, 0.0, 0.0), mass), *extra),
         )
         out.append(assemble(spec))
     return out
@@ -171,12 +171,20 @@ def test_scan_thread_cap():
     assert table.rows[0].verdict == STABILIZES
 
 
-def test_scan_is_its_cells_in_scaling_major_order():
+# the -0.6 charge sits between the shells of radius 1.5 and 3
+@pytest.mark.parametrize("extra", [(), (ChargeAtom((0.0, 0.0, 2.2), -0.6),)], ids=["positive", "mixed"])
+def test_scan_is_its_cells_in_scaling_major_order(extra):
+    # cells warm-started from the previous scaling equal cold solves bit for
+    # bit; the zero-charge cells seed the next scaling with an all-zero sweep.
+    # Their Gauss minimizer, the capacitary measure, is the one seed on
+    # another support: from it the last step is an LU solve where the cold
+    # solve's is a Schur step on the kernel's inverse, so those cells agree
+    # to rounding only
     from finpot.balayage import pseudo_balayage
     from finpot.gauss import solve_gauss
 
-    family = shell_family(truncations=(2, 3, 4), per_shell=24)
-    scalings = [0.3, 1.0, 2.5]
+    family = shell_family(truncations=(2, 3, 4), per_shell=24, extra=extra)
+    scalings = [0.0, 0.3, 1.0, 2.5]
     table = solvability_scan(family, scalings)
     cells = [c for row in table.rows for c in row.cells]
     assert [(c.scaling, c.truncation) for c in cells] == [
@@ -188,8 +196,32 @@ def test_scan_is_its_cells_in_scaling_major_order():
         bal = pseudo_balayage(inst.kernel, omega, inst.support)
         res = solve_gauss(inst.kernel, omega, inst.support)
         assert c.balayage_mass == bal.mass
-        assert c.gauss_value == res.value
-        assert c.equilibrium_constant == res.equilibrium_constant
+        if c.scaling == 0.3:
+            assert c.gauss_value == pytest.approx(res.value, rel=1e-14)
+            assert c.equilibrium_constant == pytest.approx(res.equilibrium_constant, rel=1e-14)
+        else:
+            assert c.gauss_value == res.value
+            assert c.equilibrium_constant == res.equilibrium_constant
+
+
+def test_scan_sweeps_settle_in_one_step_after_the_first_scaling(monkeypatch):
+    import finpot.balayage
+
+    real = finpot.balayage.solve_cone_qp
+    iterations = []
+
+    def counted(*args, **kwargs):
+        w, report = real(*args, **kwargs)
+        iterations.append(report.iterations)
+        return w, report
+
+    monkeypatch.setattr(finpot.balayage, "solve_cone_qp", counted)
+    family = shell_family(truncations=(2, 3, 4), per_shell=24)
+    solvability_scan(family, scalings=[0.3, 1.0, 2.5])
+    assert len(iterations) == 3 * len(family)
+    # sweep(q omega) = q sweep(omega): the support the previous scaling found is final
+    assert max(iterations[: len(family)]) > 1
+    assert iterations[len(family):] == [1] * (2 * len(family))
 
 
 def test_scan_cell_failure_propagates(monkeypatch):

@@ -123,6 +123,13 @@ def test_spec_validation():
         ShellUnion(0.9, (10,))
 
 
+@pytest.mark.parametrize("geometry", [Sphere, Ball])
+@pytest.mark.parametrize("radius, count", [(-1.0, 10), (0.0, 10), (float("nan"), 10), (1.0, 0), (1.0, -3)])
+def test_round_geometry_needs_a_positive_radius_and_count(geometry, radius, count):
+    with pytest.raises(ValueError, match="radius must be positive|count must be at least 1"):
+        geometry(radius, count)
+
+
 # ---------------------------------------------------------------------------
 # charges and fields
 # ---------------------------------------------------------------------------
