@@ -290,18 +290,23 @@ def solvability_scan(
     Cells are solved one after another, scaling-major: every truncation of
     the first scaling, then every truncation of the next.  Each truncation's
     cell is warm-started from the balayage and Gauss weights that truncation
-    got at the previous scaling: the sweep is positively homogeneous in the
-    charge, so its support, and mostly the minimizer's, carries over.
+    got at the previous scaling when the two scalings have the same sign:
+    the sweep is positively homogeneous in the charge, so its support, and
+    mostly the minimizer's, carries over.  After a zero scaling or a sign
+    change the cell is solved cold.
     """
     if not family:
         raise ValueError("family must be nonempty")
     rims = [_outer_rim(inst, outer_fraction) for inst in family]
-    warm = [(None, None)] * len(family)
     cells = []
-    for s in scalings:
+    prev = 0.0
+    for s in map(float, scalings):
+        if not prev * s > 0.0:
+            warm = [(None, None)] * len(family)
         for t, inst in enumerate(family):
-            cell, warm[t] = _scan_cell(inst, float(s), t, tol, rims[t], warm[t])
+            cell, warm[t] = _scan_cell(inst, s, t, tol, rims[t], warm[t])
             cells.append(cell)
+        prev = s
     rows = []
     per_row = len(family)
     for i, s in enumerate(scalings):

@@ -175,16 +175,13 @@ def test_scan_thread_cap():
 @pytest.mark.parametrize("extra", [(), (ChargeAtom((0.0, 0.0, 2.2), -0.6),)], ids=["positive", "mixed"])
 def test_scan_is_its_cells_in_scaling_major_order(extra):
     # cells warm-started from the previous scaling equal cold solves bit for
-    # bit; the zero-charge cells seed the next scaling with an all-zero sweep.
-    # Their Gauss minimizer, the capacitary measure, is the one seed on
-    # another support: from it the last step is an LU solve where the cold
-    # solve's is a Schur step on the kernel's inverse, so those cells agree
-    # to rounding only
+    # bit; the cells after the zero scaling and after the sign change are
+    # solved cold, and -1.5 is warm-started from -0.7
     from finpot.balayage import pseudo_balayage
     from finpot.gauss import solve_gauss
 
     family = shell_family(truncations=(2, 3, 4), per_shell=24, extra=extra)
-    scalings = [0.0, 0.3, 1.0, 2.5]
+    scalings = [0.0, 0.3, 1.0, 2.5, -0.7, -1.5]
     table = solvability_scan(family, scalings)
     cells = [c for row in table.rows for c in row.cells]
     assert [(c.scaling, c.truncation) for c in cells] == [
@@ -196,12 +193,8 @@ def test_scan_is_its_cells_in_scaling_major_order(extra):
         bal = pseudo_balayage(inst.kernel, omega, inst.support)
         res = solve_gauss(inst.kernel, omega, inst.support)
         assert c.balayage_mass == bal.mass
-        if c.scaling == 0.3:
-            assert c.gauss_value == pytest.approx(res.value, rel=1e-14)
-            assert c.equilibrium_constant == pytest.approx(res.equilibrium_constant, rel=1e-14)
-        else:
-            assert c.gauss_value == res.value
-            assert c.equilibrium_constant == res.equilibrium_constant
+        assert c.gauss_value == res.value
+        assert c.equilibrium_constant == res.equilibrium_constant
 
 
 def test_scan_sweeps_settle_in_one_step_after_the_first_scaling(monkeypatch):
