@@ -9,7 +9,8 @@ operation defines one.  Wall-clock metadata goes to a sidecar ``.meta.json``
 so the main report is byte-identical across runs of the same config.
 
 Exit codes: 0 success, 2 violated invariant (certification or verify
-failure), 3 solver failure, 4 config error.
+failure), 3 solver failure, 4 config or usage error.  Every config value is
+read once, by the typed readers of :mod:`finpot.core`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import numpy as np
 
 from .balayage import CharacterizationViolated, mass_bound_check, pseudo_balayage, verify_ii1
 from .core import (
+    SOLVER_TOL,
+    ConfigError,
     KernelMatrix,
     Measure,
     NotNested,
@@ -34,15 +37,17 @@ from .core import (
     SizeMismatchError,
     SupportSet,
     dumps_canonical,
+    read_flag,
+    read_indices,
+    read_int,
+    read_list,
+    read_number,
+    read_numbers,
+    read_str,
 )
-from .experiments import (
-    EmptyIntersection,
-    monotone_down,
-    monotone_up,
-    solvability_scan,
-)
+from .experiments import monotone_down, monotone_up, solvability_scan
 from .gauss import capacitary_measure, minimizer_is_sweep, solvability_check, solve_gauss
-from .instances import ChargeOnNode, DuplicatePoints, InstanceSpec, assemble, thinness_series
+from .instances import ChargeOnNode, DuplicatePoints, InstanceSpec, assemble, points_to_csv, thinness_series
 from .qp import (
     ConeQpProblem,
     MaxIterExceeded,
@@ -62,73 +67,6 @@ CONFIG_SCHEMA = "finpot-config/1"
 REPORT_SCHEMA = "finpot-report/1"
 FIXTURE_SCHEMA = "finpot-fixture/1"
 
-COMMANDS = (
-    "balayage",
-    "gauss",
-    "capacity",
-    "solvability",
-    "converge-up",
-    "converge-down",
-    "thinness",
-    "verify",
-)
-
-_RESULT_REQUIRED_KEYS = {
-    "balayage": {"measure", "value", "mass", "kkt"},
-    "gauss": {"gauss", "balayage_mass", "lambda_equals_balayage"},
-    "capacity": {"gamma", "capacity", "equilibrium_potential_range"},
-    "solvability": set(),  # single outcome or scan table; checked below
-    "converge-up": {"direction", "stage_values", "stage_norms", "fund_slack", "final_distance"},
-    "converge-down": {"direction", "stage_values", "stage_norms", "fund_slack", "final_distance"},
-    "thinness": {"q", "shell_capacities", "partial_sums", "verdict"},
-    "verify": {"checks", "passed"},
-}
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration."""
-
-
-def _finite(value, name: str) -> float:
-    """A config number as a finite float, or :class:`ConfigError`."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    if not np.isfinite(x):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return x
-
-
-def _tolerance(value, name: str = "tol") -> float:
-    tol = _finite(value, name)
-    if tol <= 0.0:
-        raise ConfigError(f"{name} must be positive, got {value!r}")
-    return tol
-
-
-def _indices(value, name: str, size: int) -> SupportSet:
-    """A config list of node indices (JSON integers below ``size``) as a support set."""
-    if not isinstance(value, list) or not all(type(i) is int for i in value):
-        raise ConfigError(f"{name} must be a list of integer node indices, got {value!r}")
-    try:
-        support = SupportSet(value)
-    except ValueError as exc:
-        raise ConfigError(f"invalid {name}: {exc}") from None
-    if support.indices[-1] >= size:
-        raise ConfigError(f"{name} indices exceed the kernel size {size}")
-    return support
-
-
-def _h_constant(value) -> float | None:
-    """A maximum-principle constant h from a config: absent, or a finite number >= 1."""
-    if value is None:
-        return None
-    h = _finite(value, "h")
-    if h < 1.0:
-        raise ConfigError(f"h must be at least 1, got {value!r}")
-    return h
-
 
 def validate_report(report: dict) -> None:
     """Schema gate applied to every report before writing and after reading."""
@@ -140,7 +78,7 @@ def validate_report(report: dict) -> None:
     command = report["command"]
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r} in report")
-    required = _RESULT_REQUIRED_KEYS[command]
+    _, required = COMMANDS[command]
     result = report["result"]
     if not isinstance(result, dict):
         raise ValueError("report result must be an object")
@@ -160,6 +98,7 @@ def config_hash(cfg: dict) -> str:
 
 
 def _read_config(args) -> dict:
+    """The config object, plus the run options read once under unhashed ``_`` keys."""
     if args.config is None:
         if args.command != "verify":
             raise ConfigError("--config is required")
@@ -178,58 +117,79 @@ def _read_config(args) -> dict:
         if schema != CONFIG_SCHEMA:
             raise ConfigError(f"unsupported config schema {schema!r} (expected {CONFIG_SCHEMA})")
     if args.tol is not None:
-        cfg["tol"] = _tolerance(args.tol, "--tol")
+        cfg["tol"] = cfg["_tol"] = read_number(args.tol, "--tol", positive=True, text=True)
+    else:
+        cfg["_tol"] = read_number(cfg.get("tol", SOLVER_TOL), "tol", positive=True)
     if args.out is not None:
         cfg["out"] = args.out
-    cfg["_summary"] = bool(args.summary)
+    cfg["_out"] = Path(read_str(cfg.get("out", "."), "out"))
+    cfg["_summary"] = args.summary
     return cfg
 
 
-def _load_problem(cfg: dict, need_omega: bool = True):
-    """Resolve the single instance source into (kernel, omega, support, h, instance)."""
-    has_instance = "instance" in cfg
-    has_kernel = "kernel" in cfg
-    if has_instance == has_kernel:
-        raise ConfigError("exactly one of 'instance' or 'kernel' must be given")
-    scale = cfg.get("omega_scale")
-    if scale is not None:
-        scale = _finite(scale, "omega_scale")
-    if has_instance:
-        try:
-            spec = InstanceSpec.from_json(cfg["instance"])
-            inst = assemble(spec)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid instance spec: {exc}") from None
-        omega = inst.omega if scale is None else inst.omega.scaled(scale)
-        return inst.kernel, omega, inst.support, inst.h, inst
-    kobj = cfg["kernel"]
+def _raw_problem(obj: dict, need_omega: bool = True):
+    """A raw-kernel problem, from a config or a fixture, as (kernel, omega, support, h)."""
+    kobj = obj["kernel"]
     try:
         if isinstance(kobj, dict) and "csv" in kobj:
-            kernel = KernelMatrix.from_csv(kobj["csv"])
+            kernel = KernelMatrix.from_csv(read_str(kobj["csv"], "csv"))
         else:
             kernel = KernelMatrix.from_json(kobj)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid kernel: {exc}") from None
-    if "omega" in cfg:
+    if "omega" in obj:
         try:
-            omega = Measure.from_json(cfg["omega"])
+            omega = Measure.from_json(obj["omega"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid omega: {exc}") from None
-        if scale is not None:
-            omega = omega.scaled(scale)
     elif need_omega:
         raise ConfigError("raw-kernel configs need an 'omega' measure")
     else:
         omega = Measure.zero(kernel.size)
     if len(omega) != kernel.size:
         raise ConfigError("omega length does not match the kernel size")
-    sup = cfg.get("support", "all")
-    support = SupportSet.full(kernel.size) if sup == "all" else _indices(sup, "support", kernel.size)
-    return kernel, omega, support, _h_constant(cfg.get("h")), None
+    sup = obj.get("support", "all")
+    support = SupportSet.full(kernel.size) if sup == "all" else read_indices(sup, "support", kernel.size)
+    h = None if obj.get("h") is None else read_number(obj["h"], "h", 1.0)
+    return kernel, omega, support, h
+
+
+def _assemble_specs(objs: list, name: str) -> list:
+    try:
+        return [assemble(InstanceSpec.from_json(obj)) for obj in objs]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a huge q overflows a shell radius
+        raise ConfigError(f"invalid {name}: {exc}") from None
+
+
+def _require_finite_scaling(scales, omegas) -> None:
+    """Each scaled charge stays finite: its largest weight is the largest scale times weight."""
+    peak = max(map(abs, scales)) * max(float(np.max(np.abs(omega.weights))) for omega in omegas)
+    if not np.isfinite(peak):
+        raise ConfigError(f"scaling the charge by {max(map(abs, scales)):g} overflows it")
+
+
+def _load_problem(cfg: dict, command: str, need_omega: bool = True):
+    """Resolve the single instance source into (kernel, omega, support, h).
+
+    An instance's node cloud is exported as ``<command>-nodes.csv``, one point per row.
+    """
+    if ("instance" in cfg) == ("kernel" in cfg):
+        raise ConfigError("exactly one of 'instance' or 'kernel' must be given")
+    scale = None if cfg.get("omega_scale") is None else read_number(cfg["omega_scale"], "omega_scale")
+    if "kernel" in cfg:
+        kernel, omega, support, h = _raw_problem(cfg, need_omega)
+    else:
+        [inst] = _assemble_specs([cfg["instance"]], "instance spec")
+        kernel, omega, support, h = inst.kernel, inst.omega, inst.support, inst.h
+        points_to_csv(inst.node_points(), _out_dir(cfg) / f"{command}-nodes.csv")
+    if scale is not None:
+        _require_finite_scaling([scale], [omega])
+        omega = omega.scaled(scale)
+    return kernel, omega, support, h
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg.get("out", "."))
+    out = cfg["_out"]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -259,30 +219,15 @@ def _emit(cfg: dict, command: str, result: dict, csv_rows=None) -> Path:
     return path
 
 
-def _maybe_export_nodes(cfg: dict, command: str, inst) -> None:
-    """Instance-based runs export the node cloud, one point per row."""
-    if inst is None:
-        return
-    from .instances import points_to_csv
-
-    points_to_csv(inst.node_points(), _out_dir(cfg) / f"{command}-nodes.csv")
-
-
 def _chain_from_config(cfg: dict, size: int, support: SupportSet, decreasing: bool):
     if "chain" in cfg:
-        if not isinstance(cfg["chain"], list) or not cfg["chain"]:
-            raise ConfigError(f"chain must be a nonempty list of index lists, got {cfg['chain']!r}")
-        return [_indices(ix, "chain stage", size) for ix in cfg["chain"]]
-    stages_n = _finite(cfg.get("stages", 4), "stages")
-    if stages_n < 1 or not stages_n.is_integer():
-        raise ConfigError(f"stages must be a positive integer, got {cfg['stages']!r}")
-    stages_n = int(stages_n)
+        return [read_indices(ix, "chain stage", size) for ix in read_list(cfg["chain"], "chain", "index lists")]
     order = list(support.indices)
+    # more stages than nodes give the same chain as one stage per node: 1, 2, ..., k
+    stages_n = min(read_int(cfg.get("stages", 4), "stages", 1), len(order))
     sizes = sorted({max(1, round(len(order) * (j + 1) / stages_n)) for j in range(stages_n)})
     chain = [SupportSet(order[:s]) for s in sizes]
-    if decreasing:
-        chain = chain[::-1]
-    return chain
+    return chain[::-1] if decreasing else chain
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +236,8 @@ def _chain_from_config(cfg: dict, size: int, support: SupportSet, decreasing: bo
 
 
 def _cmd_balayage(cfg: dict) -> int:
-    tol = _tolerance(cfg.get("tol", 1e-8))
-    kernel, omega, support, h, inst = _load_problem(cfg)
-    _maybe_export_nodes(cfg, "balayage", inst)
+    tol = cfg["_tol"]
+    kernel, omega, support, h = _load_problem(cfg, "balayage")
     result = pseudo_balayage(kernel, omega, support, tol=tol, h=h)
     payload = result.to_json()
     payload["mass_bound_check"] = mass_bound_check(result, h, omega).to_json()
@@ -302,16 +246,15 @@ def _cmd_balayage(cfg: dict) -> int:
         f"balayage: value={result.value:.6e} mass={result.mass:.6f} "
         f"kkt={max(result.kkt.stationarity_residual, result.kkt.complementarity_residual):.2e} OK"
     )
-    if cfg.get("_summary"):
+    if cfg["_summary"]:
         print(f"  potential dominance on target: residual within {10 * tol:.1e}")
         print(f"  gap integral against the sweep: within {10 * tol:.1e}")
     return EXIT_OK
 
 
 def _cmd_gauss(cfg: dict) -> int:
-    tol = _tolerance(cfg.get("tol", 1e-8))
-    kernel, omega, support, h, inst = _load_problem(cfg)
-    _maybe_export_nodes(cfg, "gauss", inst)
+    tol = cfg["_tol"]
+    kernel, omega, support, h = _load_problem(cfg, "gauss")
     res = solve_gauss(kernel, omega, support, tol=tol)
     bal = pseudo_balayage(kernel, omega, support, tol=tol, h=h)
     matches = minimizer_is_sweep(kernel, res, bal, tol)
@@ -329,10 +272,8 @@ def _cmd_gauss(cfg: dict) -> int:
 
 
 def _cmd_capacity(cfg: dict) -> int:
-    tol = _tolerance(cfg.get("tol", 1e-8))
-    kernel, _, support, _, inst = _load_problem(cfg, need_omega=False)
-    _maybe_export_nodes(cfg, "capacity", inst)
-    res = capacitary_measure(kernel, support, tol=tol)
+    kernel, _, support, _ = _load_problem(cfg, "capacity", need_omega=False)
+    res = capacitary_measure(kernel, support, tol=cfg["_tol"])
     _emit(cfg, "capacity", res.to_json())
     lo, hi = res.equilibrium_potential_range
     print(f"capacity: c={res.capacity:.6f} potential_range=[{lo:.6f}, {hi:.6f}]")
@@ -340,19 +281,11 @@ def _cmd_capacity(cfg: dict) -> int:
 
 
 def _cmd_solvability(cfg: dict) -> int:
-    tol = _tolerance(cfg.get("tol", 1e-8))
+    tol = cfg["_tol"]
     if "family" in cfg:
-        scalings = cfg.get("scalings", [1.0])
-        if not isinstance(scalings, list) or not scalings:
-            raise ConfigError(f"scalings must be a nonempty list of numbers, got {scalings!r}")
-        scalings = [_finite(s, "each scaling") for s in scalings]
-        specs = cfg["family"]
-        if not isinstance(specs, list) or not specs:
-            raise ConfigError(f"family must be a nonempty list of instance specs, got {specs!r}")
-        try:
-            family = [assemble(InstanceSpec.from_json(obj)) for obj in specs]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid family: {exc}") from None
+        scalings = read_numbers(cfg.get("scalings", [1.0]), "scalings")
+        family = _assemble_specs(read_list(cfg["family"], "family", "instance specs"), "family")
+        _require_finite_scaling(scalings, [inst.omega for inst in family])
         table = solvability_scan(family, scalings, tol=tol)
         _emit(cfg, "solvability", table.to_json(), csv_rows=table.csv_rows())
         for row in table.rows:
@@ -361,11 +294,8 @@ def _cmd_solvability(cfg: dict) -> int:
                 f"verdict={row.verdict}"
             )
         return EXIT_OK
-    capacity_finite = cfg.get("capacity_finite", True)
-    if not isinstance(capacity_finite, bool):
-        raise ConfigError(f"capacity_finite must be true or false, got {capacity_finite!r}")
-    kernel, omega, support, _, inst = _load_problem(cfg)
-    _maybe_export_nodes(cfg, "solvability", inst)
+    capacity_finite = read_flag(cfg.get("capacity_finite", True), "capacity_finite")
+    kernel, omega, support, _ = _load_problem(cfg, "solvability")
     outcome = solvability_check(kernel, omega, support, tol=tol, capacity_finite=capacity_finite)
     rows = outcome.diagnostic.csv_rows() if outcome.diagnostic is not None else None
     _emit(cfg, "solvability", outcome.to_json(), csv_rows=rows)
@@ -376,10 +306,12 @@ def _cmd_solvability(cfg: dict) -> int:
     return EXIT_OK
 
 
+_CONVERGE_KEYS = {"direction", "stage_values", "stage_norms", "fund_slack", "final_distance"}
+
+
 def _cmd_converge(cfg: dict, direction: str) -> int:
-    tol = _tolerance(cfg.get("tol", 1e-8))
-    kernel, omega, support, _, inst = _load_problem(cfg)
-    _maybe_export_nodes(cfg, f"converge-{direction}", inst)
+    tol = cfg["_tol"]
+    kernel, omega, support, _ = _load_problem(cfg, f"converge-{direction}")
     chain = _chain_from_config(cfg, kernel.size, support, decreasing=(direction == "down"))
     runner = monotone_up if direction == "up" else monotone_down
     report = runner(kernel, omega, chain, tol=tol)
@@ -389,7 +321,7 @@ def _cmd_converge(cfg: dict, direction: str) -> int:
         f"final_distance={report.final_distance:.3e} "
         f"min_slack={min(report.fund_slack, default=0.0):.3e}"
     )
-    if cfg.get("_summary"):
+    if cfg["_summary"]:
         ok = min(report.fund_slack, default=0.0) >= -10 * tol
         print(f"  strong-Cauchy slack nonnegative: {'pass' if ok else 'fail'}")
         print(f"  final stage reproduces the target sweep: {'pass' if report.final_distance <= 10 * tol else 'fail'}")
@@ -403,10 +335,9 @@ def _cmd_thinness(cfg: dict) -> int:
         spec = InstanceSpec.from_json(cfg["instance"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid instance spec: {exc}") from None
-    tol = _tolerance(cfg.get("tol", 1e-8))
     try:
-        report = thinness_series(spec, tol=tol)
-    except ValueError as exc:
+        report = thinness_series(spec, tol=cfg["_tol"])
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
     _emit(cfg, "thinness", report.to_json(), csv_rows=report.csv_rows())
     print(
@@ -423,9 +354,7 @@ def _cmd_thinness(cfg: dict) -> int:
 
 def _fixture_paths(cfg: dict) -> list[Path]:
     if "fixtures_dir" in cfg:
-        if not isinstance(cfg["fixtures_dir"], str):
-            raise ConfigError(f"fixtures_dir must be a path string, got {cfg['fixtures_dir']!r}")
-        root = Path(cfg["fixtures_dir"])
+        root = Path(read_str(cfg["fixtures_dir"], "fixtures_dir"))
     else:
         root = Path(str(resources.files("finpot") / "fixtures"))
     if not root.is_dir():
@@ -444,16 +373,15 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
 
     try:
         obj = json.loads(path.read_text())
-        if obj.get("schema") != FIXTURE_SCHEMA:
-            raise ValueError(f"bad fixture schema {obj.get('schema')!r}")
-        kernel = KernelMatrix.from_json(obj["kernel"])
-        omega = Measure.from_json(obj["omega"])
-        support = _indices(obj["support"], "support", kernel.size)
-        if len(omega) != kernel.size:
-            raise ValueError("omega length does not match the kernel size")
-        tol = _tolerance(obj.get("tol", 1e-8)) if tol_override is None else tol_override
-        h = _h_constant(obj.get("h"))
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        schema = obj.get("schema") if isinstance(obj, dict) else None
+        if schema != FIXTURE_SCHEMA:
+            raise ValueError(f"bad fixture schema {schema!r}")
+        kernel, omega, support, h = _raw_problem(obj)
+        if tol_override is None:
+            tol = read_number(obj.get("tol", SOLVER_TOL), "tol", positive=True)
+        else:
+            tol = tol_override
+    except (OSError, KeyError, ValueError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
         record("fixture-readable", False, str(exc))
         return checks
     record("fixture-readable", True)
@@ -482,22 +410,18 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
 
     if len(support) <= 12:
         b = (kernel.entries @ omega.weights)[idx]
-        cone = ConeQpProblem.on_kernel(kernel, support, b)
-        w_solver, _ = solve_cone_qp(cone, tol=tol)
-        w_oracle = brute_force_cone(cone)
-        record(
-            "cone-oracle",
-            float(np.max(np.abs(w_solver - w_oracle))) <= 1e-8
-            and abs(cone.objective(w_solver) - cone.objective(w_oracle)) <= 1e-10,
-        )
-        simplex = SimplexQpProblem.on_kernel(kernel, support, -b)
-        v_solver, _ = solve_simplex_qp(simplex, tol=tol)
-        v_oracle = brute_force_simplex(simplex)
-        record(
-            "simplex-oracle",
-            float(np.max(np.abs(v_solver - v_oracle))) <= 1e-8
-            and abs(simplex.objective(v_solver) - simplex.objective(v_oracle)) <= 1e-10,
-        )
+        for name, problem, solve, oracle in (
+            ("cone-oracle", ConeQpProblem.on_kernel(kernel, support, b), solve_cone_qp, brute_force_cone),
+            ("simplex-oracle", SimplexQpProblem.on_kernel(kernel, support, -b), solve_simplex_qp,
+             brute_force_simplex),
+        ):
+            w_solver, _ = solve(problem, tol=tol)
+            w_oracle = oracle(problem)
+            record(
+                name,
+                float(np.max(np.abs(w_solver - w_oracle))) <= 1e-8
+                and abs(problem.objective(w_solver) - problem.objective(w_oracle)) <= 1e-10,
+            )
 
     if len(support) >= 3:
         order = list(support.indices)
@@ -518,7 +442,7 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
 
 def _cmd_verify(cfg: dict) -> int:
     paths = _fixture_paths(cfg)
-    tol_override = _tolerance(cfg["tol"]) if "tol" in cfg else None
+    tol_override = cfg["_tol"] if "tol" in cfg else None
     all_checks: list[dict] = []
     for path in paths:
         all_checks.extend(_verify_fixture(path, tol_override))
@@ -526,7 +450,7 @@ def _cmd_verify(cfg: dict) -> int:
     payload = {"checks": all_checks, "passed": passed}
     _emit(cfg, "verify", payload)
     failures = [c for c in all_checks if not c["passed"]]
-    if cfg.get("_summary"):
+    if cfg["_summary"]:
         for c in all_checks:
             print(f"  [{'pass' if c['passed'] else 'FAIL'}] {c['fixture']}: {c['check']} {c['detail']}")
     if failures:
@@ -541,9 +465,29 @@ def _cmd_verify(cfg: dict) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+# name -> (handler, keys that every result of the command carries)
+COMMANDS = {
+    "balayage": (_cmd_balayage, {"measure", "value", "mass", "kkt"}),
+    "gauss": (_cmd_gauss, {"gauss", "balayage_mass", "lambda_equals_balayage"}),
+    "capacity": (_cmd_capacity, {"gamma", "capacity", "equilibrium_potential_range"}),
+    "solvability": (_cmd_solvability, set()),  # an outcome or a scan table; see validate_report
+    "converge-up": (lambda cfg: _cmd_converge(cfg, "up"), _CONVERGE_KEYS),
+    "converge-down": (lambda cfg: _cmd_converge(cfg, "down"), _CONVERGE_KEYS),
+    "thinness": (_cmd_thinness, {"q", "shell_capacities", "partial_sums", "verdict"}),
+    "verify": (_cmd_verify, {"checks", "passed"}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 4, as config errors do, with argparse's message."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finpot",
         description="Finite-node potential theory: sweep charges, solve weighted equilibria, run experiments.",
     )
@@ -551,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="path to the JSON run config")
-        p.add_argument("--tol", type=float, default=None, help="override the solver tolerance")
+        p.add_argument("--tol", default=None, help="override the solver tolerance")
         p.add_argument("--out", default=None, help="output directory for reports")
         p.add_argument("--summary", action="store_true", help="print per-invariant pass/fail lines")
     return parser
@@ -560,27 +504,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _read_config(args)
-        if args.command == "balayage":
-            return _cmd_balayage(cfg)
-        if args.command == "gauss":
-            return _cmd_gauss(cfg)
-        if args.command == "capacity":
-            return _cmd_capacity(cfg)
-        if args.command == "solvability":
-            return _cmd_solvability(cfg)
-        if args.command == "converge-up":
-            return _cmd_converge(cfg, "up")
-        if args.command == "converge-down":
-            return _cmd_converge(cfg, "down")
-        if args.command == "thinness":
-            return _cmd_thinness(cfg)
-        return _cmd_verify(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NotPositiveDefinite, DuplicatePoints, ChargeOnNode, NotNested,
-            EmptyIntersection, SizeMismatchError) as exc:
+        run, _ = COMMANDS[args.command]
+        return run(_read_config(args))
+    except (ConfigError, NotPositiveDefinite, DuplicatePoints, ChargeOnNode, NotNested,
+            SizeMismatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CharacterizationViolated as exc:

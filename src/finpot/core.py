@@ -17,6 +17,7 @@ these constants are only the documented defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -44,6 +45,10 @@ class NotPositiveDefinite(ValueError):
 
 class NotNested(ValueError):
     """A chain of support sets is not strictly nested."""
+
+
+class ConfigError(ValueError):
+    """Invalid or inconsistent run configuration."""
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,100 @@ def frozen_float_array(data) -> np.ndarray:
     return arr
 
 
+# ---------------------------------------------------------------------------
+# typed JSON readers: every config value is read by one of these, once, and
+# anything else raises ConfigError.  Numbers are finite JSON numbers (never a
+# bool or a string); counts, indices and sizes are exact JSON integers; flags
+# are JSON booleans.
+# ---------------------------------------------------------------------------
+
+
+def _is_number_type(kind: type) -> bool:
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
+def read_number(value, name: str, at_least: float | None = None, *,
+                positive: bool = False, text: bool = False) -> float:
+    """A finite number, optionally positive or at least ``at_least``, as a float.
+
+    ``text=True`` also reads a string, as a command-line flag gives one.
+    """
+    if not (_is_number_type(type(value)) or text and isinstance(value, str)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if positive and not x > 0.0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    if at_least is not None and x < at_least:
+        raise ConfigError(f"{name} must be at least {at_least:g}, got {value!r}")
+    return x
+
+
+def read_int(value, name: str, at_least: int = 0) -> int:
+    """An exact integer (not a float, not a bool) of at least ``at_least``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < at_least:
+        raise ConfigError(f"{name} must be at least {at_least}, got {value!r}")
+    return value
+
+
+def read_flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def read_str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def read_list(value, name: str, what: str, *, empty: bool = False) -> list:
+    """A list, nonempty unless ``empty``; ``what`` names its elements in the error."""
+    if not isinstance(value, list) or not (value or empty):
+        raise ConfigError(f"{name} must be a {'' if empty else 'nonempty '}list of {what}, got {value!r}")
+    return value
+
+
+def read_numbers(value, name: str) -> tuple[float, ...]:
+    """A nonempty list of finite numbers as a tuple of floats.
+
+    The element types are checked as one set, so a long list (a kernel row)
+    costs no Python call per element.
+    """
+    read_list(value, name, "numbers")
+    if not all(map(_is_number_type, set(map(type, value)))):
+        raise ConfigError(f"{name} must be a nonempty list of numbers, got {value!r}")
+    try:
+        xs = tuple(map(float, value))
+    except OverflowError:
+        xs = (math.inf,)
+    if not all(map(math.isfinite, xs)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return xs
+
+
+def read_indices(value, name: str, size: int) -> "SupportSet":
+    """A list of distinct node indices (integers below ``size``) as a support set."""
+    if not isinstance(value, list) or not all(type(i) is int for i in value):
+        raise ConfigError(f"{name} must be a list of integer node indices, got {value!r}")
+    try:
+        support = SupportSet(value)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from None
+    if support.as_array()[-1] >= size:
+        raise ConfigError(f"{name} indices exceed the kernel size {size}")
+    return support
+
+
 class KernelMatrix:
     """Symmetric, entrywise nonnegative, strictly positive definite matrix.
 
@@ -279,10 +378,10 @@ class KernelMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KernelMatrix":
-        entries = np.asarray(obj["entries"], dtype=float)
-        if int(obj["m"]) != entries.shape[0]:
+        rows = read_list(obj["entries"], "entries", "rows")
+        if read_int(obj["m"], "m", 1) != len(rows):
             raise ValueError("declared size does not match the entries")
-        return cls(entries)
+        return cls([read_numbers(row, "entries") for row in rows])
 
     @classmethod
     def from_csv(cls, path) -> "KernelMatrix":
@@ -356,8 +455,8 @@ class Measure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Measure":
-        w = np.asarray(obj["weights"], dtype=float)
-        if int(obj["m"]) != w.size:
+        w = read_numbers(obj["weights"], "weights")
+        if read_int(obj["m"], "m", 1) != len(w):
             raise ValueError("declared size does not match the weights")
         return cls(w)
 

@@ -21,12 +21,8 @@ from .core import (
     SupportSet,
     energy_distance,
 )
-from .gauss import _require_increasing_chain, capacitary_measure, solve_gauss
+from .gauss import _require_strict_chain, capacitary_measure, solve_gauss
 from .instances import Instance
-
-
-class EmptyIntersection(ValueError):
-    """A decreasing chain of support sets has empty intersection."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +134,7 @@ def monotone_up(
     reproduces the sweep onto the full target (exactly, on a finite
     universe).
     """
-    _require_increasing_chain(chain)
+    _require_strict_chain(chain)
     results = _solve_chain(kernel, omega, chain, tol, warm=True)
     return _convergence_report(kernel, omega, chain, results, "up", tol)
 
@@ -150,16 +146,7 @@ def monotone_down(
     tol: float = SOLVER_TOL,
 ) -> ConvergenceReport:
     """Sweep along a strictly decreasing chain; the intersection is its last set."""
-    if not chain:
-        raise ValueError("chain must be nonempty")
-    for a, b in zip(chain, chain[1:]):
-        if not (b.as_set() < a.as_set()):
-            raise NotNested("chain must be strictly decreasing")
-    meet = chain[0].as_set()
-    for stage in chain[1:]:
-        meet = meet & stage.as_set()
-    if not meet:
-        raise EmptyIntersection("decreasing chain intersects to the empty set")
+    _require_strict_chain(chain, increasing=False)
     results = _solve_chain(kernel, omega, chain, tol, warm=False)
     return _convergence_report(kernel, omega, chain, results, "down", tol)
 

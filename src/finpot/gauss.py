@@ -247,12 +247,12 @@ def solvability_check(
     )
 
 
-def _require_increasing_chain(chain: Sequence[SupportSet]) -> None:
+def _require_strict_chain(chain: Sequence[SupportSet], increasing: bool = True) -> None:
     if not chain:
         raise ValueError("chain must be nonempty")
     for a, b in zip(chain, chain[1:]):
-        if not (a.as_set() < b.as_set()):
-            raise NotNested("chain must be strictly increasing")
+        if not (a.as_set() < b.as_set() if increasing else b.as_set() < a.as_set()):
+            raise NotNested(f"chain must be strictly {'increasing' if increasing else 'decreasing'}")
 
 
 def extremal_diagnostic(
@@ -268,7 +268,7 @@ def extremal_diagnostic(
     constants approach the weighted-potential integral of the final
     minimizer; both facts are certified.
     """
-    _require_increasing_chain(nested)
+    _require_strict_chain(nested)
     values: list[float] = []
     constants: list[float] = []
     prev: np.ndarray | None = None

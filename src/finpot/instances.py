@@ -28,11 +28,11 @@ entries and are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import KernelMatrix, Measure, SupportSet
+from .core import KernelMatrix, Measure, SupportSet, read_int, read_list, read_number, read_numbers
 from .gauss import capacitary_measure
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -176,6 +176,18 @@ class ChargeAtom:
     mass: float
 
 
+_JSON_TYPES = {
+    RieszKernel: "riesz", LogKernel: "log", NearestNeighborHalf: "nn-half", FixedLength: "fixed",
+    Sphere: "sphere", Ball: "ball", Segment: "segment", Annulus: "annulus", ShellUnion: "shell_union",
+}
+
+
+def _tagged(descriptor) -> dict:
+    """A descriptor as JSON: its type tag, then its fields, tuples as lists."""
+    fields = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(descriptor).items()}
+    return {"type": _JSON_TYPES[type(descriptor)], **fields}
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Declarative description of a finite instance; see the module docstring."""
@@ -199,78 +211,54 @@ class InstanceSpec:
         return self.kernel.ugaheri_constant(self.dimension)
 
     def to_json(self) -> dict:
-        if isinstance(self.kernel, RieszKernel):
-            kern = {"type": "riesz", "alpha": self.kernel.alpha}
-        else:
-            kern = {"type": "log", "disc_radius": self.kernel.disc_radius}
-        geo: dict
-        g = self.geometry
-        if isinstance(g, Sphere):
-            geo = {"type": "sphere", "radius": g.radius, "count": g.count, "center": list(g.center)}
-        elif isinstance(g, Ball):
-            geo = {"type": "ball", "radius": g.radius, "count": g.count, "center": list(g.center)}
-        elif isinstance(g, Segment):
-            geo = {"type": "segment", "a": list(g.a), "b": list(g.b), "count": g.count}
-        elif isinstance(g, Annulus):
-            geo = {
-                "type": "annulus",
-                "r_inner": g.r_inner,
-                "r_outer": g.r_outer,
-                "count": g.count,
-                "center": list(g.center),
-            }
-        else:
-            geo = {"type": "shell_union", "q": g.q, "counts": list(g.counts), "shrink": g.shrink}
-        reg: dict
-        if isinstance(self.regularization, NearestNeighborHalf):
-            reg = {"type": "nn-half"}
-        else:
-            reg = {"type": "fixed", "length": self.regularization.length}
         return {
             "dimension": self.dimension,
-            "kernel": kern,
-            "geometry": geo,
-            "regularization": reg,
+            "kernel": _tagged(self.kernel),
+            "geometry": _tagged(self.geometry),
+            "regularization": _tagged(self.regularization),
             "charge": [{"point": list(a.point), "mass": a.mass} for a in self.charge],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "InstanceSpec":
+        dimension = read_int(obj["dimension"], "dimension", 2)
         kern_obj = obj["kernel"]
         if kern_obj["type"] == "riesz":
-            kernel = RieszKernel(float(kern_obj["alpha"]))
+            kernel = RieszKernel(read_number(kern_obj["alpha"], "alpha"))
         elif kern_obj["type"] == "log":
-            kernel = LogKernel(float(kern_obj.get("disc_radius", 0.4)))
+            kernel = LogKernel(read_number(kern_obj.get("disc_radius", 0.4), "disc_radius"))
         else:
             raise ValueError(f"unknown kernel type {kern_obj['type']!r}")
         g = obj["geometry"]
         kind = g["type"]
-        if kind == "sphere":
-            geometry = Sphere(float(g["radius"]), int(g["count"]), tuple(g.get("center", (0,) * int(obj["dimension"]))))
-        elif kind == "ball":
-            geometry = Ball(float(g["radius"]), int(g["count"]), tuple(g.get("center", (0,) * int(obj["dimension"]))))
+        if kind == "shell_union":
+            counts = [read_int(c, "counts") for c in read_list(g["counts"], "counts", "shell counts")]
+            shrink = None if g.get("shrink") is None else read_number(g["shrink"], "shrink")
+            geometry = ShellUnion(read_number(g["q"], "q"), counts, shrink)
         elif kind == "segment":
-            geometry = Segment(tuple(g["a"]), tuple(g["b"]), int(g["count"]))
-        elif kind == "annulus":
-            geometry = Annulus(
-                float(g["r_inner"]), float(g["r_outer"]), int(g["count"]),
-                tuple(g.get("center", (0,) * int(obj["dimension"]))),
-            )
-        elif kind == "shell_union":
-            geometry = ShellUnion(float(g["q"]), tuple(g["counts"]), g.get("shrink"))
+            geometry = Segment(read_numbers(g["a"], "a"), read_numbers(g["b"], "b"), read_int(g["count"], "count", 1))
+        elif kind in ("sphere", "ball", "annulus"):
+            count = read_int(g["count"], "count", 1)
+            center = read_numbers(g.get("center", [0.0, 0.0, 0.0][:dimension]), "center")
+            if kind == "annulus":
+                r_inner, r_outer = read_number(g["r_inner"], "r_inner"), read_number(g["r_outer"], "r_outer")
+                geometry = Annulus(r_inner, r_outer, count, center)
+            else:
+                geometry = (Sphere if kind == "sphere" else Ball)(read_number(g["radius"], "radius"), count, center)
         else:
             raise ValueError(f"unknown geometry type {kind!r}")
         reg_obj = obj.get("regularization", {"type": "nn-half"})
         if reg_obj["type"] == "nn-half":
             reg = NearestNeighborHalf()
         elif reg_obj["type"] == "fixed":
-            reg = FixedLength(float(reg_obj["length"]))
+            reg = FixedLength(read_number(reg_obj["length"], "length"))
         else:
             raise ValueError(f"unknown regularization type {reg_obj['type']!r}")
-        charge = tuple(
-            ChargeAtom(tuple(a["point"]), float(a["mass"])) for a in obj.get("charge", [])
-        )
-        return cls(int(obj["dimension"]), kernel, geometry, reg, charge)
+        charge = [
+            ChargeAtom(read_numbers(a["point"], "charge point"), read_number(a["mass"], "mass"))
+            for a in read_list(obj.get("charge", []), "charge", "atoms", empty=True)
+        ]
+        return cls(dimension, kernel, geometry, reg, charge)
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +341,10 @@ def ball_points(count: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> np.n
 def annulus_points(count: int, r_inner: float, r_outer: float, center, dimension: int) -> np.ndarray:
     if not 0.0 < r_inner < r_outer:
         raise ValueError("annulus requires 0 < r_inner < r_outer")
-    if dimension == 2:
-        layers = _stratified_radii(count, r_inner, r_outer)
-        blocks = [
-            circle_points(c, r, center, phase=GOLDEN_RATIO * (j + 1) % 1.0)
-            for j, (r, c) in enumerate(layers)
-        ]
-        return np.vstack(blocks)
-    layers = _stratified_radii(count, r_inner, r_outer)
+    layer = circle_points if dimension == 2 else fibonacci_sphere
     blocks = [
-        fibonacci_sphere(c, r, center, phase=GOLDEN_RATIO * (j + 1) % 1.0)
-        for j, (r, c) in enumerate(layers)
+        layer(c, r, center, phase=GOLDEN_RATIO * (j + 1) % 1.0)
+        for j, (r, c) in enumerate(_stratified_radii(count, r_inner, r_outer))
     ]
     return np.vstack(blocks)
 

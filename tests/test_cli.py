@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,24 @@ def _geometry_config(**geometry):
     return {"schema": "finpot-config/1", "instance": {**instance, "geometry": {**instance["geometry"], **geometry}}}
 
 
+def _edited(cfg, key, **values):
+    return {**cfg, key: {**cfg[key], **values}}
+
+
+def _instance_edit(**values):
+    return _edited(_instance_config(), "instance", **values)
+
+
+def _heavy_family():
+    cfg = shell_family_config()
+    cfg["family"][0]["charge"][0]["mass"] = 4.0
+    return cfg
+
+
+def _shell_config(**geometry):
+    return _instance_edit(geometry={"type": "shell_union", "q": 2.0, "counts": [8, 8], **geometry})
+
+
 @pytest.mark.parametrize(
     "command, cfg, key",
     [
@@ -311,18 +330,117 @@ def _geometry_config(**geometry):
         ("balayage", _geometry_config(radius=0.0), "radius must be positive"),
         ("balayage", _geometry_config(count=0), "count must be at least 1"),
         ("balayage", _geometry_config(type="ball", radius=-2.0), "radius must be positive"),
+        ("balayage", {**raw_config("mixed_small.json"), "tol": True}, "tol must be a number"),
+        ("balayage", {**raw_config("mixed_small.json"), "tol": "1e-8"}, "tol must be a number"),
+        ("balayage", {**raw_config("mixed_small.json"), "tol": 10**400}, "tol must be finite"),
+        ("balayage", {**raw_config("mixed_small.json"), "h": True}, "h must be a number"),
+        ("balayage", {**_instance_config(), "omega_scale": True}, "omega_scale must be a number"),
+        ("balayage", {**_instance_edit(charge=[{"point": [2.0, 0.0, 0.0], "mass": 4.0}]), "omega_scale": 1e308},
+         "overflows"),
+        ("converge-up", {**_three_node_config(), "stages": True}, "stages must be an integer"),
+        ("converge-up", {**_three_node_config(), "stages": "2"}, "stages must be an integer"),
+        ("converge-up", {**_three_node_config(), "stages": 2.0}, "stages must be an integer"),
+        ("balayage", _edited(_three_node_config(), "kernel", m=3.5), "m must be an integer"),
+        ("balayage", _edited(_three_node_config(), "omega", weights=[True, False, False]), "weights must be"),
+        ("balayage", _geometry_config(count=20.7), "count must be an integer"),
+        ("balayage", _geometry_config(count=True), "count must be an integer"),
+        ("balayage", _instance_edit(kernel={"type": "riesz", "alpha": True}), "alpha must be a number"),
+        ("balayage", _instance_edit(dimension=3.9), "dimension must be an integer"),
+        ("balayage", _shell_config(counts=[8, 8.9]), "counts must be an integer"),
+        ("balayage", _shell_config(shrink=True), "shrink must be a number"),
+        ("balayage", _shell_config(q=1e300), "invalid instance spec"),
+        ("balayage", _instance_edit(charge=[{"point": [2.0, 0.0, 0.0], "mass": True}]), "mass must be a number"),
+        ("solvability", {**_heavy_family(), "scalings": [1e308, 1.0]}, "overflows"),
     ],
     ids=["tol-abc", "tol-0", "tol-neg", "omega_scale-abc", "omega_scale-nan",
          "stages-abc", "scalings-x", "scalings-5", "scalings-nan", "h-abc", "h-half",
          "family-empty", "fixtures_dir-5", "chain-out-of-range", "chain-float", "chain-empty",
          "support-float", "support-bool", "capacity_finite-string", "sphere-radius-negative",
-         "sphere-radius-zero", "sphere-count-zero", "ball-radius-negative"],
+         "sphere-radius-zero", "sphere-count-zero", "ball-radius-negative", "tol-true", "tol-string",
+         "tol-huge-int", "h-true", "omega_scale-true", "omega_scale-overflow", "stages-true",
+         "stages-string", "stages-float", "kernel-m-float", "omega-weights-bool", "sphere-count-float",
+         "sphere-count-true", "alpha-true", "dimension-float", "shell-counts-float", "shell-shrink-true",
+         "shell-q-overflow", "charge-mass-true", "scalings-overflow"],
 )
 def test_malformed_config_number_exits_4(tmp_path, capsys, command, cfg, key):
     path = write_config(tmp_path, "c.json", cfg)
     assert main([command, "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
+
+
+@pytest.mark.parametrize("out", [5, None])
+def test_config_out_must_be_a_string(tmp_path, capsys, out):
+    path = write_config(tmp_path, "c.json", {**raw_config("mixed_small.json"), "out": out})
+    assert main(["balayage", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: out must be a string")
+
+
+def test_tol_flag_that_is_not_a_number_exits_4(tmp_path, capsys):
+    path = write_config(tmp_path, "c.json", raw_config("mixed_small.json"))
+    assert main(["balayage", "--config", str(path), "--out", str(tmp_path), "--tol", "abc"]) == EXIT_CONFIG
+    assert "config error: --tol must be a number" in capsys.readouterr().err
+
+
+def test_tol_flag_keeps_the_config_hash(tmp_path):
+    # --tol 1e-6 hashes as a config whose "tol" is the float 1e-6
+    cfg = raw_config("mixed_small.json")
+    path = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert main(["balayage", "--config", str(path), "--out", str(out), "--tol", "1e-6"]) == EXIT_OK
+    assert read_report(out, "balayage")["config_sha256"] == config_hash({**cfg, "tol": 1e-6})
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus"], "invalid choice"),
+        (["balayage", "--bogus"], "unrecognized arguments"),
+        ([], "the following arguments are required"),
+    ],
+    ids=["unknown-command", "unknown-flag", "missing-command"],
+)
+def test_usage_errors_exit_4(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: finpot") and message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["balayage", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--config" in capsys.readouterr().out
+
+
+def test_usage_error_exit_code_of_the_process():
+    result = subprocess.run([sys.executable, "-m", "finpot", "bogus"], capture_output=True, text=True)
+    assert result.returncode == EXIT_CONFIG
+    assert "invalid choice" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_more_stages_than_nodes_give_one_stage_per_node(tmp_path):
+    reports = []
+    for stages in (3, 10**12):
+        path = write_config(tmp_path, "c.json", {**_three_node_config(), "stages": stages})
+        out = tmp_path / str(stages)
+        start = time.perf_counter()
+        assert main(["converge-up", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert time.perf_counter() - start < 30.0
+        reports.append(read_report(out, "converge-up")["result"])
+    assert reports[0] == reports[1]
+    assert len(reports[0]["stage_values"]) == 3
+
+
+def test_fixture_that_is_not_an_object_fails_verify(tmp_path, capsys):
+    fxdir = tmp_path / "fx"
+    fxdir.mkdir()
+    (fxdir / "list.json").write_text("[1, 2]")
+    cfg = write_config(tmp_path, "c.json", {"schema": "finpot-config/1", "fixtures_dir": str(fxdir)})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_INVARIANT
+    assert "list.json:fixture-readable" in capsys.readouterr().err
 
 
 def test_fixture_with_non_finite_tol_fails_verify(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import double_loop_energy, double_loop_potential
 from finpot import core
 from finpot.core import (
+    ConfigError,
     KernelMatrix,
     Measure,
     NotPositiveDefinite,
@@ -20,6 +21,13 @@ from finpot.core import (
     is_exactly_symmetric,
     mutual_energy,
     potential,
+    read_flag,
+    read_indices,
+    read_int,
+    read_list,
+    read_number,
+    read_numbers,
+    read_str,
 )
 from finpot.fixtures import random_signed_measure, random_spd_kernel
 from finpot.instances import Ball, InstanceSpec, RieszKernel, Sphere, assemble
@@ -395,3 +403,40 @@ def test_restrict_is_read_only_and_views_contiguous_supports(small_kernel):
     assert np.array_equal(gathered, small_kernel.entries[np.ix_(idx, idx)])
     with pytest.raises(SizeMismatchError):
         small_kernel.restrict(SupportSet([4, 6]))
+
+
+# ---------------------------------------------------------------------------
+# typed JSON readers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("read, value", [
+    (read_number, True), (read_number, "1.5"), (read_number, None), (read_number, [1.0]),
+    (read_number, math.nan), (read_number, -math.inf), (read_number, 10**400),
+    (read_int, 2.0), (read_int, True), (read_int, "2"), (read_int, -1),
+    (read_flag, 1), (read_flag, "no"), (read_flag, None),
+    (read_str, 5), (read_str, None), (read_str, ["a"]),
+    (read_numbers, []), (read_numbers, [1.0, True]), (read_numbers, [1.0, "2"]), (read_numbers, [[1.0]]),
+    (read_numbers, [1.0, math.nan]), (read_numbers, 1.0), (read_numbers, [10**400]),
+])
+def test_readers_reject_what_json_does_not_mean(read, value):
+    with pytest.raises(ConfigError, match="^x must be"):
+        read(value, "x")
+
+
+def test_readers_return_what_they_read():
+    assert read_number(2, "x") == 2.0 and type(read_number(2, "x")) is float
+    assert read_number("1e-6", "--tol", positive=True, text=True) == 1e-6
+    assert read_int(0, "x") == 0 and read_flag(False, "x") is False and read_str("a", "x") == "a"
+    assert read_numbers([1, 2.5], "x") == (1.0, 2.5)
+    assert read_list([], "x", "things", empty=True) == []
+    assert read_indices([2, 0], "x", 3).indices == (0, 2)
+    with pytest.raises(ConfigError, match="x must be positive"):
+        read_number(0.0, "x", positive=True)
+    with pytest.raises(ConfigError, match="x must be at least 1"):
+        read_number(0.5, "x", 1.0)
+    for value in ([0.5], [True], [3], [], "all"):
+        with pytest.raises(ConfigError):
+            read_indices(value, "x", 3)
+    with pytest.raises(ConfigError, match="x must be a nonempty list of things"):
+        read_list([], "x", "things")

@@ -98,6 +98,19 @@ def test_chain_direction_validation():
         monotone_up(kernel, omega, [])
 
 
+def test_chain_direction_messages():
+    kernel, omega, _ = mixed_instance(11, 12)
+    chain = nested_chain(12, 12, 3)
+    with pytest.raises(NotNested, match="^chain must be strictly increasing$"):
+        monotone_up(kernel, omega, chain[::-1])
+    with pytest.raises(NotNested, match="^chain must be strictly decreasing$"):
+        monotone_down(kernel, omega, chain)
+    for runner in (monotone_up, monotone_down):
+        with pytest.raises(ValueError, match="^chain must be nonempty$") as exc:
+            runner(kernel, omega, [])
+        assert type(exc.value) is ValueError
+
+
 def test_fund_slack_single_pair():
     kernel, omega, support = mixed_instance(13, 16)
     inner = SupportSet(support.indices[: max(1, len(support) // 2)])

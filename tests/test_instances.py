@@ -20,8 +20,12 @@ from finpot.instances import (
     RieszKernel,
     Segment,
     ShellUnion,
+    GOLDEN_RATIO,
     Sphere,
+    _stratified_radii,
+    annulus_points,
     assemble,
+    circle_points,
     fibonacci_sphere,
     generate_points,
     points_to_csv,
@@ -285,6 +289,30 @@ def test_spec_json_roundtrip():
     assert again == spec
     spec2 = InstanceSpec(2, LogKernel(0.45), Ball(1.0, 40, (0.0, 0.0)))
     assert InstanceSpec.from_json(spec2.to_json()) == spec2
+
+
+@pytest.mark.parametrize("spec", [
+    InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 30, (0.5, 0.0, -1.0))),
+    InstanceSpec(3, RieszKernel(2.5), Ball(2.0, 40)),
+    InstanceSpec(2, RieszKernel(1.0), Segment((0.0, 0.0), (1.0, 2.0), 7)),
+    InstanceSpec(2, LogKernel(0.4), Annulus(0.5, 1.0, 25, (0.0, 0.0))),
+    InstanceSpec(3, RieszKernel(2.0), ShellUnion(2.0, (8, 0, 8)), regularization=FixedLength(0.05)),
+    InstanceSpec(3, RieszKernel(2.0), ShellUnion(3.0, (8, 8), shrink=0.5),
+                 charge=(ChargeAtom((0.3, 0.0, 0.0), -1.5), ChargeAtom((0.0, 0.4, 0.0), 2.0))),
+], ids=["sphere", "ball", "segment", "annulus", "shell-union", "shell-union-shrink"])
+def test_spec_json_roundtrip_every_geometry(spec):
+    assert InstanceSpec.from_json(spec.to_json()) == spec
+
+
+def test_annulus_points_stack_one_layer_generator_per_dimension():
+    # the layers of the stratified radii, each from the dimension's generator
+    for dimension, layer in ((2, circle_points), (3, fibonacci_sphere)):
+        center = (0.1, -0.2, 0.3)[:dimension]
+        layers = _stratified_radii(50, 0.5, 1.5)
+        expected = np.vstack([
+            layer(c, r, center, phase=GOLDEN_RATIO * (j + 1) % 1.0) for j, (r, c) in enumerate(layers)
+        ])
+        assert np.array_equal(annulus_points(50, 0.5, 1.5, center, dimension), expected)
 
 
 def test_generated_points_deterministic():
