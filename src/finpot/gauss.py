@@ -145,6 +145,11 @@ def solve_gauss(
     :class:`~finpot.balayage.CharacterizationViolated`, as do failures of the
     equilibrium conditions themselves.
     """
+    return _solve_gauss(kernel, omega, support, tol, w0)[0]
+
+
+def _solve_gauss(kernel, omega, support, tol, w0=None) -> tuple[GaussResult, np.ndarray]:
+    """:func:`solve_gauss`, and the minimizer's potential ``K @ lambda`` that certified it."""
     idx = support.as_array()
     u = potential(kernel, omega)
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
@@ -163,7 +168,7 @@ def solve_gauss(
         "equilibrium", weighted, w, idx, c_integral, tol,
         constant_agreement=abs(float(report.multiplier) - c_integral), mass=abs(lam.mass - 1.0),
     )
-    return GaussResult(measure=lam, value=value, equilibrium_constant=c_integral, kkt=report)
+    return GaussResult(measure=lam, value=value, equilibrium_constant=c_integral, kkt=report), pot
 
 
 def capacitary_measure(
@@ -179,12 +184,14 @@ def capacitary_measure(
     mass of the rescaled measure is the capacity.  Both potential properties
     are gated at ``10 * tol`` like every other solve and raise
     :class:`~finpot.balayage.CharacterizationViolated` when they fail.
+    The potential of the result is the solve's ``K @ lambda`` rescaled, so
+    no product with ``K`` is spent on it.
     """
-    res = solve_gauss(kernel, Measure.zero(kernel.size), support, tol=tol)
-    min_energy = res.value
-    gamma = res.measure.scaled(1.0 / min_energy)
+    res, pot_lam = _solve_gauss(kernel, Measure.zero(kernel.size), support, tol)
+    scale = 1.0 / res.value
+    gamma = res.measure.scaled(scale)
     idx = support.as_array()
-    pot = potential(kernel, gamma)
+    pot = scale * pot_lam
     _certify("capacitary", pot, gamma.weights, idx, 1.0, tol)
     rng = (float(pot[idx].min()), float(pot[idx].max()))
     return CapacityResult(

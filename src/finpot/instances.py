@@ -28,7 +28,7 @@ entries and are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -116,7 +116,7 @@ def _require_radius_and_count(radius: float, count: int) -> None:
 class Sphere:
     radius: float
     count: int
-    center: tuple = (0.0, 0.0, 0.0)
+    center: tuple | None = None  # the origin of the instance's dimension
 
     def __post_init__(self):
         _require_radius_and_count(self.radius, self.count)
@@ -126,7 +126,7 @@ class Sphere:
 class Ball:
     radius: float
     count: int
-    center: tuple = (0.0, 0.0, 0.0)
+    center: tuple | None = None  # the origin of the instance's dimension
 
     def __post_init__(self):
         _require_radius_and_count(self.radius, self.count)
@@ -144,7 +144,7 @@ class Annulus:
     r_inner: float
     r_outer: float
     count: int
-    center: tuple = (0.0, 0.0, 0.0)
+    center: tuple | None = None  # the origin of the instance's dimension
 
 
 @dataclass(frozen=True)
@@ -202,6 +202,12 @@ class InstanceSpec:
         if self.dimension not in (2, 3):
             raise ValueError("geometry generators cover dimensions 2 and 3")
         self.kernel.validate(self.dimension)
+        g = self.geometry
+        if isinstance(g, (Sphere, Ball, Annulus)):
+            if g.center is None:
+                object.__setattr__(self, "geometry", replace(g, center=(0.0,) * self.dimension))
+            elif len(g.center) != self.dimension:
+                raise ValueError(f"center {list(g.center)} does not have {self.dimension} coordinates")
         object.__setattr__(self, "charge", tuple(self.charge))
         for atom in self.charge:
             if len(atom.point) != self.dimension:
@@ -239,7 +245,7 @@ class InstanceSpec:
             geometry = Segment(read_numbers(g["a"], "a"), read_numbers(g["b"], "b"), read_int(g["count"], "count", 1))
         elif kind in ("sphere", "ball", "annulus"):
             count = read_int(g["count"], "count", 1)
-            center = read_numbers(g.get("center", [0.0, 0.0, 0.0][:dimension]), "center")
+            center = None if "center" not in g else read_numbers(g["center"], "center")
             if kind == "annulus":
                 r_inner, r_outer = read_number(g["r_inner"], "r_inner"), read_number(g["r_outer"], "r_outer")
                 geometry = Annulus(r_inner, r_outer, count, center)
@@ -376,21 +382,15 @@ def generate_points(spec: InstanceSpec) -> np.ndarray:
     g = spec.geometry
     n = spec.dimension
     if isinstance(g, Sphere):
-        if n == 2:
-            pts = circle_points(g.count, g.radius, g.center[:2])
-        else:
-            pts = fibonacci_sphere(g.count, g.radius, g.center)
+        pts = (circle_points if n == 2 else fibonacci_sphere)(g.count, g.radius, g.center)
     elif isinstance(g, Ball):
-        if n == 2:
-            pts = disc_points(g.count, g.radius, g.center[:2])
-        else:
-            pts = ball_points(g.count, g.radius, g.center)
+        pts = (disc_points if n == 2 else ball_points)(g.count, g.radius, g.center)
     elif isinstance(g, Segment):
         pts = segment_points(g.a, g.b, g.count)
         if pts.shape[1] != n:
             raise ValueError("segment endpoints must match the instance dimension")
     elif isinstance(g, Annulus):
-        pts = annulus_points(g.count, g.r_inner, g.r_outer, g.center[:n], n)
+        pts = annulus_points(g.count, g.r_inner, g.r_outer, g.center, n)
     elif isinstance(g, ShellUnion):
         blocks = [
             block

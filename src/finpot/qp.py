@@ -14,10 +14,11 @@ second right-hand side that carries the mass constraint), so the final
 iterate satisfies complementarity up to linear-solve roundoff, which the
 downstream certification relies on.  The steps of one QP share an inverse
 (:class:`_FreeSetSolver`): a problem may bring the inverse of a matrix that
-holds its ``Q`` as a principal submatrix (``inverse``, with ``Q``'s indices
-in it, ``inverse_index``), from which every step it serves is solved; a
-later large free set that no inverse serves is inverted once, and the free
-sets inside it are solved from that inverse.
+holds its ``Q`` as a principal submatrix (``inverse``, its row sums
+``inverse_row_sums``, and ``Q``'s indices in it, ``inverse_index``), from
+which every step it serves is solved; a later large free set that it does
+not serve is inverted once, and the free sets inside it are solved from that
+inverse.
 Only a problem built on a certified kernel, ``on_kernel(kernel, support,
 ...)``, brings an inverse (the kernel's, with the support's indices); the
 kernel's checks (finite, exactly symmetric, positive definite, frozen)
@@ -35,6 +36,7 @@ Solvers are pure and deterministic given ``(problem, tol, w0)``.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +99,7 @@ def _check_problem(p, name: str, kernel_index) -> None:
     else:
         kernel, idx = kernel_index
         object.__setattr__(p, "inverse", kernel.inverse)
+        object.__setattr__(p, "inverse_row_sums", kernel.inverse_row_sums)
         object.__setattr__(p, "inverse_index", idx)
     object.__setattr__(p, name, _as_vector(getattr(p, name), p.Q.shape[0], name))
 
@@ -107,15 +110,17 @@ class ConeQpProblem:
 
     The constructor checks ``Q`` and ``b``.  :meth:`on_kernel` builds the
     problem on a kernel's support without re-checking what the kernel
-    certified, and seeds it with the kernel's inverse ``G = K^-1`` and the
-    support's indices ``ix`` (``inverse`` and ``inverse_index``, with
-    ``Q = K[ix, ix]``); see :class:`_FreeSetSolver`.  The inverse changes
-    how the solve runs, never its answer, which is checked against ``Q``.
+    certified, and seeds it with the kernel's inverse ``G = K^-1``, its row
+    sums and the support's indices ``ix`` (``inverse``, ``inverse_row_sums``
+    and ``inverse_index``, with ``Q = K[ix, ix]``); see
+    :class:`_FreeSetSolver`.  The inverse changes how the solve runs, never
+    its answer, which is checked against ``Q``.
     """
 
     Q: np.ndarray
     b: np.ndarray
     inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    inverse_row_sums: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     inverse_index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _: KW_ONLY
     _kernel_index: InitVar[tuple[KernelMatrix, np.ndarray] | None] = None
@@ -155,6 +160,7 @@ class SimplexQpProblem:
     Q: np.ndarray
     f: np.ndarray
     inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    inverse_row_sums: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     inverse_index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _: KW_ONLY
     _kernel_index: InitVar[tuple[KernelMatrix, np.ndarray] | None] = None
@@ -283,68 +289,104 @@ def _principal_submatrix(Q: np.ndarray, idx: np.ndarray) -> np.ndarray:
 _FACTOR_MIN = 400
 
 
+class _Inverse(NamedTuple):
+    """``G = K_UU^-1``, its row sums ``G @ 1``, and where each index of Q sits in U.
+
+    ``where[i]`` is the position in U of Q's index i, or -1 outside U.
+    """
+
+    G: np.ndarray
+    row_sums: np.ndarray
+    where: np.ndarray
+
+
 class _FreeSetSolver:
     """Solves ``Q_FF x = r_F`` for the successive free sets F of one QP.
 
     A call takes the free mask and an ``(n, p)`` right-hand side over all
     indices and returns F's indices and the ``(|F|, p)`` solution.  The
-    solver keeps at most one inverse ``G = K_UU^-1`` of a universe U that
-    holds Q's indices (or some of them) as a principal submatrix: the
-    kernel's inverse when the problem brings one (U = the kernel's nodes),
-    else the one it builds of a free set B itself (U = B; a gathered copy
-    overwritten by :func:`_inverse_cholesky` and :func:`_factor_to_inverse`).
-    Every F within U is solved from G by the principal-submatrix inverse
-    identity ``(K_FF)^-1 = G_FF - G_FD G_DD^-1 G_DF`` on the rest
-    ``D = U \\ F`` (Golub & Van Loan, block inverse by Schur complements;
-    Bartlett & Biegler, QPSchur, 2006): with ``r~`` equal to ``r`` on F and
-    zero on D, ``y = G r~``, ``s = G_DD^-1 y_D`` and ``x = y_F - G_FD s``.
-    That is one product with G and a ``|D|``-sized solve in place of an
-    O(|F|^3) factorization.  The inverse is dropped when F leaves U, or when
-    ``2|D| > |F|`` and the Schur step would cost about as much.  A step
-    that no inverse serves is an LU solve when F has fewer than
-    ``_FACTOR_MIN`` indices, or when it is the QP's first step, so a QP
-    settled in one step pays for no inverse; any later such step inverts F.
+    solver holds up to two inverses ``G = K_UU^-1`` of a universe U that
+    holds Q's indices (or some of them) as a principal submatrix, each with
+    its row sums: the kernel's, when the problem brings one (U = the
+    kernel's nodes; kept for the whole QP), and one it builds of a free set
+    B itself (U = B; a gathered copy overwritten by
+    :func:`_inverse_cholesky` and :func:`_factor_to_inverse`, its row sums
+    formed once).  Every F within U is solved from G by the
+    principal-submatrix inverse identity ``(K_FF)^-1 = G_FF - G_FD G_DD^-1
+    G_DF`` on the rest ``D = U \\ F`` (Golub & Van Loan, block inverse by
+    Schur complements; Bartlett & Biegler, QPSchur, 2006): with ``r~`` equal
+    to ``r`` on F and zero on D, ``y = G r~``, ``s = G_DD^-1 y_D`` and
+    ``x = y_F - G_FD s``.  An inverse serves F unless F leaves U, or
+    ``2|D| > |F|`` and the Schur step would cost about as much; the
+    kernel's is tried first, so a step's arithmetic does not depend on the
+    path to its free set.  A step that no inverse serves is an LU solve
+    when F has fewer than ``_FACTOR_MIN`` indices, or when it is the QP's
+    first step, so a QP settled in one step pays for no inverse; any later
+    such step inverts F, in place of the solver's own earlier inverse.
+
+    Pass budget of a Schur step: at most one product with G per column of
+    ``r``.  A column that is 0 on F gives 0 with none; a column that is 1
+    on F (the mass column of the simplex) is ``G 1_F = G @ 1 - G_DU^T 1``,
+    from the row sums and the rows of D the step gathers anyway, with none.
     """
 
-    def __init__(self, Q: np.ndarray, G: np.ndarray | None = None, index: np.ndarray | None = None):
+    def __init__(self, Q: np.ndarray, G: np.ndarray | None = None, index: np.ndarray | None = None,
+                 row_sums: np.ndarray | None = None):
         self.Q = Q
         self.first = True
-        self.G = G
-        self.where = index  # position in G of each index of Q, -1 outside U
+        self.kept = None if G is None else _Inverse(G, row_sums, index)
+        self.local = None
+
+    @property
+    def G(self) -> np.ndarray | None:
+        """The inverse the problem brought, if any."""
+        return None if self.kept is None else self.kept.G
 
     def __call__(self, free: np.ndarray, r: np.ndarray):
         idx = np.flatnonzero(free)
         first, self.first = self.first, False
         step = self._schur_sets(idx)
         if step is None:
-            self.G = self.where = None
+            self.local = None
             if idx.size < _FACTOR_MIN or first:
                 return idx, np.linalg.solve(_principal_submatrix(self.Q, idx), r[idx])
-            self.G = _factor_to_inverse(_inverse_cholesky(self.Q[np.ix_(idx, idx)]))
-            self.where = np.full(self.Q.shape[0], -1)
-            self.where[idx] = np.arange(idx.size)
+            G = _factor_to_inverse(_inverse_cholesky(self.Q[np.ix_(idx, idx)]))
+            row_sums = G.sum(axis=1)
+            row_sums.setflags(write=False)
+            where = np.full(self.Q.shape[0], -1)
+            where[idx] = np.arange(idx.size)
+            self.local = _Inverse(G, row_sums, where)
             step = self._schur_sets(idx)
-        at, rest = step
-        G = self.G
-        rt = np.zeros((G.shape[0], r.shape[1]))
-        rt[at] = r[idx]
-        y = G @ rt
+        (G, row_sums, _), at, rest = step
+        GD = G[rest]
+        y = np.empty((G.shape[0], r.shape[1]))
+        for j, col in enumerate(r[idx].T):
+            if (col == 1.0).all():
+                y[:, j] = row_sums - GD.sum(axis=0)
+            elif col.any():
+                rt = np.zeros(G.shape[0])
+                rt[at] = col
+                y[:, j] = G @ rt
+            else:
+                y[:, j] = 0.0
         if rest.size:
-            GD = G[rest]
             y -= GD.T @ np.linalg.solve(GD[:, rest], y[rest])
         return idx, y[at]
 
     def _schur_sets(self, idx):
-        """F's positions in G and the rest D of U, if the inverse serves F."""
-        if self.G is None:
-            return None
-        at = self.where[idx]
-        if at.size and at.min() < 0:
-            return None
-        rest = np.ones(self.G.shape[0], dtype=bool)
-        rest[at] = False
-        rest = np.flatnonzero(rest)
-        return (at, rest) if 2 * rest.size <= idx.size else None
+        """The first inverse that serves F, F's positions in its G and the rest D of its U."""
+        for inverse in (self.kept, self.local):
+            if inverse is None:
+                continue
+            at = inverse.where[idx]
+            if at.size and at.min() < 0:
+                continue
+            rest = np.ones(inverse.G.shape[0], dtype=bool)
+            rest[at] = False
+            rest = np.flatnonzero(rest)
+            if 2 * rest.size <= idx.size:
+                return inverse, at, rest
+        return None
 
 
 def _cone_reduced_solve(solve: _FreeSetSolver, b: np.ndarray, free: np.ndarray):
@@ -373,7 +415,7 @@ def solve_cone_qp(
     b = p.b
     free = b > 0.0 if w0 is None else np.asarray(w0, dtype=float) > 0.0
     dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(b))))
-    solve = _FreeSetSolver(p.Q, p.inverse, p.inverse_index)
+    solve = _FreeSetSolver(p.Q, p.inverse, p.inverse_index, p.inverse_row_sums)
     w, y, _, solves = _block_pivot(lambda F: _cone_reduced_solve(solve, b, F), free, dual_eps)
     s, c, fe = _cone_residuals(w, 2.0 * y)  # y = Q w - b, and doubling is exact
     report = KktReport(s, c, fe, None, solves)
@@ -447,7 +489,7 @@ def solve_simplex_qp(
         free[:] = True
     # max |Q_ij| sits on the diagonal of an SPD Q (|Q_ij| < sqrt(Q_ii Q_jj)): no k x k temporary
     dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(f))), float(np.max(np.diagonal(Q))))
-    solve = _FreeSetSolver(Q, p.inverse, p.inverse_index)
+    solve = _FreeSetSolver(Q, p.inverse, p.inverse_index, p.inverse_row_sums)
     w, y, c, solves = _block_pivot(lambda F: _simplex_pivot_solve(solve, f, F), free, dual_eps)
     # y = Q w + f - c, so 2y is g - 2c exactly: doubling commutes with rounding
     s, comp, fe = _simplex_residuals(w, 2.0 * y)

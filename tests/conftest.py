@@ -70,14 +70,14 @@ def break_simplex_solver(monkeypatch) -> None:
 
 
 def break_gauss_solution(monkeypatch) -> None:
-    """Make ``solve_gauss``, as called by ``capacitary_measure``, return a nudged measure."""
-    real = finpot.gauss.solve_gauss
+    """Make the Gauss solve of ``capacitary_measure`` return a nudged measure, with its potential."""
+    real = finpot.gauss._solve_gauss
 
-    def solve(*args, **kwargs):
-        res = real(*args, **kwargs)
+    def solve(kernel, *args, **kwargs):
+        res, _ = real(kernel, *args, **kwargs)
         w = res.measure.weights.copy()
         support = w > 0.0
         w[support] = nudged(w[support])
-        return dataclasses.replace(res, measure=Measure(w))
+        return dataclasses.replace(res, measure=Measure(w)), kernel.entries @ w
 
-    monkeypatch.setattr(finpot.gauss, "solve_gauss", solve)
+    monkeypatch.setattr(finpot.gauss, "_solve_gauss", solve)

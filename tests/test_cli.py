@@ -222,6 +222,14 @@ def test_malformed_config_exits_4(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_center_of_another_dimension_exits_4(tmp_path, capsys):
+    instance = sphere_instance(20)
+    instance["geometry"]["center"] = [0.5, 0.0]
+    path = write_config(tmp_path, "c.json", {"schema": "finpot-config/1", "instance": instance})
+    assert main(["capacity", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "center [0.5, 0.0] does not have 3 coordinates" in capsys.readouterr().err
+
+
 def test_missing_config_exits_4(tmp_path):
     assert main(["balayage", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
     assert main(["balayage"]) == EXIT_CONFIG  # config is required outside verify

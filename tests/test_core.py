@@ -250,6 +250,36 @@ def test_eig_lower_bound_is_the_inverse_row_sum_bound(factored_kernels, family):
     assert 0.0 < bound <= float(np.linalg.eigvalsh(kernel.entries)[0])
 
 
+@pytest.mark.parametrize("family", ["newton-sphere", "riesz-2.9-ball"])
+def test_inverse_row_sums_travel_with_the_inverse(factored_kernels, family):
+    # formed in the certificate's panel pass over G, read-only; relative to
+    # the sum of magnitudes, since the ball's row sums cancel (|G @ 1| is
+    # 0.013 at most against |G| @ 1 of up to 71; measured 1.0e-15)
+    kernel, _ = factored_kernels[family]
+    G, row_sums = kernel.inverse, kernel.inverse_row_sums
+    assert row_sums is kernel.pd_certificate.inverse_row_sums and not row_sums.flags.writeable
+    ones = np.ones(kernel.size)
+    assert np.all(np.abs(row_sums - G @ ones) <= 1e-12 * (np.abs(G) @ ones))
+
+
+@pytest.mark.parametrize("m", [51, 400, 1602])
+def test_potential_of_few_atoms_is_the_dense_product(m):
+    # 400 and 1602 nodes take few atoms' potentials from their rows, 51 from
+    # the whole product; either way within 4 ulps of |K| @ |w|
+    kernel = assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, m))).kernel
+    K = kernel.entries
+    rng = np.random.default_rng(m)
+    zero = potential(kernel, Measure.zero(m))
+    assert not zero.any() and not np.signbit(zero).any()
+    for atoms in (1, 2, 3):
+        w = np.zeros(m)
+        w[rng.choice(m, size=atoms, replace=False)] = rng.standard_normal(atoms)
+        u = potential(kernel, Measure(w))
+        assert np.all(np.abs(u - K @ w) <= 4 * np.spacing(np.abs(K) @ np.abs(w)))
+    w = rng.standard_normal(m)  # a charge of every node: the whole product
+    assert np.array_equal(potential(kernel, Measure(w)), K @ w)
+
+
 @pytest.mark.parametrize("k", [1, 5, 128, 300])
 def test_exact_symmetry_check_agrees_with_array_equal(k):
     rng = np.random.default_rng(k)

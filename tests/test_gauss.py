@@ -22,7 +22,7 @@ from finpot.gauss import (
     solvability_check,
     solve_gauss,
 )
-from finpot.instances import InstanceSpec, RieszKernel, Sphere, assemble
+from finpot.instances import ChargeAtom, InstanceSpec, RieszKernel, ShellUnion, Sphere, assemble
 
 
 def nonvanishing_sweep(seed0: int, m: int):
@@ -126,6 +126,24 @@ def test_capacity_certification_rejects_a_perturbed_measure(monkeypatch):
     with pytest.raises(CharacterizationViolated) as err:
         capacitary_measure(kernel, SupportSet(range(8)))
     assert err.value.residuals["support_equality"] > 10 * 1e-8
+
+
+@pytest.mark.parametrize("per_shell", [24, 30, 50])
+@pytest.mark.parametrize("q", [1.6, 2.0, 2.4])
+def test_gauss_solve_seeded_with_the_capacitary_measure_is_the_cold_solve(q, per_shell):
+    # the seeded solve's first step is an LU solve on the capacitary support;
+    # the kernel's inverse stays for the later steps, so both solves end with
+    # the same Schur step and agree bit for bit
+    spec = InstanceSpec(3, RieszKernel(2.0), ShellUnion(q, (per_shell, per_shell)),
+                        charge=(ChargeAtom((0.3, 0.0, 0.0), 1.0),))
+    inst = assemble(spec)
+    omega = inst.omega.scaled(0.3)
+    gamma = capacitary_measure(inst.kernel, inst.support).gamma
+    cold = solve_gauss(inst.kernel, omega, inst.support)
+    seeded = solve_gauss(inst.kernel, omega, inst.support, w0=gamma.weights)
+    assert seeded.kkt.iterations > 1
+    assert np.array_equal(seeded.measure.weights, cold.measure.weights)
+    assert (seeded.value, seeded.equilibrium_constant) == (cold.value, cold.equilibrium_constant)
 
 
 def test_newtonian_sphere_capacity_near_radius():

@@ -304,6 +304,33 @@ def test_spec_json_roundtrip_every_geometry(spec):
     assert InstanceSpec.from_json(spec.to_json()) == spec
 
 
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("geometry", [Sphere(1.0, 20), Ball(1.0, 20), Annulus(0.5, 1.0, 20)],
+                         ids=["sphere", "ball", "annulus"])
+def test_default_center_is_the_origin_of_the_dimension(geometry, dimension):
+    spec = InstanceSpec(dimension, RieszKernel(1.0), geometry)
+    assert spec.geometry.center == (0.0,) * dimension
+    assert InstanceSpec.from_json(spec.to_json()) == spec
+    obj = spec.to_json()
+    del obj["geometry"]["center"]
+    assert InstanceSpec.from_json(obj) == spec
+
+
+@pytest.mark.parametrize("center", [(0.5,), (0.5, 0.0, 9.0)])
+@pytest.mark.parametrize("kind", ["sphere", "ball", "annulus"])
+def test_center_must_match_the_dimension(kind, center):
+    # a 2-D instance was centred at (0.5, 0.5), or dropped the 9.0
+    geometry = {"type": kind, "count": 12, "center": list(center),
+                "radius": 1.0, "r_inner": 0.5, "r_outer": 1.0}
+    obj = {"dimension": 2, "kernel": {"type": "riesz", "alpha": 1.0}, "geometry": geometry}
+    with pytest.raises(ValueError, match="center"):
+        InstanceSpec.from_json(obj)
+    shape = {"sphere": Sphere(1.0, 12, center), "ball": Ball(1.0, 12, center),
+             "annulus": Annulus(0.5, 1.0, 12, center)}[kind]
+    with pytest.raises(ValueError, match="center"):
+        InstanceSpec(2, RieszKernel(1.0), shape)
+
+
 def test_annulus_points_stack_one_layer_generator_per_dimension():
     # the layers of the stratified radii, each from the dimension's generator
     for dimension, layer in ((2, circle_points), (3, fibonacci_sphere)):

@@ -453,21 +453,26 @@ def test_largest_kernel_entry_is_on_the_diagonal(spec):
 
 
 def test_seeded_solver_starts_from_the_factor():
-    # the kernel hands its inverse G to the solver, and G serves any support
+    # the kernel hands its inverse G and its row sums to the solver, and G
+    # serves any support; the right-hand side has a general column, the mass
+    # column of the simplex (1 everywhere) and a zero one
     kernel = assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 1000))).kernel
-    K, G = kernel.entries, kernel.inverse
-    r = np.random.default_rng(3).standard_normal((1000, 2))
+    K, G, row_sums = kernel.entries, kernel.inverse, kernel.inverse_row_sums
+    rng = np.random.default_rng(3)
+    r = np.column_stack((rng.standard_normal(1000), np.ones(1000), np.zeros(1000)))
 
     def check(solve, free):
         idx, x = solve(free, r[:free.size])
         assert np.array_equal(idx, np.flatnonzero(free))
         ref = np.linalg.solve(solve.Q[np.ix_(idx, idx)], r[idx])
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert not x[:, 2].any()
+        return x
 
     # the first step is a Schur step on the inverse handed in, for a leading,
     # an offset and a gathered support alike ...
     for ix in (np.arange(900), np.arange(100, 1000), np.flatnonzero(np.arange(1000) % 10)):
-        solve = qp._FreeSetSolver(K[np.ix_(ix, ix)], G, ix)
+        solve = qp._FreeSetSolver(K[np.ix_(ix, ix)], G, ix, row_sums)
         free = np.ones(ix.size, dtype=bool)
         check(solve, free)
         free[::17] = False
@@ -475,24 +480,35 @@ def test_seeded_solver_starts_from_the_factor():
         assert solve.G is G
     # ... when the rest of the universe outweighs half the free set, the
     # first step is an LU solve, and a later one of at least _FACTOR_MIN
-    # indices builds an inverse of its own, which serves the steps after it
-    solve = qp._FreeSetSolver(K, G, np.arange(1000))
+    # indices builds an inverse of its own, which serves the steps after it;
+    # the kernel's inverse stays for the whole QP
+    solve = qp._FreeSetSolver(K, G, np.arange(1000), row_sums)
     check(solve, np.arange(1000) < 650)
-    assert solve.G is None
+    assert solve.G is G and solve.local is None
     check(solve, np.arange(1000) < 600)
-    assert solve.G.shape == (600, 600) and np.array_equal(solve.G, solve.G.T)
+    local = solve.local
+    assert local.G.shape == (600, 600) and np.array_equal(local.G, local.G.T)
+    ones = np.ones(600)  # the solver forms the row sums of the inverse it builds
+    assert not local.row_sums.flags.writeable
+    assert np.all(np.abs(local.row_sums - local.G @ ones) <= 1e-12 * (np.abs(local.G) @ ones))
     check(solve, np.arange(1000) < 500)
-    assert solve.G.shape == (600, 600)
+    assert solve.local is local and solve.G is G
+    # a free set that the kernel's inverse serves again is solved from it, bit
+    # for bit as a first step on it
+    free = np.arange(1000) >= 100
+    x = check(solve, free)
+    assert solve.G is G and solve.local is local
+    assert np.array_equal(x, qp._FreeSetSolver(K, G, np.arange(1000), row_sums)(free, r)[1])
     # a later step that leaves the kernel's inverse builds one right away
-    solve = qp._FreeSetSolver(K, G, np.arange(1000))
+    solve = qp._FreeSetSolver(K, G, np.arange(1000), row_sums)
     check(solve, np.ones(1000, dtype=bool))
     check(solve, np.arange(1000) < 650)
-    assert solve.G.shape == (650, 650)
-    # below the gate it is an LU solve, and no inverse is kept
-    solve = qp._FreeSetSolver(K, G, np.arange(1000))
+    assert solve.local.G.shape == (650, 650) and solve.G is G
+    # below the gate it is an LU solve, and no inverse of its own is kept
+    solve = qp._FreeSetSolver(K, G, np.arange(1000), row_sums)
     check(solve, np.ones(1000, dtype=bool))
     check(solve, np.arange(1000) < qp._FACTOR_MIN - 1)
-    assert solve.G is None
+    assert solve.local is None and solve.G is G
 
 
 def _unseeded(p):
