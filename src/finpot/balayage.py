@@ -137,7 +137,7 @@ def pseudo_balayage(
 
     w = np.zeros(kernel.size)
     w[idx] = w_sub
-    swept = Measure(w, omega.node_set_id)
+    swept = Measure(w)
     pot = potential(kernel, swept)
     # gauss_functional(kernel, omega, swept), bit for bit, from the one product K @ w
     value = float(w @ pot) - 2.0 * float(w @ u)

@@ -9,8 +9,9 @@ operation defines one.  Wall-clock metadata goes to a sidecar ``.meta.json``
 so the main report is byte-identical across runs of the same config.
 
 Exit codes: 0 success, 2 violated invariant (certification or verify
-failure), 3 solver failure, 4 config or usage error.  Every config value is
-read once, by the typed readers of :mod:`finpot.core`.
+failure), 3 solver failure, 4 config or usage error (an instance too large to
+allocate is a config error).  Every config value is read once, by the typed
+readers of :mod:`finpot.core`.
 """
 
 from __future__ import annotations
@@ -507,7 +508,7 @@ def main(argv=None) -> int:
         run, _ = COMMANDS[args.command]
         return run(_read_config(args))
     except (ConfigError, NotPositiveDefinite, DuplicatePoints, ChargeOnNode, NotNested,
-            SizeMismatchError) as exc:
+            SizeMismatchError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CharacterizationViolated as exc:

@@ -69,7 +69,6 @@ class PdCertificate:
     takes the mass column of the simplex without another pass.
     """
 
-    method: str
     min_cholesky_pivot: float
     eig_lower_bound: float
     inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -214,8 +213,7 @@ def check_energy_principle(entries: np.ndarray) -> PdCertificate:
     inverse.setflags(write=False)
     row_sums.setflags(write=False)
     return PdCertificate(
-        method="cholesky", min_cholesky_pivot=pivot, eig_lower_bound=float(bound),
-        inverse=inverse, inverse_row_sums=row_sums,
+        min_cholesky_pivot=pivot, eig_lower_bound=float(bound), inverse=inverse, inverse_row_sums=row_sums,
     )
 
 
@@ -418,9 +416,9 @@ class KernelMatrix:
 class Measure:
     """Signed measure stored as a vector of atom masses over the nodes."""
 
-    __slots__ = ("weights", "node_set_id")
+    __slots__ = ("weights",)
 
-    def __init__(self, weights, node_set_id: str = ""):
+    def __init__(self, weights):
         arr = np.array(weights, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("weights must be a nonempty vector")
@@ -428,45 +426,44 @@ class Measure:
             raise ValueError("weights must be finite")
         arr.setflags(write=False)
         self.weights = arr
-        self.node_set_id = node_set_id
 
     @classmethod
-    def zero(cls, m: int, node_set_id: str = "") -> "Measure":
-        return cls(np.zeros(m), node_set_id)
+    def zero(cls, m: int) -> "Measure":
+        return cls(np.zeros(m))
 
     @classmethod
-    def unit_atom(cls, m: int, index: int, mass: float = 1.0, node_set_id: str = "") -> "Measure":
+    def unit_atom(cls, m: int, index: int, mass: float = 1.0) -> "Measure":
         w = np.zeros(m)
         w[index] = mass
-        return cls(w, node_set_id)
+        return cls(w)
 
     def __len__(self) -> int:
         return int(self.weights.size)
 
     @property
     def positive_part(self) -> "Measure":
-        return Measure(np.maximum(self.weights, 0.0), self.node_set_id)
+        return Measure(np.maximum(self.weights, 0.0))
 
     @property
     def negative_part(self) -> "Measure":
-        return Measure(np.maximum(-self.weights, 0.0), self.node_set_id)
+        return Measure(np.maximum(-self.weights, 0.0))
 
     @property
     def total_variation(self) -> "Measure":
-        return Measure(np.abs(self.weights), self.node_set_id)
+        return Measure(np.abs(self.weights))
 
     @property
     def mass(self) -> float:
         return float(self.weights.sum())
 
     def scaled(self, q: float) -> "Measure":
-        return Measure(q * self.weights, self.node_set_id)
+        return Measure(q * self.weights)
 
     def restricted(self, support: "SupportSet") -> "Measure":
         w = np.zeros_like(self.weights)
         idx = support.as_array()
         w[idx] = self.weights[idx]
-        return Measure(w, self.node_set_id)
+        return Measure(w)
 
     def to_json(self) -> dict:
         return {"m": len(self), "weights": self.weights.tolist()}
@@ -485,9 +482,9 @@ class Measure:
 class SupportSet:
     """Nonempty set of node indices, stored as a frozen strictly increasing array."""
 
-    __slots__ = ("_idx", "label")
+    __slots__ = ("_idx",)
 
-    def __init__(self, indices: Iterable[int], label: str = ""):
+    def __init__(self, indices: Iterable[int]):
         try:
             idx = np.sort(np.fromiter(map(int, indices), dtype=np.intp))
         except OverflowError:
@@ -500,11 +497,10 @@ class SupportSet:
             raise ValueError("support indices must be distinct")
         idx.setflags(write=False)
         self._idx = idx
-        self.label = label
 
     @classmethod
-    def full(cls, m: int, label: str = "") -> "SupportSet":
-        return cls(range(m), label)
+    def full(cls, m: int) -> "SupportSet":
+        return cls(range(m))
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -528,8 +524,7 @@ class SupportSet:
         return self.as_set() <= other.as_set()
 
     def __repr__(self) -> str:
-        tag = f", label={self.label!r}" if self.label else ""
-        return f"SupportSet(k={len(self)}{tag})"
+        return f"SupportSet(k={len(self)})"
 
 
 def _require_sizes(kernel: KernelMatrix, *measures: Measure) -> None:

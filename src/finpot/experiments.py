@@ -85,24 +85,20 @@ def _convergence_report(kernel, omega, chain, results, direction, tol):
     reference = pseudo_balayage(kernel, omega, chain[-1], tol=tol)
     norms = tuple(energy_distance(kernel, r.measure, reference.measure) for r in results)
     values = tuple(r.value for r in results)
-    slack = []
+    slack, rises = [], []
     for j in range(len(results) - 1):
         d2 = energy_distance(kernel, results[j].measure, results[j + 1].measure) ** 2
-        if direction == "up":
-            s = 2.0 * values[j] - 2.0 * values[j + 1] - d2
-        else:
-            s = 2.0 * values[j + 1] - 2.0 * values[j] - d2
-        slack.append(float(s))
+        # the pair's values on its smaller and on its larger set
+        small, large = (values[j], values[j + 1]) if direction == "up" else (values[j + 1], values[j])
+        slack.append(float(2.0 * small - 2.0 * large - d2))
+        rises.append(large - small)
     gate = 10.0 * tol
     worst = min(slack, default=0.0)
     if worst < -gate:
         raise CharacterizationViolated(
             f"strong-Cauchy slack {worst} below -{gate:.1e}", {"fund_slack_min": worst}
         )
-    if direction == "up":
-        drift = max((values[j + 1] - values[j] for j in range(len(values) - 1)), default=0.0)
-    else:
-        drift = max((values[j] - values[j + 1] for j in range(len(values) - 1)), default=0.0)
+    drift = max(rises, default=0.0)
     if drift > gate:
         raise CharacterizationViolated(
             f"stage values violate monotonicity by {drift}", {"value_drift": drift}

@@ -158,7 +158,7 @@ def _solve_gauss(kernel, omega, support, tol, w0=None) -> tuple[GaussResult, np.
 
     w = np.zeros(kernel.size)
     w[idx] = w_sub
-    lam = Measure(w, omega.node_set_id)
+    lam = Measure(w)
     pot = potential(kernel, lam)
     # gauss_functional(kernel, omega, lam), bit for bit, from the one product K @ w
     value = float(w @ pot) - 2.0 * float(w @ u)

@@ -525,7 +525,7 @@ def assemble(spec: InstanceSpec) -> Instance:
     else:
         points = nodes
     kernel = KernelMatrix(_assemble_entries(spec, points))
-    support = SupportSet(range(n_nodes), label="A")
+    support = SupportSet(range(n_nodes))
     w = np.zeros(points.shape[0])
     for j, atom in enumerate(spec.charge):
         w[n_nodes + j] += atom.mass

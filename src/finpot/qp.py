@@ -6,26 +6,21 @@ definite ``Q``:
 * cone:    minimize ``w @ Q @ w - 2 b @ w``  over  ``w >= 0``
 * simplex: minimize ``w @ Q @ w + 2 f @ w``  over  ``w >= 0, sum(w) = 1``
 
-Both are solved by one engine, :func:`_block_pivot`: block principal
-pivoting (the primal-dual active set method) with Murty's single-pivot
-backup.  Each step solves the reduced linear system on a candidate free set
-(``Q_FF w = b_F`` for the cone; for the simplex the same matrix with a
-second right-hand side that carries the mass constraint), so the final
-iterate satisfies complementarity up to linear-solve roundoff, which the
-downstream certification relies on.  The steps of one QP share an inverse
-(:class:`_FreeSetSolver`): a problem may bring the inverse of a matrix that
-holds its ``Q`` as a principal submatrix (``inverse``, its row sums
-``inverse_row_sums``, and ``Q``'s indices in it, ``inverse_index``), from
-which every step it serves is solved; a later large free set that it does
-not serve is inverted once, and the free sets inside it are solved from that
-inverse.
-Only a problem built on a certified kernel, ``on_kernel(kernel, support,
-...)``, brings an inverse (the kernel's, with the support's indices); the
-kernel's checks (finite, exactly symmetric, positive definite, frozen)
-already hold for its principal submatrix, so only the vector is checked.
-The plain constructor checks everything it is given and brings no inverse.
-The KKT residuals are read off the dual the last pivot step formed, which is
-half the gradient, so no product with ``Q`` is spent on them.
+The simplex problem is the cone problem with ``b = -f`` and one more
+constraint, so one problem record (:class:`_QpProblem`) and one driver
+(:func:`_solve`) serve both: block principal pivoting (the primal-dual
+active set method, :func:`_block_pivot`) with Murty's single-pivot backup.
+Each step (:func:`_pivot_step`) solves the reduced linear system
+``Q_FF x = r_F`` on a candidate free set, where ``r`` is ``b``, plus a
+mass column of ones for the simplex that fixes the constraint's
+multiplier; so the final iterate satisfies complementarity up to
+linear-solve roundoff, which the downstream certification relies on.  The
+steps of one QP share an inverse (:class:`_FreeSetSolver`): the kernel's,
+which a problem built by ``on_kernel`` brings, serves every step it can; a
+later large free set that it does not serve is inverted once, and the free
+sets inside it are solved from that inverse.  The KKT residuals
+(:func:`_residuals`) are read off the dual the last pivot step formed,
+which is half the gradient, so no product with ``Q`` is spent on them.
 Exhaustive small-instance oracles (:func:`brute_force_cone`,
 :func:`brute_force_simplex`) enumerate supports and serve as the
 independent ground truth in the test suite.
@@ -36,7 +31,7 @@ Solvers are pure and deterministic given ``(problem, tol, w0)``.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, InitVar, dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -85,57 +80,63 @@ def _as_vector(v, k: int, name: str) -> np.ndarray:
     return arr
 
 
-def _check_problem(p, name: str, kernel_index) -> None:
-    """Check and freeze ``p.Q`` and the vector ``name``; seed the inverse from ``kernel_index``.
+class _Inverse(NamedTuple):
+    """``G = K_UU^-1``, its row sums ``G @ 1``, and where each index of Q sits in U.
 
-    ``kernel_index`` is :meth:`~ConeQpProblem.on_kernel`'s ``(kernel, idx)``,
-    with ``p.Q = kernel.restrict(idx)``: the kernel's entries are finite,
-    exactly symmetric, positive definite and frozen, and ``restrict`` keeps
-    them frozen and range-checks the strictly increasing, frozen ``idx``, so
-    ``Q`` is not checked again.
+    ``where[i]`` is the position in U of Q's index i, or -1 outside U.
     """
-    if kernel_index is None:
-        object.__setattr__(p, "Q", _as_sym_matrix(p.Q))
-    else:
-        kernel, idx = kernel_index
-        object.__setattr__(p, "inverse", kernel.inverse)
-        object.__setattr__(p, "inverse_row_sums", kernel.inverse_row_sums)
-        object.__setattr__(p, "inverse_index", idx)
-    object.__setattr__(p, name, _as_vector(getattr(p, name), p.Q.shape[0], name))
+
+    G: np.ndarray
+    row_sums: np.ndarray
+    where: np.ndarray
 
 
 @dataclass(frozen=True)
-class ConeQpProblem:
-    """Data of the nonnegative-cone problem ``min w@Q@w - 2 b@w, w >= 0``.
+class _QpProblem:
+    """``Q``, the vector named ``_vector`` and the inverse a kernel seeds.
 
-    The constructor checks ``Q`` and ``b``.  :meth:`on_kernel` builds the
-    problem on a kernel's support without re-checking what the kernel
-    certified, and seeds it with the kernel's inverse ``G = K^-1``, its row
-    sums and the support's indices ``ix`` (``inverse``, ``inverse_row_sums``
-    and ``inverse_index``, with ``Q = K[ix, ix]``); see
+    The constructor checks and freezes ``Q`` and the vector, and brings no
+    inverse.  :meth:`on_kernel` builds the problem on a kernel's support and
+    checks only the vector: ``Q = kernel.restrict(support)`` keeps the
+    kernel's finite, exactly symmetric, positive definite and frozen
+    entries, and ``restrict`` range-checks the strictly increasing, frozen
+    indices ``ix``.  It seeds ``inverse`` with the kernel's ``G = K^-1``,
+    its row sums and ``ix`` (``Q = K[ix, ix]``); see
     :class:`_FreeSetSolver`.  The inverse changes how the solve runs, never
     its answer, which is checked against ``Q``.
     """
 
+    _vector: ClassVar[str]
     Q: np.ndarray
-    b: np.ndarray
-    inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    inverse_row_sums: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    inverse_index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    inverse: _Inverse | None = field(default=None, init=False, repr=False, compare=False)
     _: KW_ONLY
-    _kernel_index: InitVar[tuple[KernelMatrix, np.ndarray] | None] = None
+    _inverse: InitVar[_Inverse | None] = None
 
-    def __post_init__(self, _kernel_index):
-        _check_problem(self, "b", _kernel_index)
+    def __post_init__(self, _inverse):
+        if _inverse is None:
+            object.__setattr__(self, "Q", _as_sym_matrix(self.Q))
+        else:
+            object.__setattr__(self, "inverse", _inverse)
+        name = self._vector
+        object.__setattr__(self, name, _as_vector(getattr(self, name), self.Q.shape[0], name))
 
     @classmethod
-    def on_kernel(cls, kernel: KernelMatrix, support: SupportSet, b) -> "ConeQpProblem":
+    def on_kernel(cls, kernel: KernelMatrix, support: SupportSet, vector):
         """The problem with ``Q = kernel.restrict(support)``, seeded with the kernel's inverse."""
-        return cls(kernel.restrict(support), b, _kernel_index=(kernel, support.as_array()))
+        inverse = _Inverse(kernel.inverse, kernel.inverse_row_sums, support.as_array())
+        return cls(kernel.restrict(support), vector, _inverse=inverse)
 
     @property
     def size(self) -> int:
-        return int(self.b.size)
+        return int(self.Q.shape[0])
+
+
+@dataclass(frozen=True)
+class ConeQpProblem(_QpProblem):
+    """Data of the nonnegative-cone problem ``min w@Q@w - 2 b@w, w >= 0``."""
+
+    _vector = "b"
+    b: np.ndarray
 
     def objective(self, w: np.ndarray) -> float:
         w = np.asarray(w, dtype=float)
@@ -144,38 +145,13 @@ class ConeQpProblem:
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return 2.0 * (self.Q @ w - self.b)
 
-    def to_json(self) -> dict:
-        return {"kind": "cone", "k": self.size, "Q": self.Q.tolist(), "b": self.b.tolist()}
-
 
 @dataclass(frozen=True)
-class SimplexQpProblem:
-    """Data of the simplex problem ``min w@Q@w + 2 f@w, w >= 0, sum(w) = 1``.
+class SimplexQpProblem(_QpProblem):
+    """Data of the simplex problem ``min w@Q@w + 2 f@w, w >= 0, sum(w) = 1``."""
 
-    The constructor checks ``Q`` and ``f``, and :meth:`on_kernel` builds the
-    problem on a kernel's support with the kernel's inverse, as for
-    :class:`ConeQpProblem`.
-    """
-
-    Q: np.ndarray
+    _vector = "f"
     f: np.ndarray
-    inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    inverse_row_sums: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    inverse_index: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _: KW_ONLY
-    _kernel_index: InitVar[tuple[KernelMatrix, np.ndarray] | None] = None
-
-    def __post_init__(self, _kernel_index):
-        _check_problem(self, "f", _kernel_index)
-
-    @classmethod
-    def on_kernel(cls, kernel: KernelMatrix, support: SupportSet, f) -> "SimplexQpProblem":
-        """The problem with ``Q = kernel.restrict(support)``, seeded with the kernel's inverse."""
-        return cls(kernel.restrict(support), f, _kernel_index=(kernel, support.as_array()))
-
-    @property
-    def size(self) -> int:
-        return int(self.f.size)
 
     def objective(self, w: np.ndarray) -> float:
         w = np.asarray(w, dtype=float)
@@ -183,9 +159,6 @@ class SimplexQpProblem:
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return 2.0 * (self.Q @ w + self.f)
-
-    def to_json(self) -> dict:
-        return {"kind": "simplex", "k": self.size, "Q": self.Q.tolist(), "f": self.f.tolist()}
 
 
 @dataclass(frozen=True)
@@ -215,19 +188,16 @@ class KktReport:
         }
 
 
-def _cone_residuals(w: np.ndarray, g: np.ndarray) -> tuple[float, float, float]:
-    """Residuals at ``w`` of the cone problem whose gradient there is ``g``."""
-    stationarity = float(max(0.0, -float(g.min())))
-    complementarity = float(np.max(np.abs(w * g)))
-    feasibility = float(max(0.0, -float(w.min())))
-    return stationarity, complementarity, feasibility
+def _residuals(w: np.ndarray, eta: np.ndarray, mass: bool) -> tuple[float, float, float]:
+    """Residuals at ``w``, given ``eta = g - 2c`` there (the gradient, for the cone).
 
-
-def _simplex_residuals(w: np.ndarray, eta: np.ndarray) -> tuple[float, float, float]:
-    """Residuals at ``w`` of the simplex problem, given ``eta = g - 2c`` there."""
+    With the mass constraint, feasibility also counts how far ``sum(w)`` is from 1.
+    """
     stationarity = float(max(0.0, -float(eta.min())))
     complementarity = float(np.max(np.abs(w * eta)))
-    feasibility = float(max(abs(float(w.sum()) - 1.0), max(0.0, -float(w.min()))))
+    feasibility = float(max(0.0, -float(w.min())))
+    if mass:
+        feasibility = float(max(abs(float(w.sum()) - 1.0), feasibility))
     return stationarity, complementarity, feasibility
 
 
@@ -289,17 +259,6 @@ def _principal_submatrix(Q: np.ndarray, idx: np.ndarray) -> np.ndarray:
 _FACTOR_MIN = 400
 
 
-class _Inverse(NamedTuple):
-    """``G = K_UU^-1``, its row sums ``G @ 1``, and where each index of Q sits in U.
-
-    ``where[i]`` is the position in U of Q's index i, or -1 outside U.
-    """
-
-    G: np.ndarray
-    row_sums: np.ndarray
-    where: np.ndarray
-
-
 class _FreeSetSolver:
     """Solves ``Q_FF x = r_F`` for the successive free sets F of one QP.
 
@@ -330,17 +289,11 @@ class _FreeSetSolver:
     from the row sums and the rows of D the step gathers anyway, with none.
     """
 
-    def __init__(self, Q: np.ndarray, G: np.ndarray | None = None, index: np.ndarray | None = None,
-                 row_sums: np.ndarray | None = None):
+    def __init__(self, Q: np.ndarray, kept: _Inverse | None = None):
         self.Q = Q
         self.first = True
-        self.kept = None if G is None else _Inverse(G, row_sums, index)
+        self.kept = kept
         self.local = None
-
-    @property
-    def G(self) -> np.ndarray | None:
-        """The inverse the problem brought, if any."""
-        return None if self.kept is None else self.kept.G
 
     def __call__(self, free: np.ndarray, r: np.ndarray):
         idx = np.flatnonzero(free)
@@ -389,11 +342,44 @@ class _FreeSetSolver:
         return None
 
 
-def _cone_reduced_solve(solve: _FreeSetSolver, b: np.ndarray, free: np.ndarray):
+def _pivot_step(solve: _FreeSetSolver, b: np.ndarray, r: np.ndarray, free: np.ndarray):
+    """One reduced solve on the free set; returns ``(w, y, c)`` for :func:`_block_pivot`.
+
+    ``r`` is ``b`` as one column, or ``[b, 1]`` when the mass column of the
+    simplex rides along: one solve then serves both right-hand sides of
+    ``Q_FF [x0, x1] = [b_F, 1]``, the mass constraint fixes
+    ``c = (1 - sum x0) / sum x1`` (the denominator is positive because
+    ``Q_FF`` is positive definite) and ``w_F = x0 + c x1``.  The dual is
+    ``y = Q w - b - c``, with ``c`` absent for the cone.
+    """
+    idx, x = solve(free, r)
     w = np.zeros(b.size)
-    idx, x = solve(free, b[:, None])
-    w[idx] = x[:, 0]
-    return w, solve.Q @ w - b, None
+    if r.shape[1] == 1:
+        w[idx] = x[:, 0]
+        return w, solve.Q @ w - b, None
+    c = (1.0 - float(x[:, 0].sum())) / float(x[:, 1].sum())
+    w[idx] = x[:, 0] + c * x[:, 1]
+    return w, solve.Q @ w - b - c, c
+
+
+def _solve(p, b: np.ndarray, tol: float, free: np.ndarray, dual_eps: float, mass: bool):
+    """Minimize ``w @ Q @ w - 2 b @ w`` over ``w >= 0`` (and ``sum(w) = 1`` with ``mass``).
+
+    Runs :func:`_block_pivot` from ``free`` and gates the accepted iterate's
+    residuals on ``tol``; raises :class:`MaxIterExceeded` above it.
+    """
+    r = np.column_stack((b, np.ones(b.size))) if mass else b[:, None]
+    solve = _FreeSetSolver(p.Q, p.inverse)
+    w, y, c, solves = _block_pivot(lambda F: _pivot_step(solve, b, r, F), free, dual_eps)
+    # y = Q w - b - c, so 2y is g - 2c exactly: doubling commutes with rounding
+    residuals = _residuals(w, 2.0 * y, mass)
+    report = KktReport(*residuals, c, solves)
+    if max(residuals) > tol:
+        kind = "simplex" if mass else "cone"
+        raise MaxIterExceeded(
+            f"{kind} solver residuals {max(residuals):.3e} exceed tol {tol:.3e}", w, report
+        )
+    return w, report
 
 
 def solve_cone_qp(
@@ -403,46 +389,52 @@ def solve_cone_qp(
 ) -> tuple[np.ndarray, KktReport]:
     """Minimize ``w @ Q @ w - 2 b @ w`` over the nonnegative cone.
 
-    Runs :func:`_block_pivot` from the free set ``w0 > 0`` (default
-    ``b > 0``).  Returns the minimizer and a :class:`KktReport` whose
-    residuals satisfy the ``tol`` contract: ``g_i >= -tol`` and
-    ``|w_i g_i| <= tol`` for the gradient ``g = 2 (Q w - b)``.  Raises
-    :class:`MaxIterExceeded` with the best iterate if the contract is not
-    met.
+    Runs :func:`_solve` from the free set ``w0 > 0`` (default ``b > 0``).
+    Returns the minimizer and a :class:`KktReport` whose residuals satisfy
+    the ``tol`` contract: ``g_i >= -tol`` and ``|w_i g_i| <= tol`` for the
+    gradient ``g = 2 (Q w - b)``.  Raises :class:`MaxIterExceeded` with the
+    best iterate if the contract is not met.
     """
     if not 0.0 < tol < np.inf:  # NaN or inf would pass every residual test
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     b = p.b
     free = b > 0.0 if w0 is None else np.asarray(w0, dtype=float) > 0.0
     dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(b))))
-    solve = _FreeSetSolver(p.Q, p.inverse, p.inverse_index, p.inverse_row_sums)
-    w, y, _, solves = _block_pivot(lambda F: _cone_reduced_solve(solve, b, F), free, dual_eps)
-    s, c, fe = _cone_residuals(w, 2.0 * y)  # y = Q w - b, and doubling is exact
-    report = KktReport(s, c, fe, None, solves)
-    if max(s, c, fe) > tol:
-        raise MaxIterExceeded(
-            f"cone solver residuals {max(s, c, fe):.3e} exceed tol {tol:.3e}", w, report
-        )
-    return w, report
+    return _solve(p, b, tol, free, dual_eps, mass=False)
 
 
-def _simplex_reduced_solve(solve: _FreeSetSolver, f: np.ndarray, mask: np.ndarray):
-    """Equality-constrained solve on a candidate support; returns (z, c).
+def solve_simplex_qp(
+    p: SimplexQpProblem,
+    tol: float = SOLVER_TOL,
+    w0: np.ndarray | None = None,
+) -> tuple[np.ndarray, KktReport]:
+    """Minimize ``w @ Q @ w + 2 f @ w`` over the probability simplex.
 
-    One solve serves both right-hand sides of ``Q_FF [x0, x1] = [-f_F, 1]``;
-    the mass constraint then fixes ``c = (1 - sum x0) / sum x1`` (the
-    denominator is positive because ``Q_FF`` is positive definite) and
-    ``z_F = x0 + c x1``.
+    Runs :func:`_solve` with ``b = -f`` and the mass column, from the free
+    set ``w0 > 0`` (default, or when ``w0`` has no positive entry: every
+    index).  The report's ``multiplier`` is the constant c with
+    ``(Q w + f)_i >= c`` everywhere and equality on the support.  Raises
+    :class:`MaxIterExceeded` if residuals above ``tol`` persist.
     """
-    idx, x = solve(mask, np.column_stack((-f, np.ones(f.size))))
-    c = (1.0 - float(x[:, 0].sum())) / float(x[:, 1].sum())
-    z = np.zeros(f.size)
-    z[idx] = x[:, 0] + c * x[:, 1]
-    return z, c
+    if not 0.0 < tol < np.inf:  # NaN or inf would pass every residual test
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    Q, f = p.Q, p.f
+    if p.size == 1:
+        # the reduced solve would round the weight off exact 1.0
+        w = np.array([1.0])
+        c = float(Q[0, 0] + f[0])
+        return w, KktReport(*_residuals(w, p.gradient(w) - 2.0 * c, True), c, 0)
+
+    free = np.ones(p.size, dtype=bool) if w0 is None else np.asarray(w0, dtype=float) > 0.0
+    if not free.any():
+        free[:] = True
+    # max |Q_ij| sits on the diagonal of an SPD Q (|Q_ij| < sqrt(Q_ii Q_jj)): no k x k temporary
+    dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(f))), float(np.max(np.diagonal(Q))))
+    return _solve(p, -f, tol, free, dual_eps, mass=True)
 
 
 def _bordered_simplex_solve(Q, f, mask):
-    """The same solve through the bordered KKT matrix, kept for the oracle."""
+    """The simplex step through the bordered KKT matrix, kept for the oracle."""
     idx = np.flatnonzero(mask)
     s = idx.size
     M = np.zeros((s + 1, s + 1))
@@ -454,51 +446,6 @@ def _bordered_simplex_solve(Q, f, mask):
     z = np.zeros(f.size)
     z[idx] = sol[:s]
     return z, float(sol[s])
-
-
-def _simplex_pivot_solve(solve: _FreeSetSolver, f: np.ndarray, free: np.ndarray):
-    z, c = _simplex_reduced_solve(solve, f, free)
-    return z, solve.Q @ z + f - c, c
-
-
-def solve_simplex_qp(
-    p: SimplexQpProblem,
-    tol: float = SOLVER_TOL,
-    w0: np.ndarray | None = None,
-) -> tuple[np.ndarray, KktReport]:
-    """Minimize ``w @ Q @ w + 2 f @ w`` over the probability simplex.
-
-    Runs :func:`_block_pivot` on the reduced system of the mass constraint,
-    from the free set ``w0 > 0`` (default, or when ``w0`` has no positive
-    entry: every index).  The report's ``multiplier`` is the constant c with
-    ``(Q w + f)_i >= c`` everywhere and equality on the support.  Raises
-    :class:`MaxIterExceeded` if residuals above ``tol`` persist.
-    """
-    if not 0.0 < tol < np.inf:  # NaN or inf would pass every residual test
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    Q, f = p.Q, p.f
-    if p.size == 1:
-        # the reduced solve would round the weight off exact 1.0
-        w = np.array([1.0])
-        c = float(Q[0, 0] + f[0])
-        s, comp, fe = _simplex_residuals(w, p.gradient(w) - 2.0 * c)
-        return w, KktReport(s, comp, fe, c, 0)
-
-    free = np.ones(p.size, dtype=bool) if w0 is None else np.asarray(w0, dtype=float) > 0.0
-    if not free.any():
-        free[:] = True
-    # max |Q_ij| sits on the diagonal of an SPD Q (|Q_ij| < sqrt(Q_ii Q_jj)): no k x k temporary
-    dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(f))), float(np.max(np.diagonal(Q))))
-    solve = _FreeSetSolver(Q, p.inverse, p.inverse_index, p.inverse_row_sums)
-    w, y, c, solves = _block_pivot(lambda F: _simplex_pivot_solve(solve, f, F), free, dual_eps)
-    # y = Q w + f - c, so 2y is g - 2c exactly: doubling commutes with rounding
-    s, comp, fe = _simplex_residuals(w, 2.0 * y)
-    report = KktReport(s, comp, fe, c, solves)
-    if max(s, comp, fe) > tol:
-        raise MaxIterExceeded(
-            f"simplex solver residuals {max(s, comp, fe):.3e} exceed tol {tol:.3e}", w, report
-        )
-    return w, report
 
 
 _BRUTE_FORCE_LIMIT = 14

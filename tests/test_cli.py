@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import finpot.instances
 from conftest import break_cone_solver, break_gauss_solution, break_simplex_solver
 from finpot.cli import (
     EXIT_CONFIG,
@@ -250,6 +251,19 @@ def test_non_pd_kernel_exits_4(tmp_path):
     }
     path = write_config(tmp_path, "c.json", cfg)
     assert main(["balayage", "--config", str(path)]) == EXIT_CONFIG
+
+
+def test_instance_too_large_to_allocate_exits_4(tmp_path, monkeypatch, capsys):
+    # a million nodes need a 7.3 TiB distance matrix; the failure is raised in
+    # its place, since an allocation that fits in virtual memory but not in
+    # RAM is killed by the system rather than raised
+    def refuse(points):
+        raise MemoryError(f"Unable to allocate a {len(points)} x {len(points)} distance matrix")
+
+    monkeypatch.setattr(finpot.instances, "_pairwise_distances", refuse)
+    path = write_config(tmp_path, "c.json", {"schema": "finpot-config/1", "instance": sphere_instance(10**6)})
+    assert main(["capacity", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "config error: Unable to allocate a 1000001 x 1000001" in capsys.readouterr().err
 
 
 def test_bad_support_exits_4(tmp_path):

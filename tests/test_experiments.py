@@ -178,7 +178,7 @@ def test_scan_determinism():
     assert t1.to_json() == t2.to_json()
 
 
-def test_scan_thread_cap():
+def test_two_truncation_scan_stabilizes():
     family = shell_family(truncations=(2, 3), per_shell=24)
     table = solvability_scan(family, scalings=[1.0])
     assert table.rows[0].verdict == STABILIZES

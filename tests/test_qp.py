@@ -343,7 +343,7 @@ def _random_spd_simplex(k):
 def test_reduced_simplex_solve_matches_bordered_system(make, k):
     Q, f = make(k)
     free = np.ones(k, dtype=bool)
-    z, c = qp._simplex_reduced_solve(qp._FreeSetSolver(Q), f, free)
+    z, _, c = qp._pivot_step(qp._FreeSetSolver(Q), -f, np.column_stack((-f, np.ones(k))), free)
     z_ref, c_ref = qp._bordered_simplex_solve(Q, f, free)
     assert np.max(np.abs(z - z_ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(z_ref))))
     assert abs(c - c_ref) <= 1e-12 * abs(c_ref)
@@ -472,19 +472,20 @@ def test_seeded_solver_starts_from_the_factor():
     # the first step is a Schur step on the inverse handed in, for a leading,
     # an offset and a gathered support alike ...
     for ix in (np.arange(900), np.arange(100, 1000), np.flatnonzero(np.arange(1000) % 10)):
-        solve = qp._FreeSetSolver(K[np.ix_(ix, ix)], G, ix, row_sums)
+        solve = qp._FreeSetSolver(K[np.ix_(ix, ix)], qp._Inverse(G, row_sums, ix))
         free = np.ones(ix.size, dtype=bool)
         check(solve, free)
         free[::17] = False
         check(solve, free)
-        assert solve.G is G
+        assert solve.kept.G is G
     # ... when the rest of the universe outweighs half the free set, the
     # first step is an LU solve, and a later one of at least _FACTOR_MIN
     # indices builds an inverse of its own, which serves the steps after it;
     # the kernel's inverse stays for the whole QP
-    solve = qp._FreeSetSolver(K, G, np.arange(1000), row_sums)
+    kept = qp._Inverse(G, row_sums, np.arange(1000))
+    solve = qp._FreeSetSolver(K, kept)
     check(solve, np.arange(1000) < 650)
-    assert solve.G is G and solve.local is None
+    assert solve.kept is kept and solve.local is None
     check(solve, np.arange(1000) < 600)
     local = solve.local
     assert local.G.shape == (600, 600) and np.array_equal(local.G, local.G.T)
@@ -492,23 +493,23 @@ def test_seeded_solver_starts_from_the_factor():
     assert not local.row_sums.flags.writeable
     assert np.all(np.abs(local.row_sums - local.G @ ones) <= 1e-12 * (np.abs(local.G) @ ones))
     check(solve, np.arange(1000) < 500)
-    assert solve.local is local and solve.G is G
+    assert solve.local is local and solve.kept is kept
     # a free set that the kernel's inverse serves again is solved from it, bit
     # for bit as a first step on it
     free = np.arange(1000) >= 100
     x = check(solve, free)
-    assert solve.G is G and solve.local is local
-    assert np.array_equal(x, qp._FreeSetSolver(K, G, np.arange(1000), row_sums)(free, r)[1])
+    assert solve.kept is kept and solve.local is local
+    assert np.array_equal(x, qp._FreeSetSolver(K, kept)(free, r)[1])
     # a later step that leaves the kernel's inverse builds one right away
-    solve = qp._FreeSetSolver(K, G, np.arange(1000), row_sums)
+    solve = qp._FreeSetSolver(K, kept)
     check(solve, np.ones(1000, dtype=bool))
     check(solve, np.arange(1000) < 650)
-    assert solve.local.G.shape == (650, 650) and solve.G is G
+    assert solve.local.G.shape == (650, 650) and solve.kept is kept
     # below the gate it is an LU solve, and no inverse of its own is kept
-    solve = qp._FreeSetSolver(K, G, np.arange(1000), row_sums)
+    solve = qp._FreeSetSolver(K, kept)
     check(solve, np.ones(1000, dtype=bool))
     check(solve, np.arange(1000) < qp._FACTOR_MIN - 1)
-    assert solve.local is None and solve.G is G
+    assert solve.local is None and solve.kept is kept
 
 
 def _unseeded(p):
@@ -587,7 +588,8 @@ def test_kernel_inverse_matches_lu_every_step_off_the_leading_block(
 
     class Spy(qp._FreeSetSolver):
         def __call__(self, free, r):
-            served.append(self.G is kernel.inverse and self._schur_sets(np.flatnonzero(free)) is not None)
+            seeded = self.kept is not None and self.kept.G is kernel.inverse
+            served.append(seeded and self._schur_sets(np.flatnonzero(free)) is not None)
             return super().__call__(free, r)
 
     monkeypatch.setattr(qp, "_FreeSetSolver", Spy)
@@ -632,8 +634,8 @@ def test_library_solves_match_oracles_on_every_support_kind(name, kind, monkeypa
             (SimplexQpProblem(Q, -potential[idx]), solve_gauss, brute_force_simplex),
         ):
             w = solve(kernel, inst.omega, support).measure.weights[idx]
-            assert seen[-1].inverse is kernel.inverse
-            assert np.array_equal(seen[-1].inverse_index, idx)
+            assert seen[-1].inverse.G is kernel.inverse
+            assert np.array_equal(seen[-1].inverse.where, idx)
             ref = oracle(p)
             assert np.max(np.abs(w - ref)) <= 1e-8
             assert abs(p.objective(w) - p.objective(ref)) <= 1e-10
@@ -672,9 +674,10 @@ def test_on_kernel_problem_solves_as_the_raw_one(sphere_400, kind, cls, solve, s
     raw = cls(kernel.restrict(support), field)
     for name in ("Q", "b" if cls is ConeQpProblem else "f"):
         assert np.array_equal(getattr(p, name), getattr(raw, name))
-    assert raw.inverse is None and raw.inverse_index is None
-    assert p.inverse is kernel.inverse and p.inverse_index is idx
-    assert not p.Q.flags.writeable and not p.inverse_index.flags.writeable
+    assert raw.inverse is None
+    assert p.inverse.G is kernel.inverse and p.inverse.row_sums is kernel.inverse_row_sums
+    assert p.inverse.where is idx
+    assert not p.Q.flags.writeable and not p.inverse.where.flags.writeable
     w, report = solve(p)
     w_raw, report_raw = solve(raw)
     assert np.array_equal(w > 0.0, w_raw > 0.0)
