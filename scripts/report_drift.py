@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Numeric drift between the reports of two output directories.
 
-Pairs every ``*-report.json`` under directory A with the file at the same
-relative path under B and walks the two JSON trees together.  For each key
-path with a differing number (list positions fold into ``[]``) it prints the
-largest absolute difference, the largest relative difference
+Pairs every ``*-report.json`` and ``*-report.csv`` under directory A with
+the file at the same relative path under B and walks the two JSON trees
+together.  A CSV is read as its rows, each cell that ``float()`` accepts a
+number, under the key path ``<csv name>.<column>``.  For each key path with
+a differing number (list positions fold into ``[]``) it prints the largest
+absolute difference, the largest relative difference
 ``|a - b| / max(|a|, |b|)`` and the largest ``|a - b| / max(1, |a|)``.  Any
 other difference (a missing report or key, a list length, a string, a
-boolean, null against a number) is printed too, and makes the exit status 1.
+boolean, null against a number, a CSV header or row count) is printed too,
+and makes the exit status 1.
 
 Usage: python scripts/report_drift.py A B
 """
@@ -15,6 +18,7 @@ Usage: python scripts/report_drift.py A B
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 from pathlib import Path
@@ -48,6 +52,36 @@ def _walk(a, b, path: str, drift: dict, other: list) -> None:
         other.append(f"{path}: {a!r} against {b!r}")
 
 
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _read_csv(path: Path) -> tuple[list, list]:
+    """The header and the rows of a CSV report, numeric cells parsed."""
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = [{key: _cell(value) for key, value in row.items()} for row in reader]
+        return list(reader.fieldnames or []), rows
+
+
+def _walk_csv(a_path: Path, b_path: Path, drift: dict, found: list) -> None:
+    (a_header, a_rows), (b_header, b_rows) = _read_csv(a_path), _read_csv(b_path)
+    if a_header != b_header:
+        found.append(f"header {a_header} against {b_header}")
+    elif len(a_rows) != len(b_rows):
+        found.append(f"{len(a_rows)} rows against {len(b_rows)}")
+    else:
+        for a, b in zip(a_rows, b_rows):
+            _walk(a, b, a_path.name, drift, found)
+
+
+def _reports(root: Path) -> set:
+    return {p.relative_to(root) for pattern in ("*-report.json", "*-report.csv") for p in root.rglob(pattern)}
+
+
 def compare(a_dir: Path, b_dir: Path) -> tuple[int, dict, list]:
     """Walk every report pair; return (pairs, numeric drift by key path, other differences).
 
@@ -56,15 +90,15 @@ def compare(a_dir: Path, b_dir: Path) -> tuple[int, dict, list]:
     """
     drift: dict = {}
     other: list = []
-    a_names = {p.relative_to(a_dir) for p in a_dir.rglob("*-report.json")}
-    b_names = {p.relative_to(b_dir) for p in b_dir.rglob("*-report.json")}
+    a_names, b_names = _reports(a_dir), _reports(b_dir)
     other += [f"{name}: only in {'A' if name in a_names else 'B'}" for name in sorted(a_names ^ b_names)]
     pairs = sorted(a_names & b_names)
     for name in pairs:
-        a = json.loads((a_dir / name).read_text())
-        b = json.loads((b_dir / name).read_text())
         found: list = []
-        _walk(a, b, "", drift, found)
+        if name.suffix == ".csv":
+            _walk_csv(a_dir / name, b_dir / name, drift, found)
+        else:
+            _walk(json.loads((a_dir / name).read_text()), json.loads((b_dir / name).read_text()), "", drift, found)
         other += [f"{name}: {line}" for line in found]
     return len(pairs), drift, other
 
