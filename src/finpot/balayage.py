@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SOLVER_TOL, KernelMatrix, Measure, SupportSet, potential
+from .core import SOLVER_TOL, KernelMatrix, Measure, Record, SupportSet, potential
 from .qp import ConeQpProblem, KktReport, SimplexQpProblem, solve_cone_qp, solve_simplex_qp
 
 
@@ -33,7 +33,7 @@ class CharacterizationViolated(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BalayageResult:
+class BalayageResult(Record):
     """Solution bundle of one pseudo-balayage solve.
 
     ``measure`` is positive and vanishes off the target set, ``value`` is the
@@ -48,15 +48,6 @@ class BalayageResult:
     mass: float
     mass_bound: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "measure": self.measure.to_json(),
-            "value": self.value,
-            "mass": self.mass,
-            "mass_bound": self.mass_bound,
-            "kkt": self.kkt.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class Ii1Check:
@@ -68,21 +59,13 @@ class Ii1Check:
 
 
 @dataclass(frozen=True)
-class MassBoundReport:
+class MassBoundReport(Record):
     """Outcome of :func:`mass_bound_check`; ``passed`` is None when skipped."""
 
     mass: float
     bound: float | None
     passed: bool | None
     reason: str
-
-    def to_json(self) -> dict:
-        return {
-            "mass": self.mass,
-            "bound": self.bound,
-            "passed": self.passed,
-            "reason": self.reason,
-        }
 
 
 def _gap(kernel: KernelMatrix, mu: Measure, omega_potential: np.ndarray) -> np.ndarray:

@@ -12,13 +12,17 @@ Default tolerances: ``ARITHMETIC_TOL`` (1e-10) for exact arithmetic
 identities, ``SOLVER_TOL`` (1e-8) for KKT residuals of the minimizers built
 on top of this module.  Every operation takes explicit tolerance arguments;
 these constants are only the documented defaults.
+
+The report format lives here too: every result of the package is a frozen
+:class:`Record` dataclass whose JSON form is its fields by name, and
+:func:`dumps_canonical` writes every report.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -401,12 +405,14 @@ class KernelMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "KernelMatrix":
-        """Load a row-major, header-free CSV matrix.
+        """Load a row-major, header-free CSV matrix, which must be square.
 
         The matrix is averaged with its transpose before validation so that
         serialization roundoff cannot break the exact-symmetry invariant.
         """
-        arr = np.atleast_2d(np.loadtxt(path, delimiter=","))
+        arr = np.loadtxt(path, delimiter=",", ndmin=2)
+        if arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"kernel CSV must be a square matrix, got {arr.shape[0]} x {arr.shape[1]}")
         return cls((arr + arr.T) / 2.0)
 
     def __repr__(self) -> str:
@@ -601,6 +607,27 @@ def gauss_functional(kernel: KernelMatrix, omega: Measure, mu: Measure) -> float
     """
     _require_sizes(kernel, omega, mu)
     return energy(kernel, mu) - 2.0 * mutual_energy(kernel, mu, omega)
+
+
+class Record:
+    """Base of the frozen result dataclasses: a result's JSON form is its fields.
+
+    :meth:`to_json` maps each field name to its value.  A nested record or
+    :class:`Measure` gives its own JSON form, a tuple a list of its encoded
+    items, and anything else (a float, int, string, bool or None) is written
+    as it is.  A field added to a result is therefore in its report.
+    """
+
+    def to_json(self) -> dict:
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+
+def _encode(value):
+    if isinstance(value, (Record, Measure)):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
 
 
 def dumps_canonical(obj) -> str:

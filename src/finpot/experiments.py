@@ -18,6 +18,7 @@ from .core import (
     KernelMatrix,
     Measure,
     NotNested,
+    Record,
     SupportSet,
     energy_distance,
 )
@@ -26,7 +27,7 @@ from .instances import Instance
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Per-stage record of pseudo-balayage along a monotone chain of sets.
 
     ``stage_norms`` are energy distances to the final sweep, ``stage_values``
@@ -57,16 +58,6 @@ class ConvergenceReport:
                 }
             )
         return rows
-
-    def to_json(self) -> dict:
-        return {
-            "direction": self.direction,
-            "stage_sizes": list(self.stage_sizes),
-            "stage_values": list(self.stage_values),
-            "stage_norms": list(self.stage_norms),
-            "fund_slack": list(self.fund_slack),
-            "final_distance": self.final_distance,
-        }
 
 
 def _solve_chain(kernel, omega, chain, tol, warm):
@@ -153,7 +144,7 @@ def monotone_down(
 
 
 @dataclass(frozen=True)
-class ScanCell:
+class ScanCell(Record):
     scaling: float
     truncation: int
     node_count: int
@@ -163,37 +154,17 @@ class ScanCell:
     outer_mass_fraction: float
     interior_mass_fraction: float
 
-    def to_json(self) -> dict:
-        return {
-            "scaling": self.scaling,
-            "truncation": self.truncation,
-            "node_count": self.node_count,
-            "balayage_mass": self.balayage_mass,
-            "gauss_value": self.gauss_value,
-            "equilibrium_constant": self.equilibrium_constant,
-            "outer_mass_fraction": self.outer_mass_fraction,
-            "interior_mass_fraction": self.interior_mass_fraction,
-        }
-
 
 @dataclass(frozen=True)
-class ScanRow:
+class ScanRow(Record):
     scaling: float
     omega_plus_mass: float
     cells: tuple
     verdict: str
 
-    def to_json(self) -> dict:
-        return {
-            "scaling": self.scaling,
-            "omega_plus_mass": self.omega_plus_mass,
-            "cells": [c.to_json() for c in self.cells],
-            "verdict": self.verdict,
-        }
-
 
 @dataclass(frozen=True)
-class ScanTable:
+class ScanTable(Record):
     """Outcome of a solvability scan over (scaling x truncation) cells.
 
     A row "stabilizes" when the minimizer keeps at least ``threshold`` of its
@@ -215,13 +186,6 @@ class ScanTable:
                 rec["verdict"] = row.verdict
                 out.append(rec)
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "outer_fraction": self.outer_fraction,
-            "rows": [r.to_json() for r in self.rows],
-        }
 
 
 STABILIZES = "stabilizes"
@@ -314,7 +278,7 @@ def solvability_scan(
 
 
 @dataclass(frozen=True)
-class UgaheriEstimate:
+class UgaheriEstimate(Record):
     """Running lower bound on a maximum-principle constant for one matrix.
 
     For capacitary measures of sampled subsets (and any supplied measures),
@@ -327,15 +291,6 @@ class UgaheriEstimate:
     h_hat: float
     witnesses: tuple
     samples: int
-
-    def to_json(self) -> dict:
-        return {
-            "h_hat": self.h_hat,
-            "witnesses": [
-                {"subset": list(sub), "ratio": ratio} for sub, ratio in self.witnesses
-            ],
-            "samples": self.samples,
-        }
 
 
 def ugaheri_estimate(

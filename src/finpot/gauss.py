@@ -27,6 +27,7 @@ from .core import (
     KernelMatrix,
     Measure,
     NotNested,
+    Record,
     SupportSet,
     energy_distance,
     potential,
@@ -39,7 +40,7 @@ UNSOLVABLE = "unsolvable"
 
 
 @dataclass(frozen=True)
-class GaussResult:
+class GaussResult(Record):
     """Probability minimizer, its weighted energy, and equilibrium constant."""
 
     measure: Measure
@@ -47,17 +48,9 @@ class GaussResult:
     equilibrium_constant: float
     kkt: KktReport
 
-    def to_json(self) -> dict:
-        return {
-            "measure": self.measure.to_json(),
-            "value": self.value,
-            "equilibrium_constant": self.equilibrium_constant,
-            "kkt": self.kkt.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(Record):
     """Capacitary measure of a set, its mass (the capacity), and potential range.
 
     ``kkt`` is the optimality certificate of the underlying unit-mass solve.
@@ -68,17 +61,9 @@ class CapacityResult:
     equilibrium_potential_range: tuple[float, float]
     kkt: KktReport
 
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma.to_json(),
-            "capacity": self.capacity,
-            "equilibrium_potential_range": list(self.equilibrium_potential_range),
-            "kkt": self.kkt.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class ExtremalDiagnostic:
+class ExtremalDiagnostic(Record):
     """Trace of minimizers along a nested chain of sets.
 
     ``sequence_values`` holds the per-stage optimal values (nonincreasing for
@@ -100,18 +85,9 @@ class ExtremalDiagnostic:
             for j, (v, c) in enumerate(zip(self.sequence_values, self.constants))
         ]
 
-    def to_json(self) -> dict:
-        return {
-            "sequence_values": list(self.sequence_values),
-            "constants": list(self.constants),
-            "limit_measure": self.limit_measure.to_json(),
-            "limit_mass": self.limit_mass,
-            "C_xi": self.C_xi,
-        }
-
 
 @dataclass(frozen=True)
-class SolvabilityOutcome:
+class SolvabilityOutcome(Record):
     """Classification returned by :func:`solvability_check`."""
 
     status: str
@@ -119,15 +95,6 @@ class SolvabilityOutcome:
     balayage: BalayageResult
     diagnostic: ExtremalDiagnostic | None
     lambda_equals_balayage: bool
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "gauss": None if self.gauss is None else self.gauss.to_json(),
-            "balayage": self.balayage.to_json(),
-            "diagnostic": None if self.diagnostic is None else self.diagnostic.to_json(),
-            "lambda_equals_balayage": self.lambda_equals_balayage,
-        }
 
 
 def solve_gauss(

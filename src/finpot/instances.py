@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import KernelMatrix, Measure, SupportSet, read_int, read_list, read_number, read_numbers
+from .core import KernelMatrix, Measure, Record, SupportSet, read_int, read_list, read_number, read_numbers
 from .gauss import capacitary_measure
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -546,7 +546,7 @@ def assemble(spec: InstanceSpec) -> Instance:
 
 
 @dataclass(frozen=True)
-class ThinnessReport:
+class ThinnessReport(Record):
     """Wiener-type series diagnostics for a shell union.
 
     The verdict compares the fitted growth exponent of the shell capacities
@@ -565,15 +565,6 @@ class ThinnessReport:
             {"shell": j, "capacity": c, "partial_sum": s}
             for j, (c, s) in enumerate(zip(self.shell_capacities, self.partial_sums))
         ]
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "shell_capacities": list(self.shell_capacities),
-            "partial_sums": list(self.partial_sums),
-            "fitted_exponent": self.fitted_exponent,
-            "verdict": self.verdict,
-        }
 
 
 def thinness_series(

@@ -38,6 +38,7 @@ import numpy as np
 from .core import (
     SOLVER_TOL,
     KernelMatrix,
+    Record,
     SupportSet,
     _factor_to_inverse,
     _inverse_cholesky,
@@ -162,7 +163,7 @@ class SimplexQpProblem(_QpProblem):
 
 
 @dataclass(frozen=True)
-class KktReport:
+class KktReport(Record):
     """Numerical optimality certificate attached to every solve.
 
     All residuals are nonnegative maxima of violation magnitudes.  For the
@@ -177,15 +178,6 @@ class KktReport:
     feasibility_residual: float
     multiplier: float | None = None
     iterations: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "stationarity_residual": self.stationarity_residual,
-            "complementarity_residual": self.complementarity_residual,
-            "feasibility_residual": self.feasibility_residual,
-            "multiplier": self.multiplier,
-            "iterations": self.iterations,
-        }
 
 
 def _residuals(w: np.ndarray, eta: np.ndarray, mass: bool) -> tuple[float, float, float]:

@@ -391,6 +391,16 @@ def test_malformed_config_number_exits_4(tmp_path, capsys, command, cfg, key):
     assert err.startswith("config error") and key in err
 
 
+@pytest.mark.parametrize("rows, shape", [("1,0.2\n", "1 x 2"), ("1\n0.2\n", "2 x 1"), ("1,0,0\n0,1,0\n", "2 x 3")])
+def test_a_non_square_kernel_csv_exits_4_naming_its_shape(tmp_path, capsys, rows, shape):
+    (tmp_path / "k.csv").write_text(rows)
+    cfg = {"schema": "finpot-config/1", "kernel": {"csv": str(tmp_path / "k.csv")},
+           "omega": {"m": 2, "weights": [1.0, 0.0]}}
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["balayage", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: invalid kernel: kernel CSV must be a square matrix, got {shape}\n"
+
+
 @pytest.mark.parametrize("out", [5, None])
 def test_config_out_must_be_a_string(tmp_path, capsys, out):
     path = write_config(tmp_path, "c.json", {**raw_config("mixed_small.json"), "out": out})

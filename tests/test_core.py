@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from finpot.core import (
     KernelMatrix,
     Measure,
     NotPositiveDefinite,
+    Record,
     SizeMismatchError,
     SupportSet,
     check_energy_principle,
@@ -29,8 +31,11 @@ from finpot.core import (
     read_numbers,
     read_str,
 )
-from finpot.fixtures import random_signed_measure, random_spd_kernel
-from finpot.instances import Ball, InstanceSpec, RieszKernel, Sphere, assemble
+from finpot.balayage import mass_bound_check, pseudo_balayage
+from finpot.experiments import monotone_up, solvability_scan, ugaheri_estimate
+from finpot.fixtures import mixed_instance, nested_chain, random_signed_measure, random_spd_kernel
+from finpot.gauss import capacitary_measure, extremal_diagnostic, solvability_check, solve_gauss
+from finpot.instances import Ball, InstanceSpec, RieszKernel, ShellUnion, Sphere, assemble, thinness_series
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +438,51 @@ def test_restrict_is_read_only_and_views_contiguous_supports(small_kernel):
     assert np.array_equal(gathered, small_kernel.entries[np.ix_(idx, idx)])
     with pytest.raises(SizeMismatchError):
         small_kernel.restrict(SupportSet([4, 6]))
+
+
+@dataclass(frozen=True)
+class _Leaf(Record):
+    x: float
+    label: str
+
+
+@dataclass(frozen=True)
+class _Node(Record):
+    measure: Measure
+    missing: float | None
+    values: tuple
+    leaves: tuple
+
+
+def test_record_encodes_its_fields_by_name():
+    node = _Node(Measure([0.5, 0.25]), None, (1.0, 2.5), (_Leaf(1.0, "a"), _Leaf(-2.0, "b")))
+    assert node.to_json() == {
+        "measure": {"m": 2, "weights": [0.5, 0.25]},
+        "missing": None,
+        "values": [1.0, 2.5],
+        "leaves": [{"x": 1.0, "label": "a"}, {"x": -2.0, "label": "b"}],
+    }
+
+
+def test_every_result_record_reports_its_fields_in_order():
+    kernel, omega, support = mixed_instance(3, 12)
+    bal = pseudo_balayage(kernel, omega, support)
+    shells = [assemble(InstanceSpec(3, RieszKernel(2.0), ShellUnion(2.0, (8,) * n))) for n in (2, 3)]
+    table = solvability_scan(shells, [1.0])
+    results = [
+        bal, bal.kkt, mass_bound_check(bal, 2.0, omega), solve_gauss(kernel, omega, support),
+        capacitary_measure(kernel, support), extremal_diagnostic(kernel, omega, nested_chain(1, 12, 3)),
+        solvability_check(kernel, omega, support), monotone_up(kernel, omega, nested_chain(1, 12, 3)),
+        table, table.rows[0], table.rows[0].cells[0], ugaheri_estimate(kernel, trials=2),
+        thinness_series(InstanceSpec(3, RieszKernel(2.0), ShellUnion(2.0, (8, 8)))),
+    ]
+    # every result class of the package is covered
+    assert {type(r) for r in results} == {c for c in Record.__subclasses__() if c.__module__.startswith("finpot.")}
+    assert len(results) == 13
+    for result in results:
+        encoded = result.to_json()
+        assert list(encoded) == [f.name for f in fields(result)]
+        core.dumps_canonical(encoded)  # plain JSON all the way down
 
 
 # ---------------------------------------------------------------------------
