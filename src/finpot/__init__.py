@@ -12,7 +12,6 @@ from .balayage import (
     MassBoundReport,
     mass_bound_check,
     pseudo_balayage,
-    restricted_problem_value,
     verify_ii1,
 )
 from .core import (
@@ -33,11 +32,9 @@ from .core import (
 )
 from .gauss import (
     CapacityResult,
-    ExtremalDiagnostic,
     GaussResult,
     SolvabilityOutcome,
     capacitary_measure,
-    extremal_diagnostic,
     solvability_check,
     solve_gauss,
 )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SOLVER_TOL, KernelMatrix, Measure, Record, SupportSet, potential
-from .qp import ConeQpProblem, KktReport, SimplexQpProblem, solve_cone_qp, solve_simplex_qp
+from .qp import ConeQpProblem, KktReport, solve_cone_qp
 
 
 class CharacterizationViolated(RuntimeError):
@@ -184,31 +184,3 @@ def mass_bound_check(
         raise ValueError("the maximum-principle constant h must be >= 1")
     bound = float(h) * omega.positive_part.mass * (1.0 + slack)
     return MassBoundReport(result.mass, bound, bool(result.mass <= bound), "checked")
-
-
-def restricted_problem_value(
-    kernel: KernelMatrix,
-    omega: Measure,
-    support: SupportSet,
-    mass_cap: float,
-    tol: float = SOLVER_TOL,
-) -> float:
-    """Least weighted energy over positive measures on the set of mass <= cap.
-
-    For caps at or above the swept mass this equals the unrestricted value
-    (the sweep itself is feasible); below it the cap binds and the minimum is
-    attained at total mass equal to the cap, computed by rescaling onto the
-    simplex.
-    """
-    if mass_cap < 0.0:
-        raise ValueError("mass_cap must be nonnegative")
-    if mass_cap == 0.0:
-        return 0.0
-    bal = pseudo_balayage(kernel, omega, support, tol=tol)
-    if bal.mass <= mass_cap * (1.0 + 1e-12) + tol:
-        return bal.value
-    b = potential(kernel, omega)[support.as_array()]
-    problem = SimplexQpProblem.on_kernel(kernel, support, -b / mass_cap)
-    v, _ = solve_simplex_qp(problem, tol=tol)
-    w = mass_cap * v
-    return float(w @ (problem.Q @ w) - 2.0 * (b @ w))

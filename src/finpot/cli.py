@@ -298,8 +298,7 @@ def _cmd_solvability(cfg: dict) -> int:
     capacity_finite = read_flag(cfg.get("capacity_finite", True), "capacity_finite")
     kernel, omega, support, _ = _load_problem(cfg, "solvability")
     outcome = solvability_check(kernel, omega, support, tol=tol, capacity_finite=capacity_finite)
-    rows = outcome.diagnostic.csv_rows() if outcome.diagnostic is not None else None
-    _emit(cfg, "solvability", outcome.to_json(), csv_rows=rows)
+    _emit(cfg, "solvability", outcome.to_json())
     print(
         f"solvability: status={outcome.status} balayage_mass={outcome.balayage.mass:.6f} "
         f"identified={outcome.lambda_equals_balayage}"

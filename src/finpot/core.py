@@ -451,10 +451,6 @@ class Measure:
         return Measure(np.maximum(self.weights, 0.0))
 
     @property
-    def negative_part(self) -> "Measure":
-        return Measure(np.maximum(-self.weights, 0.0))
-
-    @property
     def total_variation(self) -> "Measure":
         return Measure(np.abs(self.weights))
 
@@ -464,12 +460,6 @@ class Measure:
 
     def scaled(self, q: float) -> "Measure":
         return Measure(q * self.weights)
-
-    def restricted(self, support: "SupportSet") -> "Measure":
-        w = np.zeros_like(self.weights)
-        idx = support.as_array()
-        w[idx] = self.weights[idx]
-        return Measure(w)
 
     def to_json(self) -> dict:
         return {"m": len(self), "weights": self.weights.tolist()}
@@ -525,9 +515,6 @@ class SupportSet:
 
     def as_set(self) -> frozenset:
         return frozenset(self._idx.tolist())
-
-    def issubset(self, other: "SupportSet") -> bool:
-        return self.as_set() <= other.as_set()
 
     def __repr__(self) -> str:
         return f"SupportSet(k={len(self)})"

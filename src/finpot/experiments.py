@@ -1,8 +1,7 @@
-"""Scripted verifications: monotone set families, solvability scans, maximum-principle probes.
+"""Scripted verifications: sweeps along monotone set families and solvability scans.
 
-Every experiment is a pure function of its configuration.  Subset sampling
-in :func:`ugaheri_estimate` uses a seeded generator that is part of the
-configuration, so identical configs produce identical reports.
+Every experiment is a pure function of its configuration, so identical
+configs produce identical reports.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .core import (
     SupportSet,
     energy_distance,
 )
-from .gauss import _require_strict_chain, capacitary_measure, solve_gauss
+from .gauss import solve_gauss
 from .instances import Instance
 
 
@@ -58,6 +57,14 @@ class ConvergenceReport(Record):
                 }
             )
         return rows
+
+
+def _require_strict_chain(chain: Sequence[SupportSet], increasing: bool = True) -> None:
+    if not chain:
+        raise ValueError("chain must be nonempty")
+    for a, b in zip(chain, chain[1:]):
+        if not (a.as_set() < b.as_set() if increasing else b.as_set() < a.as_set()):
+            raise NotNested(f"chain must be strictly {'increasing' if increasing else 'decreasing'}")
 
 
 def _solve_chain(kernel, omega, chain, tol, warm):
@@ -270,76 +277,3 @@ def solvability_scan(
             ScanRow(scaling=float(s), omega_plus_mass=omega_plus, cells=row_cells, verdict=verdict)
         )
     return ScanTable(rows=tuple(rows), threshold=threshold, outer_fraction=outer_fraction)
-
-
-# ---------------------------------------------------------------------------
-# empirical maximum-principle constant
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UgaheriEstimate(Record):
-    """Running lower bound on a maximum-principle constant for one matrix.
-
-    For capacitary measures of sampled subsets (and any supplied measures),
-    the ratio ``max_X potential / max_supp potential`` is recorded; its
-    maximum is a lower bound on any valid constant.  Exact verification is
-    exponential in the node count, so the estimate is explicitly heuristic
-    and never certifies the matrix.
-    """
-
-    h_hat: float
-    witnesses: tuple
-    samples: int
-
-
-def ugaheri_estimate(
-    kernel: KernelMatrix,
-    trials: int,
-    seed: int = 0,
-    extra_measures: Sequence[Measure] = (),
-    tol: float = SOLVER_TOL,
-) -> UgaheriEstimate:
-    """Probe the matrix for maximum-principle violations at all nodes.
-
-    Samples ``trials`` random subsets with a seeded generator, computes each
-    capacitary measure, and compares the potential's global maximum with its
-    maximum on the support of the measure.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    rng = np.random.default_rng(seed)
-    m = kernel.size
-    best: list[tuple[tuple, float]] = []
-
-    def record(subset, mu: Measure):
-        pot = kernel.entries @ mu.weights
-        supp = mu.weights > tol * max(1.0, float(np.max(np.abs(mu.weights))))
-        if not supp.any():
-            return
-        c_mu = float(pot[supp].max())
-        if c_mu <= 0.0:
-            return
-        ratio = float(pot.max()) / c_mu
-        best.append((tuple(int(i) for i in subset), ratio))
-
-    for _ in range(trials):
-        size = int(rng.integers(1, m)) if m > 1 else 1
-        subset = np.sort(rng.choice(m, size=size, replace=False))
-        res = capacitary_measure(kernel, SupportSet(subset), tol=tol)
-        record(subset, res.gamma)
-    for mu in extra_measures:
-        record(np.flatnonzero(mu.weights > 0.0), mu)
-    best.sort(key=lambda t: -t[1])
-    h_hat = max(1.0, best[0][1]) if best else 1.0
-    return UgaheriEstimate(h_hat=h_hat, witnesses=tuple(best[:3]), samples=trials)
-
-
-def fund_inequality_slack(kernel, omega, inner: SupportSet, outer: SupportSet, tol=SOLVER_TOL) -> float:
-    """Slack of the strong-Cauchy inequality for one nested pair of sets."""
-    if not inner.issubset(outer):
-        raise NotNested("inner set must be contained in the outer set")
-    small = pseudo_balayage(kernel, omega, inner, tol=tol)
-    large = pseudo_balayage(kernel, omega, outer, tol=tol)
-    d2 = energy_distance(kernel, small.measure, large.measure) ** 2
-    return 2.0 * small.value - 2.0 * large.value - d2

@@ -17,16 +17,14 @@ capacity; see :func:`solvability_check`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .balayage import BalayageResult, CharacterizationViolated, _certify, _gap, pseudo_balayage
+from .balayage import BalayageResult, _certify, pseudo_balayage
 from .core import (
     SOLVER_TOL,
     KernelMatrix,
     Measure,
-    NotNested,
     Record,
     SupportSet,
     energy_distance,
@@ -63,37 +61,18 @@ class CapacityResult(Record):
 
 
 @dataclass(frozen=True)
-class ExtremalDiagnostic(Record):
-    """Trace of minimizers along a nested chain of sets.
-
-    ``sequence_values`` holds the per-stage optimal values (nonincreasing for
-    growing sets), ``constants`` the per-stage equilibrium constants,
-    ``limit_measure`` the final-stage minimizer (the strong limit on a finite
-    universe) and ``C_xi`` its weighted-potential integral, which the
-    constants approach.
-    """
-
-    sequence_values: tuple
-    constants: tuple
-    limit_measure: Measure
-    limit_mass: float
-    C_xi: float
-
-    def csv_rows(self) -> list[dict]:
-        return [
-            {"stage": j, "value": v, "constant": c, "mass": self.limit_mass if j == len(self.constants) - 1 else float("nan")}
-            for j, (v, c) in enumerate(zip(self.sequence_values, self.constants))
-        ]
-
-
-@dataclass(frozen=True)
 class SolvabilityOutcome(Record):
-    """Classification returned by :func:`solvability_check`."""
+    """Classification returned by :func:`solvability_check`.
+
+    ``balayage`` is the sweep of the charge onto the set.  ``gauss`` is the
+    probability minimizer, or None when the problem is unsolvable; the sweep
+    is then the limit of the minimizing sequences, so the outcome carries
+    nothing else.
+    """
 
     status: str
     gauss: GaussResult | None
     balayage: BalayageResult
-    diagnostic: ExtremalDiagnostic | None
     lambda_equals_balayage: bool
 
 
@@ -189,8 +168,14 @@ def solvability_check(
     instance to be one stage of a growing truncation family standing in for
     a set of infinite capacity; existence then hinges on the swept mass:
     at least 1 means solvable (with the minimizer equal to the sweep when
-    the mass is exactly 1), below 1 the minimizing sequences lose mass and
-    the limiting measure is the sweep itself, of deficient mass.
+    the mass is exactly 1).  Below 1 the problem is unsolvable: a set of
+    infinite capacity carries probability measures of arbitrarily small
+    energy far out, so the infimum over probability measures is the least
+    weighted energy over positive measures of mass at most 1.  The sweep
+    attains it, being the least over all positive measures and of mass
+    below 1, and the minimizing sequences converge to it in energy while
+    losing the deficient mass (Fuglede, Anal. Math. 2016, for a positive
+    charge of finite energy).  The outcome is then the status and the sweep.
     """
     bal = pseudo_balayage(kernel, omega, support, tol=tol)
     if capacity_finite or bal.mass >= 1.0 - tol:
@@ -201,71 +186,11 @@ def solvability_check(
             status=status,
             gauss=res,
             balayage=bal,
-            diagnostic=None,
             lambda_equals_balayage=matches,
         )
-    c_xi = float(bal.measure.weights @ _gap(kernel, bal.measure, potential(kernel, omega)))
-    diagnostic = ExtremalDiagnostic(
-        sequence_values=(bal.value,),
-        constants=(c_xi,),
-        limit_measure=bal.measure,
-        limit_mass=bal.mass,
-        C_xi=c_xi,
-    )
     return SolvabilityOutcome(
         status=UNSOLVABLE,
         gauss=None,
         balayage=bal,
-        diagnostic=diagnostic,
         lambda_equals_balayage=False,
-    )
-
-
-def _require_strict_chain(chain: Sequence[SupportSet], increasing: bool = True) -> None:
-    if not chain:
-        raise ValueError("chain must be nonempty")
-    for a, b in zip(chain, chain[1:]):
-        if not (a.as_set() < b.as_set() if increasing else b.as_set() < a.as_set()):
-            raise NotNested(f"chain must be strictly {'increasing' if increasing else 'decreasing'}")
-
-
-def extremal_diagnostic(
-    kernel: KernelMatrix,
-    omega: Measure,
-    nested: Sequence[SupportSet],
-    tol: float = SOLVER_TOL,
-) -> ExtremalDiagnostic:
-    """Solve the weighted problem along an increasing chain ending at A.
-
-    Stages are solved sequentially, warm-started from the previous stage.
-    The optimal values must not increase along the chain and the equilibrium
-    constants approach the weighted-potential integral of the final
-    minimizer; both facts are certified.
-    """
-    _require_strict_chain(nested)
-    values: list[float] = []
-    constants: list[float] = []
-    prev: np.ndarray | None = None
-    res = None
-    for stage in nested:
-        res = solve_gauss(kernel, omega, stage, tol=tol, w0=prev)
-        values.append(res.value)
-        constants.append(res.equilibrium_constant)
-        prev = res.measure.weights
-    assert res is not None
-    gate = 10.0 * tol
-    drift = max(
-        (values[j + 1] - values[j] for j in range(len(values) - 1)), default=0.0
-    )
-    if drift > gate:
-        raise CharacterizationViolated(
-            f"stage values increased by {drift} along a growing chain", {"value_drift": drift}
-        )
-    c_xi = constants[-1]
-    return ExtremalDiagnostic(
-        sequence_values=tuple(values),
-        constants=tuple(constants),
-        limit_measure=res.measure,
-        limit_mass=res.measure.mass,
-        C_xi=c_xi,
     )

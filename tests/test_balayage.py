@@ -6,7 +6,6 @@ from finpot.balayage import (
     CharacterizationViolated,
     mass_bound_check,
     pseudo_balayage,
-    restricted_problem_value,
     verify_ii1,
 )
 from finpot.core import (
@@ -20,7 +19,6 @@ from finpot.core import (
 from finpot.fixtures import mixed_instance, random_signed_measure, random_spd_kernel
 from finpot.instances import ChargeAtom, InstanceSpec, RieszKernel, Sphere, assemble
 from finpot.gauss import solve_gauss
-from finpot.qp import SimplexQpProblem, brute_force_simplex
 
 
 def first_nonvanishing(seed0: int, m: int):
@@ -180,32 +178,3 @@ def test_mass_bound_newtonian_sphere_exterior_charge():
     # swept mass of a unit charge at distance 2 from a unit sphere tends to
     # 1/2; at this resolution the recorded value sits within 3 percent
     assert result.mass == pytest.approx(0.5, abs=0.03)
-
-
-# ---------------------------------------------------------------------------
-# mass-capped problem
-# ---------------------------------------------------------------------------
-
-
-def test_restricted_value_cap_regimes():
-    kernel, omega, support, result = first_nonvanishing(17, 10)
-    assert restricted_problem_value(kernel, omega, support, 0.0) == 0.0
-    loose = restricted_problem_value(kernel, omega, support, 2.0 * result.mass)
-    assert loose == pytest.approx(result.value, abs=1e-10)
-    tight = restricted_problem_value(kernel, omega, support, result.mass / 2.0)
-    assert tight > result.value + 1e-8
-    with pytest.raises(ValueError):
-        restricted_problem_value(kernel, omega, support, -1.0)
-
-
-def test_restricted_value_matches_enumeration():
-    kernel, omega, support, result = first_nonvanishing(19, 9)
-    cap = result.mass / 3.0
-    got = restricted_problem_value(kernel, omega, support, cap)
-    idx = support.as_array()
-    Q = kernel.restrict(support)
-    b = (kernel.entries @ omega.weights)[idx]
-    v = brute_force_simplex(SimplexQpProblem(Q, -b / cap))
-    w = cap * v
-    expected = float(w @ (Q @ w) - 2.0 * (b @ w))
-    assert got == pytest.approx(expected, abs=1e-9)

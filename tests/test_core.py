@@ -32,9 +32,9 @@ from finpot.core import (
     read_str,
 )
 from finpot.balayage import mass_bound_check, pseudo_balayage
-from finpot.experiments import monotone_up, solvability_scan, ugaheri_estimate
+from finpot.experiments import monotone_up, solvability_scan
 from finpot.fixtures import mixed_instance, nested_chain, random_signed_measure, random_spd_kernel
-from finpot.gauss import capacitary_measure, extremal_diagnostic, solvability_check, solve_gauss
+from finpot.gauss import capacitary_measure, solvability_check, solve_gauss
 from finpot.instances import Ball, InstanceSpec, RieszKernel, ShellUnion, Sphere, assemble, thinness_series
 
 
@@ -353,10 +353,9 @@ def test_cauchy_schwarz(seed, m):
 def test_hahn_jordan_exact(seed, m):
     mu = random_signed_measure(seed, m)
     pos = mu.positive_part.weights
-    neg = mu.negative_part.weights
+    neg = mu.total_variation.weights - pos
     assert np.array_equal(mu.weights, pos - neg)
     assert np.all(np.minimum(pos, neg) == 0.0)
-    assert np.array_equal(mu.total_variation.weights, pos + neg)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 12))
@@ -394,7 +393,6 @@ def test_support_set_contract():
         SupportSet([-1, 0])
     with pytest.raises(ValueError):
         SupportSet([2**70])
-    assert SupportSet([0, 1]).issubset(SupportSet([0, 1, 2]))
 
 
 def test_measure_immutable_and_roundtrip():
@@ -469,16 +467,18 @@ def test_every_result_record_reports_its_fields_in_order():
     bal = pseudo_balayage(kernel, omega, support)
     shells = [assemble(InstanceSpec(3, RieszKernel(2.0), ShellUnion(2.0, (8,) * n))) for n in (2, 3)]
     table = solvability_scan(shells, [1.0])
+    # a negative charge sweeps to nothing: the unsolvable outcome, with no minimizer
+    unsolvable = solvability_check(kernel, Measure(-np.abs(omega.weights)), support, capacity_finite=False)
+    assert unsolvable.gauss is None
     results = [
         bal, bal.kkt, mass_bound_check(bal, 2.0, omega), solve_gauss(kernel, omega, support),
-        capacitary_measure(kernel, support), extremal_diagnostic(kernel, omega, nested_chain(1, 12, 3)),
-        solvability_check(kernel, omega, support), monotone_up(kernel, omega, nested_chain(1, 12, 3)),
-        table, table.rows[0], table.rows[0].cells[0], ugaheri_estimate(kernel, trials=2),
+        capacitary_measure(kernel, support), solvability_check(kernel, omega, support), unsolvable,
+        monotone_up(kernel, omega, nested_chain(1, 12, 3)), table, table.rows[0], table.rows[0].cells[0],
         thinness_series(InstanceSpec(3, RieszKernel(2.0), ShellUnion(2.0, (8, 8)))),
     ]
     # every result class of the package is covered
     assert {type(r) for r in results} == {c for c in Record.__subclasses__() if c.__module__.startswith("finpot.")}
-    assert len(results) == 13
+    assert len(results) == 12
     for result in results:
         encoded = result.to_json()
         assert list(encoded) == [f.name for f in fields(result)]

@@ -1,26 +1,16 @@
 import numpy as np
 import pytest
 
-from finpot.core import KernelMatrix, Measure, NotNested, SupportSet
+from finpot.core import Measure, NotNested
 from finpot.experiments import (
     LEAKS,
     STABILIZES,
-    fund_inequality_slack,
     monotone_down,
     monotone_up,
     solvability_scan,
-    ugaheri_estimate,
 )
 from finpot.fixtures import mixed_instance, nested_chain, random_spd_kernel
-from finpot.instances import (
-    Ball,
-    ChargeAtom,
-    InstanceSpec,
-    RieszKernel,
-    ShellUnion,
-    Sphere,
-    assemble,
-)
+from finpot.instances import ChargeAtom, InstanceSpec, RieszKernel, ShellUnion, assemble
 
 
 def shell_family(truncations=(3, 4, 5), per_shell=48, mass=1.0, extra=()):
@@ -109,15 +99,6 @@ def test_chain_direction_messages():
         with pytest.raises(ValueError, match="^chain must be nonempty$") as exc:
             runner(kernel, omega, [])
         assert type(exc.value) is ValueError
-
-
-def test_fund_slack_single_pair():
-    kernel, omega, support = mixed_instance(13, 16)
-    inner = SupportSet(support.indices[: max(1, len(support) // 2)])
-    slack = fund_inequality_slack(kernel, omega, inner, support)
-    assert slack >= -1e-8
-    with pytest.raises(NotNested):
-        fund_inequality_slack(kernel, omega, support, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -249,43 +230,3 @@ def test_scan_cell_failure_propagates(monkeypatch):
     with pytest.raises(CharacterizationViolated) as err:
         solvability_scan(family, scalings=[0.3, 1.0, 2.5])
     assert err.value is raised
-
-
-# ---------------------------------------------------------------------------
-# maximum-principle probe
-# ---------------------------------------------------------------------------
-
-
-def test_ugaheri_diagonal_kernel_is_one():
-    K = KernelMatrix(np.diag([1.0, 2.0, 3.0, 4.0]))
-    est = ugaheri_estimate(K, trials=20, seed=1)
-    assert est.h_hat == 1.0
-    assert est.samples == 20
-
-
-def test_ugaheri_newtonian_sphere_within_frostman_slack():
-    # recorded: the inverse-distance sphere matrix probed at 1.0 exactly over
-    # 100 random subsets; 2% is the documented slack for the discretization
-    spec = InstanceSpec(3, RieszKernel(1.0), Sphere(1.0, 120))
-    inst = assemble(spec)
-    est = ugaheri_estimate(inst.kernel, trials=100, seed=3)
-    assert est.h_hat <= 1.02
-
-
-def test_ugaheri_order_above_two_recorded_band():
-    # recorded 1.0665 at this seed; the theoretical ceiling for order 2.5 in
-    # dimension 3 is 2 ** 0.5, asserted with slack and never asserted tight
-    spec = InstanceSpec(3, RieszKernel(2.5), Ball(1.0, 150))
-    inst = assemble(spec)
-    est = ugaheri_estimate(inst.kernel, trials=100, seed=3)
-    assert 1.0 <= est.h_hat <= 2**0.5 * 1.05
-    assert len(est.witnesses) >= 1
-
-
-def test_ugaheri_determinism_and_validation():
-    K = random_spd_kernel(6, 10)
-    a = ugaheri_estimate(K, trials=30, seed=7)
-    b = ugaheri_estimate(K, trials=30, seed=7)
-    assert a.to_json() == b.to_json()
-    with pytest.raises(ValueError):
-        ugaheri_estimate(K, trials=0)

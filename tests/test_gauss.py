@@ -6,7 +6,6 @@ from finpot.balayage import CharacterizationViolated, pseudo_balayage
 from finpot.core import (
     KernelMatrix,
     Measure,
-    NotNested,
     SupportSet,
     energy,
     energy_distance,
@@ -18,7 +17,6 @@ from finpot.gauss import (
     SOLVABLE_VIA_BALAYAGE,
     UNSOLVABLE,
     capacitary_measure,
-    extremal_diagnostic,
     solvability_check,
     solve_gauss,
 )
@@ -187,9 +185,11 @@ def test_truncation_regime_negative_charge_unsolvable():
     omega = Measure(-np.ones(8) / 4)
     out = solvability_check(kernel, omega, SupportSet(range(5)), capacity_finite=False)
     assert out.status == UNSOLVABLE
-    assert out.diagnostic is not None
-    assert out.diagnostic.limit_mass == 0.0
-    assert out.diagnostic.C_xi == pytest.approx(0.0, abs=1e-12)
+    assert out.gauss is None
+    assert out.balayage.mass == 0.0
+    w = out.balayage.measure.weights
+    gap = potential(kernel, out.balayage.measure) - potential(kernel, omega)
+    assert abs(w @ gap) <= 1e-12
 
 
 def test_truncation_regime_mass_below_one_unsolvable():
@@ -197,8 +197,8 @@ def test_truncation_regime_mass_below_one_unsolvable():
     shrunk = omega.scaled(0.4 / bal.mass)
     out = solvability_check(kernel, shrunk, support, capacity_finite=False)
     assert out.status == UNSOLVABLE
-    assert out.diagnostic.limit_mass == pytest.approx(0.4, abs=1e-6)
-    assert out.diagnostic.limit_mass < 1.0
+    assert out.balayage.mass == pytest.approx(0.4, abs=1e-6)
+    assert out.balayage.mass < 1.0
 
 
 def test_truncation_regime_mass_one_identifies():
@@ -211,52 +211,3 @@ def test_truncation_regime_mass_one_identifies():
     out2 = solvability_check(kernel, big, support, capacity_finite=False)
     assert out2.status == SOLVABLE_VIA_BALAYAGE
     assert not out2.lambda_equals_balayage
-
-
-# ---------------------------------------------------------------------------
-# minimizers along increasing chains
-# ---------------------------------------------------------------------------
-
-
-def test_single_stage_diagnostic_equals_direct_solve():
-    kernel, omega, support, _ = nonvanishing_sweep(81, 10)
-    diag = extremal_diagnostic(kernel, omega, [support])
-    res = solve_gauss(kernel, omega, support)
-    assert diag.sequence_values == (res.value,)
-    assert diag.C_xi == pytest.approx(res.equilibrium_constant)
-    assert diag.limit_mass == pytest.approx(1.0, abs=1e-10)
-
-
-def test_three_stage_chain_values_decrease():
-    kernel, omega, support, _ = nonvanishing_sweep(91, 12)
-    order = list(support.indices)
-    chain = [SupportSet(order[:4]), SupportSet(order[:7]), support]
-    diag = extremal_diagnostic(kernel, omega, chain)
-    vals = diag.sequence_values
-    assert all(vals[j + 1] <= vals[j] + 1e-10 for j in range(len(vals) - 1))
-    assert diag.constants[-1] == pytest.approx(diag.C_xi)
-    # the warm-started final stage reproduces the direct solve exactly
-    direct = solve_gauss(kernel, omega, support)
-    assert vals[-1] == pytest.approx(direct.value, abs=1e-10)
-    assert energy_distance(kernel, diag.limit_measure, direct.measure) <= 1e-8
-
-
-def test_heavy_charge_gives_nonzero_limit_constant():
-    kernel, omega, support, bal = nonvanishing_sweep(101, 10)
-    heavy = omega.scaled(2.5 / bal.mass)
-    order = list(support.indices)
-    chain = [SupportSet(order[:5]), support]
-    diag = extremal_diagnostic(kernel, heavy, chain)
-    assert diag.limit_mass == pytest.approx(1.0, abs=1e-10)
-    assert abs(diag.C_xi) > 1e-6
-
-
-def test_not_nested_chain_rejected():
-    kernel, omega, support, _ = nonvanishing_sweep(111, 10)
-    with pytest.raises(NotNested):
-        extremal_diagnostic(kernel, omega, [support, support])
-    order = list(support.indices)
-    with pytest.raises(NotNested):
-        extremal_diagnostic(
-            kernel, omega, [SupportSet(order[:4]), SupportSet(order[2:5])]
-        )

@@ -27,8 +27,8 @@ GOLDEN = ROOT / "tests" / "golden"
 FIXTURES = ROOT / "src" / "finpot" / "fixtures"
 COMMANDS = ("balayage", "gauss", "capacity", "solvability", "converge-up", "converge-down")
 # the CSVs beside the reports: converge-up and converge-down of each fixture,
-# the chains of its two unsolvable fixtures, the scan table and two thinness series
-CSV_REPORTS = 5 + 5 + 2 + 1 + 2
+# the scan table and two thinness series
+CSV_REPORTS = 5 + 5 + 1 + 2
 
 
 def _shell_union(counts: list, shrink=None, charge=()) -> dict:

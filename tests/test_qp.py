@@ -764,7 +764,6 @@ def test_solve_values_are_the_gauss_functional(sphere_400, kind):
 
 
 def test_library_solves_do_not_revalidate_the_kernel(sphere_400, monkeypatch):
-    from finpot.balayage import restricted_problem_value
     from finpot.gauss import capacitary_measure, solvability_check
 
     checked = []
@@ -772,11 +771,10 @@ def test_library_solves_do_not_revalidate_the_kernel(sphere_400, monkeypatch):
     monkeypatch.setattr(qp, "_as_sym_matrix", lambda Q: checked.append(Q) or real(Q))
     kernel, omega = sphere_400.kernel, sphere_400.omega
     for support in _KERNEL_SUPPORTS.values():
-        bal = pseudo_balayage(kernel, omega, support)
+        pseudo_balayage(kernel, omega, support)
         solve_gauss(kernel, omega, support)
         capacitary_measure(kernel, support)
         solvability_check(kernel, omega, support)
-        restricted_problem_value(kernel, omega, support, 0.5 * bal.mass)
     assert not checked
     ConeQpProblem(np.eye(2), np.ones(2))
     assert len(checked) == 1
