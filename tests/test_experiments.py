@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from finpot.core import Measure, NotNested
+from finpot.balayage import pseudo_balayage
+from finpot.core import Measure, NotNested, SupportSet, energy_distance
 from finpot.experiments import (
     LEAKS,
     STABILIZES,
@@ -37,6 +38,27 @@ def test_single_stage_chain_is_trivial():
     assert rep.final_distance == 0.0
     assert rep.stage_norms == (0.0,)
     assert rep.fund_slack == ()
+
+
+def test_single_stage_chain_equals_direct_solve():
+    kernel, omega, support = mixed_instance(81, 10)
+    rep = monotone_up(kernel, omega, [support])
+    assert rep.stage_values == (pseudo_balayage(kernel, omega, support).value,)
+    assert rep.stage_sizes == (len(support),)
+
+
+def test_three_stage_chain_values_decrease():
+    # a seed whose three stages have distinct values
+    kernel, omega, support = mixed_instance(96, 12)
+    order = list(support.indices)
+    chain = [SupportSet(order[:4]), SupportSet(order[:7]), support]
+    rep = monotone_up(kernel, omega, chain)
+    vals = rep.stage_values
+    assert all(vals[j + 1] < vals[j] for j in range(len(vals) - 1))
+    # the warm-started final stage reproduces the direct solve
+    direct = pseudo_balayage(kernel, omega, support)
+    assert vals[-1] == pytest.approx(direct.value, abs=1e-10)
+    assert rep.final_distance <= 1e-8
 
 
 def test_five_stage_up_chain():
@@ -86,6 +108,33 @@ def test_chain_direction_validation():
         monotone_down(kernel, omega, chain)
     with pytest.raises(ValueError):
         monotone_up(kernel, omega, [])
+
+
+def test_not_nested_chain_rejected():
+    kernel, omega, support = mixed_instance(111, 10)
+    order = list(support.indices)
+    crossing = [SupportSet(order[:4]), SupportSet(order[2:5])]
+    for runner in (monotone_up, monotone_down):
+        with pytest.raises(NotNested):
+            runner(kernel, omega, [support, support])
+        with pytest.raises(NotNested):
+            runner(kernel, omega, crossing)
+
+
+def test_fund_slack_single_pair():
+    # a seed whose two sweeps differ, so the slack is not trivially zero
+    kernel, omega, support = mixed_instance(17, 16)
+    inner = SupportSet(support.indices[: max(1, len(support) // 2)])
+    up = monotone_up(kernel, omega, [inner, support])
+    assert up.stage_values[1] < up.stage_values[0]
+    small = pseudo_balayage(kernel, omega, inner)
+    large = pseudo_balayage(kernel, omega, support)
+    d2 = energy_distance(kernel, small.measure, large.measure) ** 2
+    assert up.fund_slack[0] == pytest.approx(2.0 * small.value - 2.0 * large.value - d2, abs=1e-8)
+    assert up.fund_slack[0] >= -1e-8
+    # the slack is oriented by inclusion, so the reversed chain gives the same pair's slack
+    down = monotone_down(kernel, omega, [support, inner])
+    assert down.fund_slack[0] == pytest.approx(up.fund_slack[0], abs=1e-8)
 
 
 def test_chain_direction_messages():

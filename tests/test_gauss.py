@@ -73,6 +73,14 @@ def test_constant_routes_agree():
     assert res.kkt.multiplier == pytest.approx(integral, abs=1e-9)
 
 
+def test_heavy_charge_gives_nonzero_equilibrium_constant():
+    kernel, omega, support, bal = nonvanishing_sweep(101, 10)
+    heavy = omega.scaled(2.5 / bal.mass)
+    res = solve_gauss(kernel, heavy, support)
+    assert res.measure.mass == pytest.approx(1.0, abs=1e-10)
+    assert abs(res.equilibrium_constant) > 1e-6
+
+
 def test_value_ordering_against_sweep():
     kernel, omega, support, bal = nonvanishing_sweep(31, 12)
     res = solve_gauss(kernel, omega, support)
