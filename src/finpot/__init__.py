@@ -12,7 +12,6 @@ from .balayage import (
     MassBoundReport,
     mass_bound_check,
     pseudo_balayage,
-    verify_ii1,
 )
 from .core import (
     ARITHMETIC_TOL,

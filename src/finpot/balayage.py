@@ -50,15 +50,6 @@ class BalayageResult(Record):
 
 
 @dataclass(frozen=True)
-class Ii1Check:
-    """Residuals of the two variational properties tested by :func:`verify_ii1`."""
-
-    ok: bool
-    atom_gap_min: float
-    self_integral_abs: float
-
-
-@dataclass(frozen=True)
 class MassBoundReport(Record):
     """Outcome of :func:`mass_bound_check`; ``passed`` is None when skipped."""
 
@@ -68,9 +59,18 @@ class MassBoundReport(Record):
     reason: str
 
 
-def _gap(kernel: KernelMatrix, mu: Measure, omega_potential: np.ndarray) -> np.ndarray:
-    """Potential gap ``K @ mu - K @ omega``, given the charge potential ``K @ omega``."""
-    return potential(kernel, mu) - omega_potential
+def gate(tol: float) -> float:
+    """The certification gate: a residual above ``10 * tol`` fails its certificate."""
+    return 10.0 * tol
+
+
+def require_within_gate(label: str, residuals: dict, tol: float) -> None:
+    """Raise :class:`CharacterizationViolated` with the residual map if any exceeds ``gate(tol)``."""
+    bad = {k: v for k, v in residuals.items() if v > gate(tol)}
+    if bad:
+        raise CharacterizationViolated(
+            f"{label} certification failed: {bad} exceed gate {gate(tol):.1e}", residuals
+        )
 
 
 def _certify(
@@ -80,22 +80,16 @@ def _certify(
 
     The gap must dominate the constant ``c`` at every node of the target set
     ``idx`` (``potential_dominance``) and equal it on the support, the nodes
-    where ``w`` exceeds ``10 * tol`` (``support_equality``).  ``extra`` adds
-    the problem's own residuals.  Any residual above ``10 * tol`` raises
-    :class:`CharacterizationViolated` carrying the whole residual map.
+    where ``w`` exceeds ``gate(tol)`` (``support_equality``).  ``extra`` adds
+    the problem's own residuals; :func:`require_within_gate` judges them all.
     """
-    gate = 10.0 * tol
-    on_support = idx[w[idx] > gate]
+    on_support = idx[w[idx] > gate(tol)]
     residuals = {
         "potential_dominance": float(max(0.0, c - float(gap[idx].min()))),
         "support_equality": float(np.max(np.abs(gap[on_support] - c))) if on_support.size else 0.0,
         **extra,
     }
-    bad = {k: v for k, v in residuals.items() if v > gate}
-    if bad:
-        raise CharacterizationViolated(
-            f"{label} certification failed: {bad} exceed gate {gate:.1e}", residuals
-        )
+    require_within_gate(label, residuals, tol)
 
 
 def pseudo_balayage(
@@ -108,10 +102,13 @@ def pseudo_balayage(
 ) -> BalayageResult:
     """Sweep the charge ``omega`` onto ``support`` and certify the result.
 
-    Residuals beyond ``10 * tol`` raise :class:`CharacterizationViolated`,
+    Residuals beyond ``gate(tol)`` raise :class:`CharacterizationViolated`,
     which signals a solver or conditioning failure rather than a property of
-    the input.
+    the input.  The result records the mass bound ``h * omega_plus_mass`` of
+    the kernel's maximum-principle constant ``h`` (at least 1) when given.
     """
+    if h is not None and h < 1.0:
+        raise ValueError("the maximum-principle constant h must be >= 1")
     idx = support.as_array()
     u = potential(kernel, omega)
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
@@ -134,53 +131,17 @@ def pseudo_balayage(
     return BalayageResult(measure=swept, value=value, kkt=report, mass=swept.mass, mass_bound=bound)
 
 
-def verify_ii1(
-    kernel: KernelMatrix,
-    omega: Measure,
-    support: SupportSet,
-    nu: Measure,
-    tol: float = SOLVER_TOL,
-) -> Ii1Check:
-    """Test whether ``nu`` carries the two defining properties of the sweep.
-
-    ``nu`` must be positive and supported on the target set.  By linearity it
-    suffices to test the gap integral against the unit atoms of the set, plus
-    the vanishing of the gap integral against ``nu`` itself.  The check
-    returns True exactly when ``nu`` coincides with the pseudo-balayage up to
-    solver tolerance.
-    """
-    idx = support.as_array()
-    w = nu.weights
-    if float(w.min()) < -tol:
-        raise ValueError("nu must be a positive measure")
-    off = np.ones(kernel.size, dtype=bool)
-    off[idx] = False
-    if off.any() and float(np.max(np.abs(w[off]))) > tol:
-        raise ValueError("nu must vanish off the target set")
-    gap = _gap(kernel, nu, potential(kernel, omega))
-    atom_gap_min = float(gap[idx].min())
-    self_abs = abs(float(w @ gap))
-    ok = atom_gap_min >= -tol and self_abs <= tol
-    return Ii1Check(ok=ok, atom_gap_min=atom_gap_min, self_integral_abs=self_abs)
-
-
-def mass_bound_check(
-    result: BalayageResult,
-    h: float | None,
-    omega: Measure,
-    slack: float = 0.02,
-) -> MassBoundReport:
-    """Check the swept mass against ``h * omega_plus_mass * (1 + slack)``.
+def mass_bound_check(result: BalayageResult, slack: float = 0.02) -> MassBoundReport:
+    """Check the swept mass against its bound ``h * omega_plus_mass * (1 + slack)``.
 
     ``h`` is the maximum-principle constant of the kernel (1 for Riesz orders
-    up to 2 and for the logarithmic disc, ``2**(n - alpha)`` above order 2).
+    up to 2 and for the logarithmic disc, ``2**(n - alpha)`` above order 2),
+    given to :func:`pseudo_balayage`, which records ``result.mass_bound``.
     When no constant is known the check is skipped rather than guessed.  The
     multiplicative ``slack`` absorbs discretization error of the node sets;
     the continuum inequality is exact.
     """
-    if h is None:
+    if result.mass_bound is None:
         return MassBoundReport(result.mass, None, None, "no-h-constant")
-    if h < 1.0:
-        raise ValueError("the maximum-principle constant h must be >= 1")
-    bound = float(h) * omega.positive_part.mass * (1.0 + slack)
+    bound = result.mass_bound * (1.0 + slack)
     return MassBoundReport(result.mass, bound, bool(result.mass <= bound), "checked")

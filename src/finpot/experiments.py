@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .balayage import CharacterizationViolated, pseudo_balayage
+from .balayage import pseudo_balayage, require_within_gate
 from .core import (
     SOLVER_TOL,
     KernelMatrix,
@@ -77,10 +77,8 @@ def _solve_chain(kernel, omega, chain, tol, warm):
     return results
 
 
-def _convergence_report(kernel, omega, chain, results, direction, tol):
-    # reference: an independent cold solve on the final set, so the recorded
-    # final distance genuinely compares the chained and direct routes
-    reference = pseudo_balayage(kernel, omega, chain[-1], tol=tol)
+def _convergence_report(kernel, chain, results, reference, direction, tol):
+    """Certify a solved chain against ``reference``, the sweep onto its final set."""
     norms = tuple(energy_distance(kernel, r.measure, reference.measure) for r in results)
     values = tuple(r.value for r in results)
     slack, rises = [], []
@@ -90,21 +88,15 @@ def _convergence_report(kernel, omega, chain, results, direction, tol):
         small, large = (values[j], values[j + 1]) if direction == "up" else (values[j + 1], values[j])
         slack.append(float(2.0 * small - 2.0 * large - d2))
         rises.append(large - small)
-    gate = 10.0 * tol
-    worst = min(slack, default=0.0)
-    if worst < -gate:
-        raise CharacterizationViolated(
-            f"strong-Cauchy slack {worst} below -{gate:.1e}", {"fund_slack_min": worst}
-        )
-    drift = max(rises, default=0.0)
-    if drift > gate:
-        raise CharacterizationViolated(
-            f"stage values violate monotonicity by {drift}", {"value_drift": drift}
-        )
-    if norms[-1] > gate:
-        raise CharacterizationViolated(
-            f"final stage distance {norms[-1]} is not zero", {"final_distance": norms[-1]}
-        )
+    require_within_gate(
+        f"monotone-{direction} chain",
+        {
+            "fund_slack": max(0.0, -min(slack, default=0.0)),
+            "value_drift": max(0.0, max(rises, default=0.0)),
+            "final_distance": norms[-1],
+        },
+        tol,
+    )
     return ConvergenceReport(
         direction=direction,
         stage_sizes=tuple(len(s) for s in chain),
@@ -130,7 +122,10 @@ def monotone_up(
     """
     _require_strict_chain(chain)
     results = _solve_chain(kernel, omega, chain, tol, warm=True)
-    return _convergence_report(kernel, omega, chain, results, "up", tol)
+    # reference: an independent cold solve on the final set, so the recorded
+    # final distance genuinely compares the chained and direct routes
+    reference = pseudo_balayage(kernel, omega, chain[-1], tol=tol)
+    return _convergence_report(kernel, chain, results, reference, "up", tol)
 
 
 def monotone_down(
@@ -139,10 +134,14 @@ def monotone_down(
     chain: Sequence[SupportSet],
     tol: float = SOLVER_TOL,
 ) -> ConvergenceReport:
-    """Sweep along a strictly decreasing chain; the intersection is its last set."""
+    """Sweep along a strictly decreasing chain; the intersection is its last set.
+
+    Every stage is solved cold, so the last one is itself the direct sweep
+    onto the final set and serves as the reference.
+    """
     _require_strict_chain(chain, increasing=False)
     results = _solve_chain(kernel, omega, chain, tol, warm=False)
-    return _convergence_report(kernel, omega, chain, results, "down", tol)
+    return _convergence_report(kernel, chain, results, results[-1], "down", tol)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balayage import BalayageResult, _certify, pseudo_balayage
+from .balayage import BalayageResult, _certify, gate, pseudo_balayage
 from .core import (
     SOLVER_TOL,
     KernelMatrix,
@@ -87,7 +87,7 @@ def solve_gauss(
 
     The equilibrium constant is computed twice, from the simplex multiplier
     and from the integral of the weighted potential against the minimizer;
-    a discrepancy beyond ``10 * tol`` raises
+    a discrepancy beyond ``gate(tol)`` raises
     :class:`~finpot.balayage.CharacterizationViolated`, as do failures of the
     equilibrium conditions themselves.
     """
@@ -128,7 +128,7 @@ def capacitary_measure(
     the set and rescales the minimizer by its energy, so the potential of the
     result is 1 on the support and at least 1 on the whole set; the total
     mass of the rescaled measure is the capacity.  Both potential properties
-    are gated at ``10 * tol`` like every other solve and raise
+    are gated at ``gate(tol)`` like every other solve and raise
     :class:`~finpot.balayage.CharacterizationViolated` when they fail.
     The potential of the result is the solve's ``K @ lambda`` rescaled, so
     no product with ``K`` is spent on it.
@@ -151,7 +151,7 @@ def minimizer_is_sweep(
     """Whether the Gauss minimizer is the sweep: unit swept mass, zero energy distance."""
     return abs(bal.mass - 1.0) <= tol and energy_distance(
         kernel, gauss.measure, bal.measure
-    ) <= max(1e-7, 10.0 * tol)
+    ) <= max(1e-7, gate(tol))
 
 
 def solvability_check(

@@ -4,9 +4,9 @@ import pytest
 from conftest import break_cone_solver
 from finpot.balayage import (
     CharacterizationViolated,
+    _certify,
     mass_bound_check,
     pseudo_balayage,
-    verify_ii1,
 )
 from finpot.core import (
     Measure,
@@ -73,8 +73,15 @@ def test_positive_scaling_equivariance(q):
 
 
 # ---------------------------------------------------------------------------
-# certification and the two-route check
+# certification
 # ---------------------------------------------------------------------------
+
+
+def certify_sweep(kernel, omega, support, nu):
+    """Certify ``nu`` as the sweep through the gate :func:`pseudo_balayage` uses."""
+    gap = potential(kernel, nu) - potential(kernel, omega)
+    w = nu.weights
+    _certify("sweep", gap, w, support.as_array(), 0.0, 1e-8, self_integral=abs(float(w @ gap)))
 
 
 def test_result_invariants_and_value_identity():
@@ -96,32 +103,29 @@ def test_value_bracket():
     assert result.value <= 1e-10
 
 
-def test_verify_ii1_accepts_the_sweep():
+def test_certify_accepts_the_sweep():
     kernel, omega, support, result = first_nonvanishing(5, 10)
-    check = verify_ii1(kernel, omega, support, result.measure)
-    assert check.ok
-    assert check.atom_gap_min >= -1e-8
-    assert check.self_integral_abs <= 1e-8
+    certify_sweep(kernel, omega, support, result.measure)
 
 
-def test_verify_ii1_rejects_zero_when_charge_has_positive_potential():
+def test_certify_rejects_zero_when_charge_has_positive_potential():
     kernel = random_spd_kernel(6, 8)
     omega = Measure(np.abs(random_signed_measure(7, 8).weights) + 0.05)
     support = SupportSet(range(4))
-    check = verify_ii1(kernel, omega, support, Measure.zero(8))
-    assert not check.ok
-    assert check.atom_gap_min < 0.0
+    with pytest.raises(CharacterizationViolated) as err:
+        certify_sweep(kernel, omega, support, Measure.zero(8))
+    assert err.value.residuals["potential_dominance"] > 0.0
 
 
-def test_verify_ii1_rejects_perturbations():
+def test_certify_rejects_perturbations():
     kernel, omega, support, result = first_nonvanishing(9, 10)
     rng = np.random.default_rng(1)
     noise = np.zeros(kernel.size)
     idx = support.as_array()
     noise[idx] = rng.random(idx.size)
     nu = Measure(result.measure.weights + 1e-2 * noise)
-    check = verify_ii1(kernel, omega, support, nu)
-    assert not check.ok
+    with pytest.raises(CharacterizationViolated):
+        certify_sweep(kernel, omega, support, nu)
 
 
 def test_characterization_pins_down_the_sweep():
@@ -130,7 +134,6 @@ def test_characterization_pins_down_the_sweep():
     kernel, omega, support, result = first_nonvanishing(13, 11)
     rng = np.random.default_rng(3)
     other = pseudo_balayage(kernel, omega, support, w0=rng.random(kernel.size) * 2.0)
-    assert verify_ii1(kernel, omega, support, other.measure).ok
     assert energy_distance(kernel, other.measure, result.measure) <= 1e-7
 
 
@@ -157,14 +160,14 @@ def test_charge_of_wrong_length_raises_size_mismatch(solve):
 def test_mass_bound_trivial_and_skipped():
     kernel = random_spd_kernel(1, 6)
     omega = Measure(-np.ones(6))
-    result = pseudo_balayage(kernel, omega, SupportSet(range(3)))
-    report = mass_bound_check(result, 1.0, omega)
+    support = SupportSet(range(3))
+    report = mass_bound_check(pseudo_balayage(kernel, omega, support, h=1.0))
     assert report.passed is True
-    skipped = mass_bound_check(result, None, omega)
+    skipped = mass_bound_check(pseudo_balayage(kernel, omega, support))
     assert skipped.passed is None
     assert skipped.reason == "no-h-constant"
     with pytest.raises(ValueError):
-        mass_bound_check(result, 0.5, omega)
+        pseudo_balayage(kernel, omega, support, h=0.5)
 
 
 def test_mass_bound_newtonian_sphere_exterior_charge():
@@ -174,7 +177,7 @@ def test_mass_bound_newtonian_sphere_exterior_charge():
     inst = assemble(spec)
     result = pseudo_balayage(inst.kernel, inst.omega, inst.support, h=inst.h)
     assert result.mass_bound == pytest.approx(1.0)
-    assert mass_bound_check(result, inst.h, inst.omega).passed is True
+    assert mass_bound_check(result).passed is True
     # swept mass of a unit charge at distance 2 from a unit sphere tends to
     # 1/2; at this resolution the recorded value sits within 3 percent
     assert result.mass == pytest.approx(0.5, abs=0.03)

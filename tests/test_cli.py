@@ -172,12 +172,24 @@ def test_gauss_identification_agrees_with_solvability_check(tmp_path):
     assert from_gauss is from_check is False
 
 
+# the checks of every bundled fixture, in the order verify runs them
+_VERIFY_CHECKS = (
+    "fixture-readable", "balayage-characterization", "balayage-value-bracket",
+    "gauss-equilibrium", "value-ordering", "cone-oracle", "simplex-oracle", "strong-cauchy-chain",
+)
+
+
 def test_verify_bundled_fixtures(tmp_path):
     out = tmp_path / "out"
     assert main(["verify", "--out", str(out)]) == EXIT_OK
     report = read_report(out, "verify")
     assert report["result"]["passed"] is True
     assert all(c["passed"] for c in report["result"]["checks"])
+    small = ("atom_in_target.json", "mass_one.json", "mixed_small.json", "negative_omega.json")
+    # riesz_sphere has too many nodes for the oracles, and the one known h constant
+    sphere = [c for c in _VERIFY_CHECKS if not c.endswith("-oracle")] + ["mass-bound"]
+    expected = [(f, c) for f in small for c in _VERIFY_CHECKS] + [("riesz_sphere.json", c) for c in sphere]
+    assert [(c["fixture"], c["check"]) for c in report["result"]["checks"]] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +508,44 @@ def test_fixture_with_malformed_h_fails_verify(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert "bad_h.json:fixture-readable" in err and "h must be a number" in err
+
+
+def _overflowing_configs():
+    """(command, config) pairs whose charge potential overflows; None is a verify fixture run."""
+    raw = {"schema": "finpot-config/1", "kernel": {"m": 2, "entries": [[2.0, 1.0], [1.0, 2.0]]},
+           "omega": {"m": 2, "weights": [1e308, 1e308]}, "support": [0]}
+    sphere = sphere_instance(12)
+    sphere["charge"] = [{"point": [0.1, 0.0, 0.0], "mass": 1e308}, {"point": [0.0, 0.1, 0.0], "mass": 1e308}]
+    scan = {**shell_family_config(), "scalings": [1e8]}
+    for instance in scan["family"]:
+        instance["geometry"]["counts"] = [16] * len(instance["geometry"]["counts"])
+        instance["charge"] = [{"point": [0.9, 0.0, 0.0], "mass": 1e300}, {"point": [-0.9, 0.0, 0.0], "mass": 1e300}]
+    return [(command, raw) for command in ("balayage", "gauss", "solvability", "converge-down")] + [
+        ("balayage", {"schema": "finpot-config/1", "instance": sphere}), ("solvability", scan), ("verify", None)
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, cfg", _overflowing_configs(),
+    ids=["raw-balayage", "raw-gauss", "raw-solvability", "raw-converge-down", "sphere", "scan", "verify"],
+)
+def test_a_charge_whose_potential_overflows_is_a_config_error(tmp_path, capsys, command, cfg):
+    # max diag K * max|scale| * sum|omega| overflows; the potential would too
+    if cfg is None:
+        fxdir = tmp_path / "fx"
+        fxdir.mkdir()
+        fx = load_fixture("mixed_small.json")
+        fx["omega"]["weights"] = [1e308] * len(fx["omega"]["weights"])
+        (fxdir / "huge.json").write_text(json.dumps(fx))
+        cfg = {"schema": "finpot-config/1", "fixtures_dir": str(fxdir)}
+    path = write_config(tmp_path, "c.json", cfg)
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if command == "verify":
+        assert code == EXIT_INVARIANT and "huge.json:fixture-readable" in err
+    else:
+        assert code == EXIT_CONFIG and err.startswith("config error")
+    assert "overflows" in err
 
 
 def test_verify_missing_fixture_dir_exits_4(tmp_path):

@@ -464,14 +464,14 @@ def test_record_encodes_its_fields_by_name():
 
 def test_every_result_record_reports_its_fields_in_order():
     kernel, omega, support = mixed_instance(3, 12)
-    bal = pseudo_balayage(kernel, omega, support)
+    bal = pseudo_balayage(kernel, omega, support, h=2.0)
     shells = [assemble(InstanceSpec(3, RieszKernel(2.0), ShellUnion(2.0, (8,) * n))) for n in (2, 3)]
     table = solvability_scan(shells, [1.0])
     # a negative charge sweeps to nothing: the unsolvable outcome, with no minimizer
     unsolvable = solvability_check(kernel, Measure(-np.abs(omega.weights)), support, capacity_finite=False)
     assert unsolvable.gauss is None
     results = [
-        bal, bal.kkt, mass_bound_check(bal, 2.0, omega), solve_gauss(kernel, omega, support),
+        bal, bal.kkt, mass_bound_check(bal), solve_gauss(kernel, omega, support),
         capacitary_measure(kernel, support), solvability_check(kernel, omega, support), unsolvable,
         monotone_up(kernel, omega, nested_chain(1, 12, 3)), table, table.rows[0], table.rows[0].cells[0],
         thinness_series(InstanceSpec(3, RieszKernel(2.0), ShellUnion(2.0, (8, 8)))),

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from finpot.balayage import pseudo_balayage
-from finpot.core import Measure, NotNested, SupportSet, energy_distance
+import finpot.experiments
+from finpot.balayage import CharacterizationViolated, gate, pseudo_balayage
+from finpot.core import SOLVER_TOL, Measure, NotNested, SupportSet, energy_distance
 from finpot.experiments import (
     LEAKS,
     STABILIZES,
@@ -148,6 +151,53 @@ def test_chain_direction_messages():
         with pytest.raises(ValueError, match="^chain must be nonempty$") as exc:
             runner(kernel, omega, [])
         assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "key, call, edit",
+    [
+        # the first stage doubled: its distance to the second breaks the strong-Cauchy inequality
+        ("fund_slack", 0, lambda r: replace(r, measure=r.measure.scaled(2.0))),
+        # the last stage's value raised above 0, which bounds every sweep's value:
+        # the value rises along the growing chain
+        ("value_drift", 2, lambda r: replace(r, value=1.0)),
+        # the cold reference solve on the final set moved off the chained last stage
+        ("final_distance", 3, lambda r: replace(r, measure=r.measure.scaled(1.01))),
+    ],
+)
+def test_chain_gate_fires_on_each_residual(monkeypatch, key, call, edit):
+    kernel, omega, support = mixed_instance(96, 12)
+    order = list(support.indices)
+    chain = [SupportSet(order[:4]), SupportSet(order[:7]), support]
+    calls = []
+
+    def perturbed(*args, **kwargs):
+        res = pseudo_balayage(*args, **kwargs)
+        calls.append(res)
+        return edit(res) if len(calls) - 1 == call else res
+
+    monkeypatch.setattr(finpot.experiments, "pseudo_balayage", perturbed)
+    with pytest.raises(CharacterizationViolated) as err:
+        monotone_up(kernel, omega, chain)
+    assert len(calls) == len(chain) + 1
+    assert err.value.residuals[key] > gate(SOLVER_TOL)
+    assert key in str(err.value)
+
+
+def test_down_chain_solves_each_stage_once(monkeypatch):
+    kernel, omega, _ = mixed_instance(7, 30)
+    chain = nested_chain(8, 30, 4)[::-1]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pseudo_balayage(*args, **kwargs)
+
+    monkeypatch.setattr(finpot.experiments, "pseudo_balayage", counted)
+    rep = monotone_down(kernel, omega, chain)
+    # the last stage, solved cold, is the reference itself
+    assert len(calls) == len(chain)
+    assert rep.final_distance == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,59 @@
+"""Every certification passes or fails through one gate.
+
+The scan is syntactic, over ``src/finpot/``: ``CharacterizationViolated`` is
+constructed in exactly one function, and a literal 10 times ``tol`` (the
+gate) is written only in ``balayage.gate``, so no check restates the gate
+with its own arithmetic.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "finpot"
+
+
+def _owners(predicate):
+    """``module.function`` of the innermost function around each node matching ``predicate``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = f"{path.stem}.{node.name}"
+            if predicate(node):
+                found.append(owner)
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
+    return found
+
+
+def _constructs_violation(node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "CharacterizationViolated"
+
+
+def _is_ten(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 10
+
+
+def _is_tol(node):
+    return isinstance(node, ast.Name) and node.id == "tol"
+
+
+def _is_ten_times_tol(node):
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and (
+        (_is_ten(node.left) and _is_tol(node.right)) or (_is_tol(node.left) and _is_ten(node.right))
+    )
+
+
+def test_characterization_violated_is_constructed_in_one_function():
+    assert _owners(_constructs_violation) == ["balayage.require_within_gate"]
+
+
+def test_ten_times_tol_is_written_only_in_gate():
+    assert _owners(_is_ten_times_tol) == ["balayage.gate"]
