@@ -165,14 +165,14 @@ def _assemble_specs(objs: list, name: str) -> list:
 def _require_finite_potential(problems, scales=(1.0,)) -> None:
     """Refuse a (kernel, omega) pair whose scaled potential may overflow.
 
-    For an SPD kernel ``|K_ij| <= max diag K``, so ``max diag K * max|scale| * sum|omega|``
-    bounds every potential entry (and, the factor being at least 1, every scaled weight).
+    For an SPD kernel ``|K_ij| <= max diag K``, so ``max diag K * sum|s * omega|`` (``s = max|scale|``,
+    applied before the sum) bounds every potential entry and, the factor being >= 1, every scaled weight.
     """
     scale = max(map(abs, scales))
     for kernel, omega in problems:
         with np.errstate(over="ignore"):
-            total = float(np.abs(omega.weights).sum())
-        if not np.isfinite(max(1.0, float(kernel.entries.diagonal().max())) * scale * total):
+            total = float(np.abs(scale * omega.weights).sum())
+        if not np.isfinite(max(1.0, float(kernel.entries.diagonal().max())) * total):
             raise ConfigError(f"the potential of the charge scaled by {scale:g} overflows")
 
 
@@ -190,6 +190,8 @@ def _load_problem(cfg: dict, command: str, need_omega: bool = True):
         [inst] = _assemble_specs([cfg["instance"]], "instance spec")
         kernel, omega, support, h = inst.kernel, inst.omega, inst.support, inst.h
         points_to_csv(inst.node_points(), _out_dir(cfg) / f"{command}-nodes.csv")
+    if not need_omega:
+        return kernel, omega, support, h
     _require_finite_potential([(kernel, omega)], [scale])
     return kernel, omega.scaled(scale), support, h
 

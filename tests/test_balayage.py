@@ -78,10 +78,11 @@ def test_positive_scaling_equivariance(q):
 
 
 def certify_sweep(kernel, omega, support, nu):
-    """Certify ``nu`` as the sweep through the gate :func:`pseudo_balayage` uses."""
+    """Certify ``nu`` as the sweep through the gate :func:`pseudo_balayage` uses; return its gap."""
     gap = potential(kernel, nu) - potential(kernel, omega)
     w = nu.weights
     _certify("sweep", gap, w, support.as_array(), 0.0, 1e-8, self_integral=abs(float(w @ gap)))
+    return gap
 
 
 def test_result_invariants_and_value_identity():
@@ -105,7 +106,9 @@ def test_value_bracket():
 
 def test_certify_accepts_the_sweep():
     kernel, omega, support, result = first_nonvanishing(5, 10)
-    certify_sweep(kernel, omega, support, result.measure)
+    gap = certify_sweep(kernel, omega, support, result.measure)
+    assert float(gap[support.as_array()].min()) >= -1e-8
+    assert abs(float(result.measure.weights @ gap)) <= 1e-8
 
 
 def test_certify_rejects_zero_when_charge_has_positive_potential():

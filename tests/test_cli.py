@@ -548,6 +548,24 @@ def test_a_charge_whose_potential_overflows_is_a_config_error(tmp_path, capsys, 
     assert "overflows" in err
 
 
+def _tamed_configs():
+    """(command, config) pairs over the charges above whose scaled potential is finite."""
+    configs = dict(zip(["raw", "gauss", "solvability", "down", "sphere", "scan"], _overflowing_configs()))
+    raw, scan = configs["raw"][1], {**configs["scan"][1], "scalings": [1e-308]}
+    for instance in scan["family"]:
+        for atom in instance["charge"]:
+            atom["mass"] = 1e308
+    return [("balayage", {**raw, "omega_scale": 1e-300}), ("balayage", {**raw, "omega_scale": 0.0}),
+            ("solvability", scan), ("capacity", raw)]
+
+
+@pytest.mark.parametrize("command, cfg", _tamed_configs(), ids=["scale-tiny", "scale-zero", "scan-tiny", "capacity"])
+def test_a_huge_charge_whose_scaled_potential_is_finite_still_runs(tmp_path, command, cfg):
+    # the charge is scaled before it is summed; capacity ignores the charge
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
 def test_verify_missing_fixture_dir_exits_4(tmp_path):
     cfg = write_config(
         tmp_path, "c.json", {"schema": "finpot-config/1", "fixtures_dir": str(tmp_path / "none")}
