@@ -38,6 +38,7 @@ from .core import (
     SizeMismatchError,
     SupportSet,
     dumps_canonical,
+    potential,
     read_flag,
     read_indices,
     read_int,
@@ -47,7 +48,7 @@ from .core import (
     read_str,
 )
 from .experiments import monotone_down, monotone_up, solvability_scan
-from .gauss import capacitary_measure, minimizer_is_sweep, solvability_check, solve_gauss
+from .gauss import capacitary_measure, solvability_check, solve_gauss
 from .instances import ChargeOnNode, DuplicatePoints, InstanceSpec, assemble, points_to_csv, thinness_series
 from .qp import (
     ConeQpProblem,
@@ -55,8 +56,6 @@ from .qp import (
     SimplexQpProblem,
     brute_force_cone,
     brute_force_simplex,
-    solve_cone_qp,
-    solve_simplex_qp,
 )
 
 EXIT_OK = 0
@@ -124,7 +123,6 @@ def _read_config(args) -> dict:
     if args.out is not None:
         cfg["out"] = args.out
     cfg["_out"] = Path(read_str(cfg.get("out", "."), "out"))
-    cfg["_summary"] = args.summary
     return cfg
 
 
@@ -244,9 +242,8 @@ def _chain_from_config(cfg: dict, size: int, support: SupportSet, decreasing: bo
 
 
 def _cmd_balayage(cfg: dict) -> int:
-    tol = cfg["_tol"]
     kernel, omega, support, h = _load_problem(cfg, "balayage")
-    result = pseudo_balayage(kernel, omega, support, tol=tol, h=h)
+    result = pseudo_balayage(kernel, omega, support, tol=cfg["_tol"], h=h)
     payload = result.to_json()
     payload["mass_bound_check"] = mass_bound_check(result).to_json()
     _emit(cfg, "balayage", payload)
@@ -254,27 +251,22 @@ def _cmd_balayage(cfg: dict) -> int:
         f"balayage: value={result.value:.6e} mass={result.mass:.6f} "
         f"kkt={max(result.kkt.stationarity_residual, result.kkt.complementarity_residual):.2e} OK"
     )
-    if cfg["_summary"]:
-        print(f"  potential dominance on target: residual within {gate(tol):.1e}")
-        print(f"  gap integral against the sweep: within {gate(tol):.1e}")
     return EXIT_OK
 
 
 def _cmd_gauss(cfg: dict) -> int:
-    tol = cfg["_tol"]
-    kernel, omega, support, h = _load_problem(cfg, "gauss")
-    res = solve_gauss(kernel, omega, support, tol=tol)
-    bal = pseudo_balayage(kernel, omega, support, tol=tol, h=h)
-    matches = minimizer_is_sweep(kernel, res, bal, tol)
+    kernel, omega, support, _ = _load_problem(cfg, "gauss")
+    outcome = solvability_check(kernel, omega, support, tol=cfg["_tol"])
+    res, mass, matches = outcome.gauss, outcome.balayage.mass, outcome.lambda_equals_balayage
     payload = {
         "gauss": res.to_json(),
-        "balayage_mass": bal.mass,
-        "lambda_equals_balayage": bool(matches),
+        "balayage_mass": mass,
+        "lambda_equals_balayage": matches,
     }
     _emit(cfg, "gauss", payload)
     print(
         f"gauss: value={res.value:.6e} constant={res.equilibrium_constant:.6e} "
-        f"balayage_mass={bal.mass:.6f} identified={matches}"
+        f"balayage_mass={mass:.6f} identified={matches}"
     )
     return EXIT_OK
 
@@ -317,21 +309,16 @@ _CONVERGE_KEYS = {"direction", "stage_values", "stage_norms", "fund_slack", "fin
 
 
 def _cmd_converge(cfg: dict, direction: str) -> int:
-    tol = cfg["_tol"]
     kernel, omega, support, _ = _load_problem(cfg, f"converge-{direction}")
     chain = _chain_from_config(cfg, kernel.size, support, decreasing=(direction == "down"))
     runner = monotone_up if direction == "up" else monotone_down
-    report = runner(kernel, omega, chain, tol=tol)
+    report = runner(kernel, omega, chain, tol=cfg["_tol"])
     _emit(cfg, f"converge-{direction}", report.to_json(), csv_rows=report.csv_rows())
     print(
         f"converge-{direction}: stages={len(report.stage_sizes)} "
         f"final_distance={report.final_distance:.3e} "
         f"min_slack={min(report.fund_slack, default=0.0):.3e}"
     )
-    if cfg["_summary"]:
-        ok = min(report.fund_slack, default=0.0) >= -gate(tol)
-        print(f"  strong-Cauchy slack nonnegative: {'pass' if ok else 'fail'}")
-        print(f"  final stage reproduces the target sweep: {'pass' if report.final_distance <= gate(tol) else 'fail'}")
     return EXIT_OK
 
 
@@ -401,10 +388,8 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
     except (CharacterizationViolated, MaxIterExceeded) as exc:
         record("balayage-characterization", False, str(exc))
         return checks
-    m_const = float(np.max((kernel.entries @ omega.total_variation.weights)[idx]))
-    bracket = -2.0 * m_const * max(bal.mass, 0.0) - gate(tol)
-    record("balayage-value-bracket", bal.value >= bracket, f"value={bal.value:.3e} floor={bracket:.3e}")
 
+    res = None
     try:
         res = solve_gauss(kernel, omega, support, tol=tol)
         record("gauss-equilibrium", True)
@@ -414,13 +399,15 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
         record("gauss-equilibrium", False, str(exc))
 
     if len(support) <= 12:
-        b = (kernel.entries @ omega.weights)[idx]
-        for name, problem, solve, oracle in (
-            ("cone-oracle", ConeQpProblem.on_kernel(kernel, support, b), solve_cone_qp, brute_force_cone),
-            ("simplex-oracle", SimplexQpProblem.on_kernel(kernel, support, -b), solve_simplex_qp,
-             brute_force_simplex),
+        # the oracles judge the answers certified above, on the potential their solves used
+        u = potential(kernel, omega)[idx]
+        for name, problem, oracle, answer in (
+            ("cone-oracle", ConeQpProblem.on_kernel(kernel, support, u), brute_force_cone, bal),
+            ("simplex-oracle", SimplexQpProblem.on_kernel(kernel, support, -u), brute_force_simplex, res),
         ):
-            w_solver, _ = solve(problem, tol=tol)
+            if answer is None:  # a failed Gauss solve is recorded above
+                continue
+            w_solver = answer.measure.weights[idx]
             w_oracle = oracle(problem)
             record(
                 name,
@@ -429,14 +416,11 @@ def _verify_fixture(path: Path, tol_override: float | None) -> list[dict]:
             )
 
     if len(support) >= 3:
-        order = list(support.indices)
-        chain = [SupportSet(order[: max(1, len(order) // 3)]),
-                 SupportSet(order[: max(2, (2 * len(order)) // 3)]),
-                 support]
+        chain = _chain_from_config({"stages": 3}, kernel.size, support, decreasing=False)
         try:
             monotone_up(kernel, omega, chain, tol=tol)
             record("strong-cauchy-chain", True)
-        except CharacterizationViolated as exc:
+        except (CharacterizationViolated, MaxIterExceeded) as exc:
             record("strong-cauchy-chain", False, str(exc))
 
     if h is not None:
@@ -455,9 +439,6 @@ def _cmd_verify(cfg: dict) -> int:
     payload = {"checks": all_checks, "passed": passed}
     _emit(cfg, "verify", payload)
     failures = [c for c in all_checks if not c["passed"]]
-    if cfg["_summary"]:
-        for c in all_checks:
-            print(f"  [{'pass' if c['passed'] else 'FAIL'}] {c['fixture']}: {c['check']} {c['detail']}")
     if failures:
         first = failures[0]
         print(f"verify: FAIL {first['fixture']}:{first['check']} {first['detail']}", file=sys.stderr)
@@ -502,7 +483,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="path to the JSON run config")
         p.add_argument("--tol", default=None, help="override the solver tolerance")
         p.add_argument("--out", default=None, help="output directory for reports")
-        p.add_argument("--summary", action="store_true", help="print per-invariant pass/fail lines")
     return parser
 
 

@@ -451,10 +451,6 @@ class Measure:
         return Measure(np.maximum(self.weights, 0.0))
 
     @property
-    def total_variation(self) -> "Measure":
-        return Measure(np.abs(self.weights))
-
-    @property
     def mass(self) -> float:
         return float(self.weights.sum())
 
@@ -504,11 +500,6 @@ class SupportSet:
 
     def __len__(self) -> int:
         return int(self._idx.size)
-
-    def __contains__(self, i: int) -> bool:
-        i = int(i)
-        pos = int(np.searchsorted(self._idx, i))
-        return pos < self._idx.size and int(self._idx[pos]) == i
 
     def as_array(self) -> np.ndarray:
         return self._idx

@@ -17,6 +17,7 @@ from finpot.cli import (
     main,
     validate_report,
 )
+from finpot.fixtures import mixed_instance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "finpot" / "fixtures"
 
@@ -117,7 +118,7 @@ def test_converge_commands_emit_csv(tmp_path):
     )
     for command in ("converge-up", "converge-down"):
         out = tmp_path / command
-        assert main([command, "--config", str(cfg), "--out", str(out), "--summary"]) == EXIT_OK
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         report = read_report(out, command)
         assert min(report["result"]["fund_slack"]) >= -1e-8
         csv_text = (out / f"{command}-report.csv").read_text()
@@ -174,8 +175,8 @@ def test_gauss_identification_agrees_with_solvability_check(tmp_path):
 
 # the checks of every bundled fixture, in the order verify runs them
 _VERIFY_CHECKS = (
-    "fixture-readable", "balayage-characterization", "balayage-value-bracket",
-    "gauss-equilibrium", "value-ordering", "cone-oracle", "simplex-oracle", "strong-cauchy-chain",
+    "fixture-readable", "balayage-characterization", "gauss-equilibrium", "value-ordering",
+    "cone-oracle", "simplex-oracle", "strong-cauchy-chain",
 )
 
 
@@ -441,8 +442,9 @@ def test_tol_flag_keeps_the_config_hash(tmp_path):
         (["bogus"], "invalid choice"),
         (["balayage", "--bogus"], "unrecognized arguments"),
         ([], "the following arguments are required"),
+        (["converge-up", "--summary"], "unrecognized arguments"),
     ],
-    ids=["unknown-command", "unknown-flag", "missing-command"],
+    ids=["unknown-command", "unknown-flag", "missing-command", "summary-flag"],
 )
 def test_usage_errors_exit_4(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -586,6 +588,36 @@ def test_verify_corrupted_fixture_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert "broken.json" in err
+
+
+def test_verify_reports_a_failed_gauss_solve(tmp_path, capsys):
+    # at tol 3e-15 the simplex solver misses its residual bound on atom_in_target
+    out = tmp_path / "out"
+    assert main(["verify", "--tol", "3e-15", "--out", str(out)]) == EXIT_INVARIANT
+    assert "verify: FAIL atom_in_target.json:gauss-equilibrium" in capsys.readouterr().err
+    checks = read_report(out, "verify")["result"]["checks"]
+    recorded = [c["check"] for c in checks if c["fixture"] == "atom_in_target.json"]
+    # no Gauss answer, so nothing to order against the sweep or to judge by the simplex oracle
+    assert recorded == ["fixture-readable", "balayage-characterization", "gauss-equilibrium",
+                        "cone-oracle", "strong-cauchy-chain"]
+
+
+def test_verify_reports_a_failed_chain_solve(tmp_path, capsys):
+    # at tol 5e-16 the sweep and the Gauss solve pass, but a warm chain stage exceeds its iterations
+    kernel, omega, support = mixed_instance(3, 10)
+    fxdir = tmp_path / "fx"
+    fxdir.mkdir()
+    fixture = {"schema": "finpot-fixture/1", "kernel": kernel.to_json(), "omega": omega.to_json(),
+               "support": list(support.indices), "tol": 5e-16}
+    (fxdir / "chain.json").write_text(json.dumps(fixture))
+    cfg = write_config(tmp_path, "c.json", {"schema": "finpot-config/1", "fixtures_dir": str(fxdir)})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
+    assert "verify: FAIL chain.json:strong-cauchy-chain" in capsys.readouterr().err
+    checks = read_report(out, "verify")["result"]["checks"]
+    assert [(c["check"], c["passed"]) for c in checks] == [
+        (name, name != "strong-cauchy-chain") for name in _VERIFY_CHECKS
+    ]
 
 
 def test_scan_cell_failure_exits_2(tmp_path, monkeypatch, capsys):

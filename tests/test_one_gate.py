@@ -3,7 +3,8 @@
 The scan is syntactic, over ``src/finpot/``: ``CharacterizationViolated`` is
 constructed in exactly one function, and a literal 10 times ``tol`` (the
 gate) is written only in ``balayage.gate``, so no check restates the gate
-with its own arithmetic.
+with its own arithmetic.  Outside ``qp``, each QP solver is named only by
+the module that certifies its answers, so no reported answer skips the gate.
 """
 
 import ast
@@ -57,3 +58,20 @@ def test_characterization_violated_is_constructed_in_one_function():
 
 def test_ten_times_tol_is_written_only_in_gate():
     assert _owners(_is_ten_times_tol) == ["balayage.gate"]
+
+
+def _name_of(node):
+    """The name a node uses: a name, an attribute or an import."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    return None
+
+
+def test_each_qp_solver_is_named_only_where_its_answer_is_certified():
+    for solver, certifier in (("solve_cone_qp", "balayage"), ("solve_simplex_qp", "gauss")):
+        modules = {owner.partition(".")[0] for owner in _owners(lambda node: _name_of(node) == solver)}
+        assert modules - {"qp", "__init__"} == {certifier}, solver
