@@ -65,8 +65,11 @@ def gate(tol: float) -> float:
 
 
 def require_within_gate(label: str, residuals: dict, tol: float) -> None:
-    """Raise :class:`CharacterizationViolated` with the residual map if any exceeds ``gate(tol)``."""
-    bad = {k: v for k, v in residuals.items() if v > gate(tol)}
+    """Raise :class:`CharacterizationViolated` with the residual map unless each is at most ``gate(tol)``.
+
+    So an inf or NaN residual fails.
+    """
+    bad = {k: v for k, v in residuals.items() if not v <= gate(tol)}
     if bad:
         raise CharacterizationViolated(
             f"{label} certification failed: {bad} exceed gate {gate(tol):.1e}", residuals
@@ -85,7 +88,7 @@ def _certify(
     """
     on_support = idx[w[idx] > gate(tol)]
     residuals = {
-        "potential_dominance": float(max(0.0, c - float(gap[idx].min()))),
+        "potential_dominance": float(np.maximum(0.0, c - gap[idx].min())),
         "support_equality": float(np.max(np.abs(gap[on_support] - c))) if on_support.size else 0.0,
         **extra,
     }
@@ -112,19 +115,19 @@ def pseudo_balayage(
     idx = support.as_array()
     u = potential(kernel, omega)
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
-    problem = ConeQpProblem.on_kernel(kernel, support, u[idx])
+    problem = ConeQpProblem.on_kernel(kernel, support, u[idx], _charge=(omega.weights, u))
     w_sub, report = solve_cone_qp(problem, tol=tol, w0=start)
 
     w = np.zeros(kernel.size)
     w[idx] = w_sub
     swept = Measure(w)
-    pot = potential(kernel, swept)
+    pot = problem._potential(w_sub)  # potential(kernel, swept): the solve's last product
     # gauss_functional(kernel, omega, swept), bit for bit, from the one product K @ w
     value = float(w @ pot) - 2.0 * float(w @ u)
     gap = pot - u
     _certify(
         "pseudo-balayage", gap, w, idx, 0.0, tol,
-        self_integral=abs(float(w @ gap)), value_sign=float(max(0.0, value)),
+        self_integral=abs(float(w @ gap)), value_sign=float(np.maximum(0.0, value)),
     )
 
     bound = None if h is None else float(h) * omega.positive_part.mass

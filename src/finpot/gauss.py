@@ -99,13 +99,13 @@ def _solve_gauss(kernel, omega, support, tol, w0=None) -> tuple[GaussResult, np.
     idx = support.as_array()
     u = potential(kernel, omega)
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
-    problem = SimplexQpProblem.on_kernel(kernel, support, -u[idx])
+    problem = SimplexQpProblem.on_kernel(kernel, support, -u[idx], _charge=(omega.weights, u))
     w_sub, report = solve_simplex_qp(problem, tol=tol, w0=start)
 
     w = np.zeros(kernel.size)
     w[idx] = w_sub
     lam = Measure(w)
-    pot = potential(kernel, lam)
+    pot = problem._potential(w_sub)  # potential(kernel, lam): the solve's last product
     # gauss_functional(kernel, omega, lam), bit for bit, from the one product K @ w
     value = float(w @ pot) - 2.0 * float(w @ u)
     weighted = pot - u

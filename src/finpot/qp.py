@@ -18,9 +18,14 @@ linear-solve roundoff, which the downstream certification relies on.  The
 steps of one QP share an inverse (:class:`_FreeSetSolver`): the kernel's,
 which a problem built by ``on_kernel`` brings, serves every step it can; a
 later large free set that it does not serve is inverted once, and the free
-sets inside it are solved from that inverse.  The KKT residuals
-(:func:`_residuals`) are read off the dual the last pivot step formed,
-which is half the gradient, so no product with ``Q`` is spent on them.
+sets inside it are solved from that inverse.  A step on the kernel's
+inverse reads only its rows of the rest D and takes its dual off the free
+set from its own Schur solve; any other step forms the dual as ``Q @ w``.
+The KKT residuals (:func:`_residuals`) are those of a fresh gradient: for a
+problem on a kernel, one product of the kernel with the accepted iterate,
+which the certification of that very answer reuses
+(:meth:`_QpProblem._potential`); for a bare matrix, the dual its last step
+formed with ``Q``.
 Exhaustive small-instance oracles (:func:`brute_force_cone`,
 :func:`brute_force_simplex`) enumerate supports and serve as the
 independent ground truth in the test suite.
@@ -40,6 +45,7 @@ from .core import (
     KernelMatrix,
     Record,
     SupportSet,
+    _apply,
     _factor_to_inverse,
     _inverse_cholesky,
     frozen_float_array,
@@ -84,12 +90,18 @@ def _as_vector(v, k: int, name: str) -> np.ndarray:
 class _Inverse(NamedTuple):
     """``G = K_UU^-1``, its row sums ``G @ 1``, and where each index of Q sits in U.
 
-    ``where[i]`` is the position in U of Q's index i, or -1 outside U.
+    ``where[i]`` is the position in U of Q's index i, or -1 outside U.  The
+    kernel's inverse also holds ``K = K_UU`` itself and, when the problem's
+    vector is the potential of a charge ``omega`` over U (``b = (K
+    omega)[where]``), ``charge = (omega, K @ omega)``; an inverse a solver
+    builds of a free set holds neither.
     """
 
     G: np.ndarray
     row_sums: np.ndarray
     where: np.ndarray
+    K: np.ndarray | None = None
+    charge: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -102,14 +114,20 @@ class _QpProblem:
     kernel's finite, exactly symmetric, positive definite and frozen
     entries, and ``restrict`` range-checks the strictly increasing, frozen
     indices ``ix``.  It seeds ``inverse`` with the kernel's ``G = K^-1``,
-    its row sums and ``ix`` (``Q = K[ix, ix]``); see
+    its row sums, ``ix`` (``Q = K[ix, ix]``), ``K`` and the charge whose
+    potential the vector is, when the caller names it; see
     :class:`_FreeSetSolver`.  The inverse changes how the solve runs, never
-    its answer, which is checked against ``Q``.
+    its answer, whose residuals are those of a fresh gradient.  A solve of
+    such a problem keeps the product ``K @ w`` of that gradient for the
+    answer ``w`` it returned (:meth:`_potential`).
     """
 
     _vector: ClassVar[str]
     Q: np.ndarray
     inverse: _Inverse | None = field(default=None, init=False, repr=False, compare=False)
+    _product: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _: KW_ONLY
     _inverse: InitVar[_Inverse | None] = None
 
@@ -122,14 +140,40 @@ class _QpProblem:
         object.__setattr__(self, name, _as_vector(getattr(self, name), self.Q.shape[0], name))
 
     @classmethod
-    def on_kernel(cls, kernel: KernelMatrix, support: SupportSet, vector):
-        """The problem with ``Q = kernel.restrict(support)``, seeded with the kernel's inverse."""
-        inverse = _Inverse(kernel.inverse, kernel.inverse_row_sums, support.as_array())
+    def on_kernel(cls, kernel: KernelMatrix, support: SupportSet, vector, *, _charge=None):
+        """The problem with ``Q = kernel.restrict(support)``, seeded with the kernel's inverse.
+
+        ``_charge = (omega, K @ omega)`` over the kernel's nodes names the
+        charge whose potential on the support is ``b``; the library's solves
+        pass it, so their Schur steps make no pass over ``G``.  A step reads
+        it only for a column equal to that potential on its free set, and the
+        residuals come from a fresh gradient, so a pair that is not a charge
+        and its potential fails the tol gate rather than giving an answer.
+        """
+        inverse = _Inverse(
+            kernel.inverse, kernel.inverse_row_sums, support.as_array(), kernel.entries, _charge
+        )
         return cls(kernel.restrict(support), vector, _inverse=inverse)
 
     @property
     def size(self) -> int:
         return int(self.Q.shape[0])
+
+    def _potential(self, w: np.ndarray) -> np.ndarray:
+        """``K @ w`` over the kernel's nodes, for weights ``w`` on the support.
+
+        For the very read-only array the last solve returned, that is the
+        product the solve formed for its final gradient, handed over once;
+        any other ``w`` gets a product of its own.
+        """
+        product = self._product
+        object.__setattr__(self, "_product", None)
+        if product is not None and product[0] is w:
+            return product[1]
+        inverse = self.inverse
+        w_U = np.zeros(inverse.K.shape[0])
+        w_U[inverse.where] = w
+        return _apply(inverse.K, w_U)
 
 
 @dataclass(frozen=True)
@@ -184,12 +228,15 @@ def _residuals(w: np.ndarray, eta: np.ndarray, mass: bool) -> tuple[float, float
     """Residuals at ``w``, given ``eta = g - 2c`` there (the gradient, for the cone).
 
     With the mass constraint, feasibility also counts how far ``sum(w)`` is from 1.
+    An iterate that overflows gets an inf or NaN residual, never a warning:
+    the tol gate fails it.
     """
-    stationarity = float(max(0.0, -float(eta.min())))
-    complementarity = float(np.max(np.abs(w * eta)))
-    feasibility = float(max(0.0, -float(w.min())))
-    if mass:
-        feasibility = float(max(abs(float(w.sum()) - 1.0), feasibility))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stationarity = float(np.maximum(0.0, -eta.min()))
+        complementarity = float(np.max(np.abs(w * eta)))
+        feasibility = float(np.maximum(0.0, -w.min()))
+        if mass:
+            feasibility = float(np.maximum(abs(float(w.sum()) - 1.0), feasibility))
     return stationarity, complementarity, feasibility
 
 
@@ -255,30 +302,35 @@ class _FreeSetSolver:
     """Solves ``Q_FF x = r_F`` for the successive free sets F of one QP.
 
     A call takes the free mask and an ``(n, p)`` right-hand side over all
-    indices and returns F's indices and the ``(|F|, p)`` solution.  The
-    solver holds up to two inverses ``G = K_UU^-1`` of a universe U that
-    holds Q's indices (or some of them) as a principal submatrix, each with
-    its row sums: the kernel's, when the problem brings one (U = the
-    kernel's nodes; kept for the whole QP), and one it builds of a free set
-    B itself (U = B; a gathered copy overwritten by
-    :func:`_inverse_cholesky` and :func:`_factor_to_inverse`, its row sums
-    formed once).  Every F within U is solved from G by the
+    indices and returns F's indices, the ``(|F|, p)`` solution and, for a
+    step on the kernel's inverse, the products ``Q z`` of the columns'
+    solutions ``z`` (x on F, zero off it) over all indices (else ``None``).
+    The solver holds up to two inverses ``G = K_UU^-1`` of a universe U
+    that holds Q's indices (or some of them) as a principal submatrix, each
+    with its row sums: the kernel's, when the problem brings one (U = the
+    kernel's nodes, which hold all of Q's indices; kept for the whole QP),
+    and one it builds of a free set B itself (U = B; a gathered copy
+    overwritten by :func:`_inverse_cholesky` and :func:`_factor_to_inverse`,
+    its row sums formed once).  Every F within U is solved from G by the
     principal-submatrix inverse identity ``(K_FF)^-1 = G_FF - G_FD G_DD^-1
     G_DF`` on the rest ``D = U \\ F`` (Golub & Van Loan, block inverse by
     Schur complements; Bartlett & Biegler, QPSchur, 2006): with ``r~`` equal
     to ``r`` on F and zero on D, ``y = G r~``, ``s = G_DD^-1 y_D`` and
-    ``x = y_F - G_FD s``.  An inverse serves F unless F leaves U, or
-    ``2|D| > |F|`` and the Schur step would cost about as much; the
-    kernel's is tried first, so a step's arithmetic does not depend on the
-    path to its free set.  A step that no inverse serves is an LU solve
+    ``x = y_F - G_FD s``; then ``K z = r~ - s`` on U, so ``Q z`` is ``r`` on
+    F and ``-s`` on the rest of Q's indices.  An inverse serves F unless F
+    leaves U, or ``2|D| > |F|`` and the Schur step would cost about as much;
+    the kernel's is tried first, so a step's arithmetic does not depend on
+    the path to its free set.  A step that no inverse serves is an LU solve
     when F has fewer than ``_FACTOR_MIN`` indices, or when it is the QP's
     first step, so a QP settled in one step pays for no inverse; any later
     such step inverts F, in place of the solver's own earlier inverse.
 
-    Pass budget of a Schur step: at most one product with G per column of
-    ``r``.  A column that is 0 on F gives 0 with none; a column that is 1
-    on F (the mass column of the simplex) is ``G 1_F = G @ 1 - G_DU^T 1``,
-    from the row sums and the rows of D the step gathers anyway, with none.
+    Pass budget of a Schur step: the rows ``G[D]`` it gathers, and a
+    product with G only for a column that none of these rules serves.  A
+    column that is 0 on F gives 0; a column that is 1 on F (the mass column
+    of the simplex) is ``G 1_F = G @ 1 - G_DU^T 1``, from the row sums; a
+    column equal on F to the potential ``K omega`` of the kernel inverse's
+    charge is ``G r~ = omega - G_DU^T (K omega)_D``.
     """
 
     def __init__(self, Q: np.ndarray, kept: _Inverse | None = None):
@@ -294,7 +346,7 @@ class _FreeSetSolver:
         if step is None:
             self.local = None
             if idx.size < _FACTOR_MIN or first:
-                return idx, np.linalg.solve(_principal_submatrix(self.Q, idx), r[idx])
+                return idx, np.linalg.solve(_principal_submatrix(self.Q, idx), r[idx]), None
             G = _factor_to_inverse(_inverse_cholesky(self.Q[np.ix_(idx, idx)]))
             row_sums = G.sum(axis=1)
             row_sums.setflags(write=False)
@@ -302,21 +354,29 @@ class _FreeSetSolver:
             where[idx] = np.arange(idx.size)
             self.local = _Inverse(G, row_sums, where)
             step = self._schur_sets(idx)
-        (G, row_sums, _), at, rest = step
-        GD = G[rest]
+        inverse, at, rest = step
+        G, charge = inverse.G, inverse.charge
+        GD, r_F = G[rest], r[idx]
         y = np.empty((G.shape[0], r.shape[1]))
-        for j, col in enumerate(r[idx].T):
+        for j, col in enumerate(r_F.T):
             if (col == 1.0).all():
-                y[:, j] = row_sums - GD.sum(axis=0)
-            elif col.any():
+                y[:, j] = inverse.row_sums - GD.sum(axis=0)
+            elif not col.any():
+                y[:, j] = 0.0
+            elif charge is not None and np.array_equal(col, charge[1][at]):
+                y[:, j] = charge[0] - GD.T @ charge[1][rest]
+            else:
                 rt = np.zeros(G.shape[0])
                 rt[at] = col
                 y[:, j] = G @ rt
-            else:
-                y[:, j] = 0.0
-        if rest.size:
-            y -= GD.T @ np.linalg.solve(GD[:, rest], y[rest])
-        return idx, y[at]
+        s = np.linalg.solve(GD[:, rest], y[rest])
+        y -= GD.T @ s
+        if inverse is not self.kept:
+            return idx, y[at], None
+        Kz = np.empty_like(y)
+        Kz[at] = r_F
+        Kz[rest] = -s
+        return idx, y[at], Kz[inverse.where]
 
     def _schur_sets(self, idx):
         """The first inverse that serves F, F's positions in its G and the rest D of its U."""
@@ -342,35 +402,50 @@ def _pivot_step(solve: _FreeSetSolver, b: np.ndarray, r: np.ndarray, free: np.nd
     ``Q_FF [x0, x1] = [b_F, 1]``, the mass constraint fixes
     ``c = (1 - sum x0) / sum x1`` (the denominator is positive because
     ``Q_FF`` is positive definite) and ``w_F = x0 + c x1``.  The dual is
-    ``y = Q w - b - c``, with ``c`` absent for the cone.
+    ``y = Q w - b - c``, with ``c`` absent for the cone; ``Q w`` is
+    ``Qz @ [1, c]`` when the step brings the products ``Qz`` (whose rows off
+    F are ``-S``, its Schur solve), else one product with ``Q``.
     """
-    idx, x = solve(free, r)
+    idx, x, Qz = solve(free, r)
     w = np.zeros(b.size)
     if r.shape[1] == 1:
         w[idx] = x[:, 0]
-        return w, solve.Q @ w - b, None
+        return w, (solve.Q @ w if Qz is None else Qz[:, 0]) - b, None
     c = (1.0 - float(x[:, 0].sum())) / float(x[:, 1].sum())
     w[idx] = x[:, 0] + c * x[:, 1]
-    return w, solve.Q @ w - b - c, c
+    return w, (solve.Q @ w if Qz is None else Qz[:, 0] + c * Qz[:, 1]) - b - c, c
 
 
 def _solve(p, b: np.ndarray, tol: float, free: np.ndarray, dual_eps: float, mass: bool):
     """Minimize ``w @ Q @ w - 2 b @ w`` over ``w >= 0`` (and ``sum(w) = 1`` with ``mass``).
 
     Runs :func:`_block_pivot` from ``free`` and gates the accepted iterate's
-    residuals on ``tol``; raises :class:`MaxIterExceeded` above it.
+    residuals on ``tol``; raises :class:`MaxIterExceeded` unless each is at
+    most ``tol`` (so an inf or NaN one fails).  The residuals are those of a
+    fresh gradient: on a kernel, ``K @ w`` over its nodes (one
+    :func:`~finpot.core._apply`), which the problem keeps for the returned,
+    read-only ``w``; on a bare matrix, the last step's ``Q @ w``.
     """
     r = np.column_stack((b, np.ones(b.size))) if mass else b[:, None]
-    solve = _FreeSetSolver(p.Q, p.inverse)
+    inverse = p.inverse
+    solve = _FreeSetSolver(p.Q, inverse)
     w, y, c, solves = _block_pivot(lambda F: _pivot_step(solve, b, r, F), free, dual_eps)
+    if inverse is not None:
+        w_U = np.zeros(inverse.K.shape[0])
+        w_U[inverse.where] = w
+        with np.errstate(over="ignore", invalid="ignore"):
+            Kw = _apply(inverse.K, w_U)
+            y = Kw[inverse.where] - b if c is None else Kw[inverse.where] - b - c
     # y = Q w - b - c, so 2y is g - 2c exactly: doubling commutes with rounding
     residuals = _residuals(w, 2.0 * y, mass)
     report = KktReport(*residuals, c, solves)
-    if max(residuals) > tol:
+    worst = float(np.max(residuals))
+    if not worst <= tol:
         kind = "simplex" if mass else "cone"
-        raise MaxIterExceeded(
-            f"{kind} solver residuals {max(residuals):.3e} exceed tol {tol:.3e}", w, report
-        )
+        raise MaxIterExceeded(f"{kind} solver residuals {worst:.3e} exceed tol {tol:.3e}", w, report)
+    w.setflags(write=False)
+    if inverse is not None:
+        object.__setattr__(p, "_product", (w, Kw))
     return w, report
 
 

@@ -7,6 +7,7 @@ from finpot.balayage import (
     _certify,
     mass_bound_check,
     pseudo_balayage,
+    require_within_gate,
 )
 from finpot.core import (
     Measure,
@@ -146,6 +147,20 @@ def test_certification_rejects_a_perturbed_minimizer(monkeypatch):
     with pytest.raises(CharacterizationViolated) as err:
         pseudo_balayage(kernel, omega, support)
     assert err.value.residuals["support_equality"] > 10 * 1e-8
+
+
+def test_a_nan_residual_is_not_within_the_gate():
+    with pytest.raises(CharacterizationViolated):
+        require_within_gate("test", {"finite": 0.0, "nan": float("nan")}, 1e-8)
+
+
+def test_an_overflowed_value_fails_its_gate():
+    # at this scale the value w @ K w - 2 w @ K omega is inf - inf = NaN,
+    # which once passed as a value_sign of 0.0 with every residual at 0.0
+    kernel, omega, support = mixed_instance(3, 12)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CharacterizationViolated) as err:
+        pseudo_balayage(kernel, omega.scaled(1e306), support)
+    assert np.isnan(err.value.residuals["value_sign"])
 
 
 @pytest.mark.parametrize("solve", [pseudo_balayage, solve_gauss])

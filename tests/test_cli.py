@@ -454,6 +454,18 @@ def test_usage_errors_exit_4(capsys, argv, message):
     assert err.startswith("usage: finpot") and message in err
 
 
+def test_the_parser_is_built_once(capsys):
+    from finpot.cli import _build_parser
+
+    parser = _build_parser()
+    for argv in (["bogus"], ["balayage", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+    assert _build_parser() is parser
+    assert "usage: finpot" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["balayage", "--help"])

@@ -13,6 +13,7 @@ import copy
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -146,3 +147,15 @@ def test_mutated_config_ends_in_a_documented_exit_code(command, tmp_path, data):
     code, err = _run(command, doc, tmp_path)
     assert code in (0, 2, 3, 4), err
     assert "Traceback" not in err
+
+
+def test_an_overflowing_charge_exits_3_without_a_warning(tmp_path):
+    # the gauss base with a 1e300 atom: the sweep's residuals overflow to inf,
+    # which fails the solver's tol gate, and forming them warns of nothing
+    doc = json.loads(json.dumps(BASES["gauss"]))
+    doc["config"]["instance"]["charge"][0]["mass"] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = _run("gauss", doc, tmp_path)
+    assert code == 3, err
+    assert "cone solver residuals inf exceed" in err

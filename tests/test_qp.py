@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ import finpot.gauss
 from finpot import core, qp
 from finpot.balayage import pseudo_balayage
 from finpot.core import SupportSet
+from finpot.fixtures import random_spd_kernel
 from finpot.gauss import solve_gauss
 from finpot.instances import (
     Ball,
@@ -297,6 +300,14 @@ def test_non_finite_tol_is_rejected(solve, problem, tol):
         solve(problem(0), tol=tol)
 
 
+@pytest.mark.parametrize("solve, problem", [(solve_cone_qp, random_cone), (solve_simplex_qp, random_simplex)])
+def test_a_nan_residual_fails_the_tol_gate(solve, problem, monkeypatch):
+    # Python's max drops a NaN that is not its first argument
+    monkeypatch.setattr(qp, "_residuals", lambda w, eta, mass: (0.0, float("nan"), 0.0))
+    with pytest.raises(MaxIterExceeded, match="residuals nan exceed"):
+        solve(problem(0, k=4))
+
+
 @pytest.mark.parametrize("cls", [ConeQpProblem, SimplexQpProblem])
 def test_problem_copies_a_writable_matrix_and_adopts_a_frozen_one(cls):
     Q = random_cone(3, k=5).Q.copy()
@@ -462,7 +473,7 @@ def test_seeded_solver_starts_from_the_factor():
     r = np.column_stack((rng.standard_normal(1000), np.ones(1000), np.zeros(1000)))
 
     def check(solve, free):
-        idx, x = solve(free, r[:free.size])
+        idx, x, _ = solve(free, r[:free.size])
         assert np.array_equal(idx, np.flatnonzero(free))
         ref = np.linalg.solve(solve.Q[np.ix_(idx, idx)], r[idx])
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -778,3 +789,111 @@ def test_library_solves_do_not_revalidate_the_kernel(sphere_400, monkeypatch):
     assert not checked
     ConeQpProblem(np.eye(2), np.ones(2))
     assert len(checked) == 1
+
+
+class _Counted(np.ndarray):
+    """A view of a kernel matrix that logs each product reading most of it.
+
+    A product counts when one factor is a 2-D view of the matrix with both
+    sides above half of its ``m``: the matrix or a principal block of it,
+    never a few gathered rows.  The result of any ufunc is a plain array.
+    """
+
+    def __array_finalize__(self, obj):
+        self.name = getattr(obj, "name", None)
+        self.log = getattr(obj, "log", None)
+        self.m = getattr(obj, "m", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.log.extend(x.name for x in inputs
+                            if isinstance(x, _Counted) and x.ndim == 2 and min(x.shape) > x.m // 2)
+        plain = tuple(np.asarray(x) for x in inputs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def _counted(a: np.ndarray, name: str, log: list) -> _Counted:
+    view = a.view(_Counted)
+    view.name, view.log, view.m = name, log, a.shape[0]
+    return view
+
+
+def test_one_step_whole_support_solves_make_one_kernel_product_and_none_with_the_inverse():
+    # a positive charge off the sphere sweeps onto every node, so each solve
+    # settles in one Schur step on the kernel's inverse: it gathers the rows
+    # of the rest D (the charge's node), and its final gradient K @ w is the
+    # potential that certifies the answer
+    inst = assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 400),
+                                 charge=(ChargeAtom((2.0, 0.0, 0.0), 1.0),)))
+    kernel, omega, support = inst.kernel, inst.omega, inst.support
+    log = []
+    kernel.entries = _counted(kernel.entries, "K", log)
+    kernel.pd_certificate = dataclasses.replace(
+        kernel.pd_certificate, inverse=_counted(kernel.inverse, "G", log)
+    )
+    from finpot.gauss import capacitary_measure
+
+    for solve in (lambda: pseudo_balayage(kernel, omega, support),
+                  lambda: solve_gauss(kernel, omega, support),
+                  lambda: capacitary_measure(kernel, support)):
+        log.clear()
+        assert solve().kkt.iterations == 1
+        assert log == ["K"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("mass", [False, True], ids=["cone", "simplex"])
+def test_kernel_step_dual_is_that_of_q(seed, mass):
+    # a Schur step on the kernel's inverse reads its dual off F from its own
+    # Schur solve, and a vector that is the potential of a charge is solved
+    # from the charge: both agree with Q @ w - b - c
+    m = 120
+    kernel = random_spd_kernel(seed, m)
+    rng = np.random.default_rng(seed + 100)
+    support = SupportSet(np.sort(rng.choice(m, size=110, replace=False)))
+    omega = rng.standard_normal(m) * (rng.random(m) < 0.3)
+    u = kernel.entries @ omega
+    idx = support.as_array()
+    cls = SimplexQpProblem if mass else ConeQpProblem
+    p = cls.on_kernel(kernel, support, -u[idx] if mass else u[idx], _charge=(omega, u))
+    b = u[idx]
+    r = np.column_stack((b, np.ones(b.size))) if mass else b[:, None]
+    Q = kernel.restrict(support)
+    for _ in range(4):
+        free = rng.random(idx.size) < 0.9
+        solve = qp._FreeSetSolver(p.Q, p.inverse)
+        assert solve._schur_sets(np.flatnonzero(free)) is not None
+        w, y, c = qp._pivot_step(solve, b, r, free)
+        ref = Q @ w - b - (c if mass else 0.0)
+        scale = max(1.0, float(np.max(np.abs(Q @ w))), float(np.max(np.abs(b))))
+        assert np.max(np.abs(y - ref)[~free]) <= 1e-12 * scale
+        w_lu, _, c_lu = qp._pivot_step(qp._FreeSetSolver(Q), b, r, free)
+        assert np.max(np.abs(w - w_lu)) <= 1e-12 * max(1.0, float(np.max(np.abs(w_lu))))
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_SUPPORTS))
+def test_the_solve_hands_its_product_only_to_the_answer_it_returned(sphere_400, kind):
+    kernel, support = sphere_400.kernel, _KERNEL_SUPPORTS[kind]
+    idx = support.as_array()
+    u = kernel.entries @ sphere_400.omega.weights
+
+    def embedded(w):
+        full = np.zeros(kernel.size)
+        full[idx] = w
+        return core.potential(kernel, core.Measure(full))
+
+    p = ConeQpProblem.on_kernel(kernel, support, u[idx], _charge=(sphere_400.omega.weights, u))
+    w, _ = solve_cone_qp(p)
+    assert not w.flags.writeable
+    kept = p._product[1]
+    assert p._potential(w) is kept and p._product is None
+    assert np.array_equal(kept, embedded(w))
+    # the same weights in another array, or the answer asked for twice, get a product of their own
+    for other in (w.copy(), w):
+        assert p._potential(other) is not kept
+    w, _ = solve_cone_qp(p)
+    nudged = w.copy()
+    nudged[0] += 0.01
+    assert np.array_equal(p._potential(nudged), embedded(nudged))
