@@ -375,18 +375,21 @@ class KernelMatrix:
         """Read-only ``inverse @ 1``, formed by the certificate in its pass over the inverse."""
         return self.pd_certificate.inverse_row_sums
 
+    def _indices(self, support: "SupportSet") -> np.ndarray:
+        """The support's strictly increasing, frozen indices, range-checked against the nodes."""
+        idx = support.as_array()
+        if idx[-1] >= self.size:
+            raise SizeMismatchError(f"support index {idx[-1]} out of range for {self.size} nodes")
+        return idx
+
     def restrict(self, support: "SupportSet") -> np.ndarray:
         """Principal submatrix on the given support (still strictly PD), read-only.
 
         A support that is one contiguous index run gets a view of
         ``entries``; any other support gets a frozen gathered copy.
         """
-        idx = support.as_array()
+        idx = self._indices(support)
         lo, hi = int(idx[0]), int(idx[-1]) + 1
-        if hi > self.size:
-            raise SizeMismatchError(
-                f"support index {hi - 1} out of range for {self.size} nodes"
-            )
         if hi - lo == idx.size:
             return self.entries[lo:hi, lo:hi]
         sub = self.entries[np.ix_(idx, idx)]

@@ -18,9 +18,15 @@ linear-solve roundoff, which the downstream certification relies on.  The
 steps of one QP share an inverse (:class:`_FreeSetSolver`): the kernel's,
 which a problem built by ``on_kernel`` brings, serves every step it can; a
 later large free set that it does not serve is inverted once, and the free
-sets inside it are solved from that inverse.  A step on the kernel's
-inverse reads only its rows of the rest D and takes its dual off the free
-set from its own Schur solve; any other step forms the dual as ``Q @ w``.
+sets inside it are solved from that inverse.  A step on an inverse solves
+with ``G_DD`` on the rest D of its universe.  A large step (at least
+``_FACTOR_MIN`` free indices) whose D is not few keeps an inverse-Cholesky
+factor of ``G_DD`` for the rest of the QP, bordered as D grows
+(:class:`_Factor`), and is taken only when it costs no more flops than
+solving ``Q_FF`` afresh.  A step on the kernel's inverse takes its dual off
+the free set from its own Schur solve; any other step forms the dual as
+``Q @ w``, from ``K`` for a problem on a large gathered support, which
+holds no copy of ``Q``.
 The KKT residuals (:func:`_residuals`) are those of a fresh gradient: for a
 problem on a kernel, one product of the kernel with the accepted iterate,
 which the certification of that very answer reuses
@@ -41,6 +47,8 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .core import (
+    _BLOCK,
+    _ROWS_SHARE,
     SOLVER_TOL,
     KernelMatrix,
     Record,
@@ -104,6 +112,13 @@ class _Inverse(NamedTuple):
     charge: tuple[np.ndarray, np.ndarray] | None = None
 
 
+def _kernel_product(inverse: _Inverse, w: np.ndarray) -> np.ndarray:
+    """``K @ w`` over the kernel's nodes, for weights ``w`` at the indices ``inverse.where``."""
+    w_U = np.zeros(inverse.K.shape[0])
+    w_U[inverse.where] = w
+    return _apply(inverse.K, w_U)
+
+
 @dataclass(frozen=True)
 class _QpProblem:
     """``Q``, the vector named ``_vector`` and the inverse a kernel seeds.
@@ -112,7 +127,7 @@ class _QpProblem:
     inverse.  :meth:`on_kernel` builds the problem on a kernel's support and
     checks only the vector: ``Q = kernel.restrict(support)`` keeps the
     kernel's finite, exactly symmetric, positive definite and frozen
-    entries, and ``restrict`` range-checks the strictly increasing, frozen
+    entries, and the kernel range-checks the strictly increasing, frozen
     indices ``ix``.  It seeds ``inverse`` with the kernel's ``G = K^-1``,
     its row sums, ``ix`` (``Q = K[ix, ix]``), ``K`` and the charge whose
     potential the vector is, when the caller names it; see
@@ -120,24 +135,32 @@ class _QpProblem:
     its answer, whose residuals are those of a fresh gradient.  A solve of
     such a problem keeps the product ``K @ w`` of that gradient for the
     answer ``w`` it returned (:meth:`_potential`).
+
+    A problem holds its ``Q`` in ``_matrix``, except one on a kernel support
+    of at least ``_FACTOR_MIN`` indices that is not one run, whose gathered
+    copy would be a matrix the size of ``Q``: its solves read ``K`` itself,
+    and ``Q`` is formed anew on each access (by ``objective``, ``gradient``
+    and the oracles).
     """
 
     _vector: ClassVar[str]
-    Q: np.ndarray
+    Q: InitVar[np.ndarray | None]
     inverse: _Inverse | None = field(default=None, init=False, repr=False, compare=False)
     _product: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _: KW_ONLY
     _inverse: InitVar[_Inverse | None] = None
 
-    def __post_init__(self, _inverse):
+    def __post_init__(self, Q, _inverse):
         if _inverse is None:
-            object.__setattr__(self, "Q", _as_sym_matrix(self.Q))
+            Q = _as_sym_matrix(Q)
         else:
             object.__setattr__(self, "inverse", _inverse)
+        object.__setattr__(self, "_matrix", Q)
         name = self._vector
-        object.__setattr__(self, name, _as_vector(getattr(self, name), self.Q.shape[0], name))
+        object.__setattr__(self, name, _as_vector(getattr(self, name), self.size, name))
 
     @classmethod
     def on_kernel(cls, kernel: KernelMatrix, support: SupportSet, vector, *, _charge=None):
@@ -150,14 +173,29 @@ class _QpProblem:
         residuals come from a fresh gradient, so a pair that is not a charge
         and its potential fails the tol gate rather than giving an answer.
         """
-        inverse = _Inverse(
-            kernel.inverse, kernel.inverse_row_sums, support.as_array(), kernel.entries, _charge
-        )
-        return cls(kernel.restrict(support), vector, _inverse=inverse)
+        ix = kernel._indices(support)
+        inverse = _Inverse(kernel.inverse, kernel.inverse_row_sums, ix, kernel.entries, _charge)
+        gathered = ix.size >= _FACTOR_MIN and not isinstance(_run(ix), slice)
+        return cls(None if gathered else kernel.restrict(support), vector, _inverse=inverse)
+
+    def _formed_Q(self) -> np.ndarray:
+        """``Q``: the matrix held, or ``K[ix, ix]`` gathered anew and frozen, as ``restrict`` gives it."""
+        if self._matrix is not None:
+            return self._matrix
+        ix = self.inverse.where
+        Q = self.inverse.K[np.ix_(ix, ix)]
+        Q.setflags(write=False)
+        return Q
 
     @property
     def size(self) -> int:
-        return int(self.Q.shape[0])
+        return int(self.inverse.where.size if self._matrix is None else self._matrix.shape[0])
+
+    def _diagonal(self) -> np.ndarray:
+        """The diagonal of ``Q``, which a problem holding no ``Q`` reads off ``K``."""
+        if self._matrix is not None:
+            return np.diagonal(self._matrix)
+        return np.diagonal(self.inverse.K)[self.inverse.where]
 
     def _potential(self, w: np.ndarray) -> np.ndarray:
         """``K @ w`` over the kernel's nodes, for weights ``w`` on the support.
@@ -170,10 +208,12 @@ class _QpProblem:
         object.__setattr__(self, "_product", None)
         if product is not None and product[0] is w:
             return product[1]
-        inverse = self.inverse
-        w_U = np.zeros(inverse.K.shape[0])
-        w_U[inverse.where] = w
-        return _apply(inverse.K, w_U)
+        return _kernel_product(self.inverse, w)
+
+
+# Set after the class: a property in its body would be taken for the default
+# of the constructor's argument Q.
+_QpProblem.Q = property(_QpProblem._formed_Q, doc="The problem's matrix, read-only.")
 
 
 @dataclass(frozen=True)
@@ -290,12 +330,175 @@ def _principal_submatrix(Q: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return Q if idx.size == Q.shape[0] else Q[np.ix_(idx, idx)]
 
 
-# Free sets of at least this many indices that no inverse serves are inverted
-# from the second step of a QP on; below it every such step is an LU solve.
-# On a 2-core OpenBLAS host, at 400 indices an inverse costs 2.6 ms, an LU
-# solve 1.5 ms and a later Schur step 0.07 ms; below it any step costs under
-# 3 ms, and the many small problems of a scan keep the plain LU path.
+def _run(idx: np.ndarray):
+    """``idx`` as a slice when its strictly increasing indices are one contiguous run.
+
+    Indexing with the slice reads or writes the same entries as with
+    ``idx``, without the cost of a fancy-index gather or scatter.
+    """
+    if idx.size and int(idx[-1]) - int(idx[0]) + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+# Free sets, and kernel supports, of at least this many indices are large.
+# A large step that no inverse serves is inverted from the second step of a
+# QP on; one that an inverse serves at fewer flops than a fresh solve keeps
+# that inverse's factor of G_DD for the rest of the QP unless D is few; and a
+# problem on a large support that is not one run gathers no Q, so a large
+# solve holds, beside the kernel, its largest block (a fresh Q_FF, an inverse
+# or a factor of about |D|^2 / 2 floats) and never a copy of Q.  Below it
+# every step is an LU solve or a Schur step on gathered rows of G, whose
+# arithmetic does not depend on the path to a free set, so the many small
+# problems of a scan keep it bit for bit and a warm-started scan cell equals
+# a cold solve.  On a 2-core OpenBLAS host, at 400 indices an inverse costs
+# 2.6 ms, an LU solve 1.5 ms and a later Schur step 0.07 ms; below it any
+# step costs under 3 ms.
 _FACTOR_MIN = 400
+
+
+def _local_inverse(A: np.ndarray, idx: np.ndarray, size: int) -> _Inverse:
+    """The inverse of the gathered block ``A = Q_FF``, overwritten in place, for the free set ``idx``."""
+    G = _factor_to_inverse(_inverse_cholesky(A))
+    row_sums = G.sum(axis=1)
+    row_sums.setflags(write=False)
+    where = np.full(size, -1)
+    where[idx] = np.arange(idx.size)
+    return _Inverse(G, row_sums, where)
+
+
+class _GatheredRest:
+    """The rest D of a small step, or a few D: its rows ``G[D]``, gathered, and an LU solve of ``G_DD``."""
+
+    def __init__(self, inverse: _Inverse, rest: np.ndarray):
+        self.order, self.inverse = rest, inverse
+        self.GD = inverse.G[rest]
+
+    def ones(self) -> np.ndarray:
+        return self.GD.sum(axis=0)
+
+    def charge(self) -> np.ndarray:
+        return self.GD.T @ self.inverse.charge[1][self.order]
+
+    def solve(self, y_D: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(self.GD[:, self.order], y_D)
+
+    def product(self, s: np.ndarray) -> np.ndarray:
+        return self.GD.T @ s
+
+
+class _Factor:
+    """The rest D of one inverse's universe, kept with a factor of ``G_DD`` for the rest of a QP.
+
+    ``order`` holds D's positions in U in insertion order, and ``blocks`` the
+    inverse-Cholesky factor R of ``G_DD`` (``G_DD^-1 = R^T R``, R lower
+    triangular) as block rows ``(start, B)``: B holds the rows of R for
+    ``order[start:start + len(B)]``, over the columns of every index up to
+    its last.  A step keeps the longest prefix of ``order`` that is still in
+    its D, whose factor is the leading block of R, and borders the indices
+    it adds with one step of :func:`_inverse_cholesky`'s recursion: with
+    ``A21``, ``A22`` their rows of G at the prefix and at themselves,
+    ``W = A21 R11^T``, ``R22`` the factor of ``S = A22 - W W^T`` and
+    ``R21 = -R22 W R11``.  A block row is allocated once, and a prefix that
+    ends inside it keeps a view of it.  No rows of G are kept: ``sums``
+    holds, per run ``order[start:]`` of gathered rows, their sums
+    ``G[run] @ 1`` and ``(K omega)[run] @ G[run]`` (for the kernel
+    inverse's charge), each formed from the rows a step gathers to border,
+    together with any rows of a run that the prefix cut.  A factor serves
+    only a D that is not few, so ``G[:, D] s`` is one pass over G.
+
+    Memory: the block rows hold about ``|D|^2 / 2`` floats (a cut keeps the
+    rows it views alive), a step's transients are one block row and
+    ``_BLOCK`` gathered rows of G at a time, and the sums two vectors of
+    ``|U|`` per run.
+    """
+
+    def __init__(self, inverse: _Inverse):
+        self.inverse = inverse
+        self.order = np.empty(0, dtype=np.intp)
+        self.blocks: list[tuple[int, np.ndarray]] = []
+        self.sums: list[tuple[int, np.ndarray, np.ndarray | None]] = []
+
+    def plan(self, rest: np.ndarray) -> tuple[int, np.ndarray]:
+        """The length of the prefix of ``order`` inside the mask ``rest``, and the rest after it."""
+        out = ~rest[self.order]
+        t = int(out.argmax()) if out.any() else self.order.size
+        new = rest.copy()
+        new[self.order[:t]] = False
+        return t, np.flatnonzero(new)
+
+    def flops(self, t: int, n: int, p: int) -> int:
+        """Flops of a step that keeps ``t`` indices, borders ``n`` and solves ``p`` columns."""
+        d, size = t + n, self.inverse.G.shape[0]
+        return 2 * n * t * t + 4 * n * n * t + 2 * n**3 // 3 + 2 * p * (d * d + size * size)
+
+    def update(self, t: int, new: np.ndarray) -> None:
+        """Cut D to its first ``t`` indices and border ``new``.
+
+        The rows of G are gathered ``_BLOCK`` at a time, and the new block
+        row is formed in its own storage: ``[A21, A22]``, then ``[W, S]``,
+        then ``[R21, R22]``.
+        """
+        G, charge = self.inverse.G, self.inverse.charge
+        self.blocks = [(s, B if s + len(B) <= t else B[:t - s, :t]) for s, B in self.blocks if s < t]
+        ends = [s for s, *_ in self.sums[1:]] + [self.order.size]
+        self.sums = [run for run, end in zip(self.sums, ends) if end <= t]
+        lo = max((end for end in ends if end <= t), default=0)
+        self.order = np.concatenate((self.order[:t], new))
+        d = self.order.size
+        if lo == d:
+            return
+        sums = 0.0
+        B = np.empty((new.size, d))
+        for start, stop in ((lo, t), (t, d)):
+            for i in range(start, stop, _BLOCK):
+                chunk = self.order[i:min(i + _BLOCK, stop)]
+                rows = G[chunk]
+                weights = np.ones((1 if charge is None else 2, chunk.size))
+                if charge is not None:
+                    weights[1] = charge[1][chunk]
+                sums = sums + weights @ rows
+                if start == t:
+                    B[i - t:i - t + chunk.size] = rows[:, self.order]
+        self.sums.append((lo, sums[0], None if charge is None else sums[1]))
+        if not new.size:
+            return
+        W, R22 = B[:, :t], B[:, t:]
+        if t:
+            for s, Bj in reversed(self.blocks):  # W = A21 R11^T, in place
+                W[:, s:s + len(Bj)] = W[:, :s + len(Bj)] @ Bj.T
+            R22 -= W @ W.T
+        _inverse_cholesky(R22)
+        if t:
+            X = R22 @ W
+            W[...] = 0.0
+            for s, Bj in self.blocks:  # R21 = -(R22 W) R11
+                W[:, :s + len(Bj)] -= X[:, s:s + len(Bj)] @ Bj
+        # rows of _BLOCK, so a product with R skips most of the zero triangle
+        self.blocks += [(t + i, B[i:i + _BLOCK, :t + i + _BLOCK]) for i in range(0, new.size, _BLOCK)]
+
+    def ones(self) -> np.ndarray:
+        return sum(run[1] for run in self.sums)
+
+    def charge(self) -> np.ndarray:
+        return sum(run[2] for run in self.sums)
+
+    def solve(self, y_D: np.ndarray) -> np.ndarray:
+        """``G_DD^-1 y_D = R^T (R y_D)``."""
+        v = np.empty_like(y_D)
+        for s, B in self.blocks:
+            v[s:s + len(B)] = B @ y_D[:s + len(B)]
+        out = np.zeros_like(y_D)
+        for s, B in self.blocks:
+            out[:s + len(B)] += B.T @ v[s:s + len(B)]
+        return out
+
+    def product(self, s: np.ndarray) -> np.ndarray:
+        """``G[:, D] s``, in one pass over the symmetric G."""
+        G = self.inverse.G
+        s_U = np.zeros((G.shape[0], s.shape[1]))
+        s_U[self.order] = s
+        return (s_U.T @ G).T  # runs faster than G @ s_U
 
 
 class _FreeSetSolver:
@@ -305,93 +508,145 @@ class _FreeSetSolver:
     indices and returns F's indices, the ``(|F|, p)`` solution and, for a
     step on the kernel's inverse, the products ``Q z`` of the columns'
     solutions ``z`` (x on F, zero off it) over all indices (else ``None``).
-    The solver holds up to two inverses ``G = K_UU^-1`` of a universe U
-    that holds Q's indices (or some of them) as a principal submatrix, each
-    with its row sums: the kernel's, when the problem brings one (U = the
-    kernel's nodes, which hold all of Q's indices; kept for the whole QP),
-    and one it builds of a free set B itself (U = B; a gathered copy
-    overwritten by :func:`_inverse_cholesky` and :func:`_factor_to_inverse`,
-    its row sums formed once).  Every F within U is solved from G by the
-    principal-submatrix inverse identity ``(K_FF)^-1 = G_FF - G_FD G_DD^-1
-    G_DF`` on the rest ``D = U \\ F`` (Golub & Van Loan, block inverse by
-    Schur complements; Bartlett & Biegler, QPSchur, 2006): with ``r~`` equal
-    to ``r`` on F and zero on D, ``y = G r~``, ``s = G_DD^-1 y_D`` and
-    ``x = y_F - G_FD s``; then ``K z = r~ - s`` on U, so ``Q z`` is ``r`` on
-    F and ``-s`` on the rest of Q's indices.  An inverse serves F unless F
-    leaves U, or ``2|D| > |F|`` and the Schur step would cost about as much;
-    the kernel's is tried first, so a step's arithmetic does not depend on
-    the path to its free set.  A step that no inverse serves is an LU solve
-    when F has fewer than ``_FACTOR_MIN`` indices, or when it is the QP's
-    first step, so a QP settled in one step pays for no inverse; any later
-    such step inverts F, in place of the solver's own earlier inverse.
+    The solver holds ``Q``, or ``None`` for a problem on a large gathered
+    support, whose fresh solves and inverses gather ``Q_FF`` from the kernel and
+    whose dual is ``K @ w`` at Q's indices (:meth:`times`).  It holds up to
+    two inverses ``G = K_UU^-1`` of a universe U that holds Q's indices (or
+    some of them) as a principal submatrix, each with its row sums: the
+    kernel's, when the problem brings one (U = the kernel's nodes, which
+    hold all of Q's indices; kept for the whole QP), and one it builds of a
+    free set itself (U = that set; a gathered copy overwritten by
+    :func:`_local_inverse`, its row sums formed once).  Every F within U is
+    solved from G by the principal-submatrix inverse identity ``(K_FF)^-1 =
+    G_FF - G_FD G_DD^-1 G_DF`` on the rest ``D = U \\ F`` (Golub & Van Loan,
+    block inverse by Schur complements; Bartlett & Biegler, QPSchur, 2006):
+    with ``r~`` equal to ``r`` on F and zero on D, ``y = G r~``, ``s =
+    G_DD^-1 y_D`` and ``x = y_F - G_FD s``; then ``K z = r~ - s`` on U, so
+    ``Q z`` is ``r`` on F and ``-s`` on the rest of Q's indices.
 
-    Pass budget of a Schur step: the rows ``G[D]`` it gathers, and a
-    product with G only for a column that none of these rules serves.  A
-    column that is 0 on F gives 0; a column that is 1 on F (the mass column
-    of the simplex) is ``G 1_F = G @ 1 - G_DU^T 1``, from the row sums; a
-    column equal on F to the potential ``K omega`` of the kernel inverse's
-    charge is ``G r~ = omega - G_DU^T (K omega)_D``.
+    Which inverse serves F, and how, depends on F's size.  Below
+    ``_FACTOR_MIN`` indices an inverse serves F unless F leaves U or
+    ``2|D| > |F|``, the kernel's first, so a small step's arithmetic does
+    not depend on the path to its free set; it gathers ``G[D]`` and solves
+    ``G_DD`` by LU (:class:`_GatheredRest`).  At or above it every inverse
+    that holds F is costed in flops: a D that is few (``_ROWS_SHARE |D| <=
+    |U|``, as in :func:`_apply`) is solved afresh in the same way, at
+    ``2/3 |D|^3`` flops and a pass over its rows, and any other D from the
+    inverse's :class:`_Factor`, kept for the rest of the QP, at the flops of
+    bordering it; the cheapest serves F if it costs no more than solving
+    ``Q_FF`` afresh, ``2/3 |F|^3 + 2 p |F|^2`` flops.  A step that no
+    inverse serves is an LU solve when F has fewer than ``_FACTOR_MIN``
+    indices.  A larger one that is the QP's first step is solved by the
+    inverse-Cholesky factor R of ``Q_FF``, formed in the gathered copy
+    itself (``x = R^T R r_F``; an LU solve would hold a second copy), so a
+    QP settled in one step pays for no inverse; any later such step inverts
+    F, in place of the solver's own earlier inverse and its factor.
+
+    Pass budget of a Schur step: the rows of G it gathers (those of a few
+    D, or the rows a factor borders), one pass over G for ``G[:, D] s`` when
+    D is not few, and a product with G only for a column that none of these
+    rules serves.  A column that is 0 on F gives 0; a column that is 1 on F
+    (the mass column of the simplex) is ``G 1_F = G @ 1 - G_DU^T 1``, from
+    the row sums; a column equal on F to the potential ``K omega`` of the
+    kernel inverse's charge is ``G r~ = omega - G_DU^T (K omega)_D``.  The
+    sums over D are a factor's running ones, or come from the gathered rows.
     """
 
-    def __init__(self, Q: np.ndarray, kept: _Inverse | None = None):
+    def __init__(self, Q: np.ndarray | None, kept: _Inverse | None = None):
         self.Q = Q
         self.first = True
         self.kept = kept
         self.local = None
+        self.factors = {"kept": None, "local": None}
 
     def __call__(self, free: np.ndarray, r: np.ndarray):
         idx = np.flatnonzero(free)
         first, self.first = self.first, False
-        step = self._schur_sets(idx)
+        step = self._schur_step(idx, r.shape[1])
         if step is None:
-            self.local = None
-            if idx.size < _FACTOR_MIN or first:
-                return idx, np.linalg.solve(_principal_submatrix(self.Q, idx), r[idx]), None
-            G = _factor_to_inverse(_inverse_cholesky(self.Q[np.ix_(idx, idx)]))
-            row_sums = G.sum(axis=1)
-            row_sums.setflags(write=False)
-            where = np.full(self.Q.shape[0], -1)
-            where[idx] = np.arange(idx.size)
-            self.local = _Inverse(G, row_sums, where)
-            step = self._schur_sets(idx)
+            self.local = self.factors["local"] = None
+            if idx.size < _FACTOR_MIN:
+                return idx, np.linalg.solve(self._block(idx), r[_run(idx)]), None
+            if first:  # factored in the gathered copy, where an LU solve would hold a second one
+                R = _inverse_cholesky(self._block(idx, copy=True))
+                return idx, R.T @ (R @ r[_run(idx)]), None
+            self.local = _local_inverse(self._block(idx, copy=True), idx, r.shape[0])
+            step = self._schur_step(idx, r.shape[1])
         inverse, at, rest = step
         G, charge = inverse.G, inverse.charge
-        GD, r_F = G[rest], r[idx]
+        r_F = r[_run(idx)]
         y = np.empty((G.shape[0], r.shape[1]))
         for j, col in enumerate(r_F.T):
             if (col == 1.0).all():
-                y[:, j] = inverse.row_sums - GD.sum(axis=0)
+                y[:, j] = inverse.row_sums - rest.ones()
             elif not col.any():
                 y[:, j] = 0.0
-            elif charge is not None and np.array_equal(col, charge[1][at]):
-                y[:, j] = charge[0] - GD.T @ charge[1][rest]
+            elif charge is not None and np.array_equal(col, charge[1][_run(at)]):
+                y[:, j] = charge[0] - rest.charge()
             else:
                 rt = np.zeros(G.shape[0])
                 rt[at] = col
                 y[:, j] = G @ rt
-        s = np.linalg.solve(GD[:, rest], y[rest])
-        y -= GD.T @ s
+        s = rest.solve(y[rest.order])
+        y -= rest.product(s)
         if inverse is not self.kept:
-            return idx, y[at], None
+            return idx, y[_run(at)], None
         Kz = np.empty_like(y)
-        Kz[at] = r_F
-        Kz[rest] = -s
-        return idx, y[at], Kz[inverse.where]
+        Kz[_run(at)] = r_F
+        Kz[rest.order] = -s
+        return idx, y[_run(at)], Kz[_run(inverse.where)]
 
-    def _schur_sets(self, idx):
-        """The first inverse that serves F, F's positions in its G and the rest D of its U."""
-        for inverse in (self.kept, self.local):
+    def _block(self, idx: np.ndarray, copy: bool = False) -> np.ndarray:
+        """``Q_FF``; gathered from the kernel when the solver holds no Q, and a copy when asked."""
+        if self.Q is None:
+            ix = self.kept.where[idx]
+            return self.kept.K[np.ix_(ix, ix)]
+        return self.Q[np.ix_(idx, idx)] if copy else _principal_submatrix(self.Q, idx)
+
+    def times(self, w: np.ndarray) -> np.ndarray:
+        """``Q @ w``; without Q, ``K @ w`` over the kernel's nodes at Q's indices."""
+        if self.Q is not None:
+            return self.Q @ w
+        return _kernel_product(self.kept, w)[self.kept.where]
+
+    def _schur_step(self, idx: np.ndarray, p: int):
+        """``(inverse, at, rest)`` for a Schur step on F, or ``None`` when no inverse serves F.
+
+        ``at`` holds F's positions in the inverse's G and ``rest`` its rest D:
+        a :class:`_GatheredRest` for a small step or a few D, else the
+        inverse's :class:`_Factor`, updated to D.
+        """
+        best, least = None, 2 * idx.size**3 // 3 + 2 * p * idx.size**2
+        for slot, inverse in (("kept", self.kept), ("local", self.local)):
             if inverse is None:
                 continue
             at = inverse.where[idx]
             if at.size and at.min() < 0:
                 continue
             rest = np.ones(inverse.G.shape[0], dtype=bool)
-            rest[at] = False
-            rest = np.flatnonzero(rest)
-            if 2 * rest.size <= idx.size:
-                return inverse, at, rest
-        return None
+            rest[_run(at)] = False
+            size, d = rest.size, rest.size - idx.size
+            if idx.size < _FACTOR_MIN:
+                if 2 * d <= idx.size:
+                    return inverse, at, _GatheredRest(inverse, np.flatnonzero(rest))
+                continue
+            if _ROWS_SHARE * d <= size:  # D is few: its rows cost a fraction of a pass, as in _apply
+                plan, flops = None, 2 * d**3 // 3 + 2 * p * d * d + 2 * (p + 2) * d * size
+            else:
+                factor = self.factors[slot] or _Factor(inverse)
+                plan = factor, *factor.plan(rest)
+                flops = factor.flops(plan[1], plan[2].size, p)
+            if flops <= least:
+                best, least = (slot, inverse, at, rest, plan), flops
+        if best is None:
+            return None
+        slot, inverse, at, rest, plan = best
+        if plan is None:
+            return inverse, at, _GatheredRest(inverse, np.flatnonzero(rest))
+        factor, t, new = plan
+        factor.update(t, new)
+        self.factors[slot] = factor
+        return inverse, at, factor
 
 
 def _pivot_step(solve: _FreeSetSolver, b: np.ndarray, r: np.ndarray, free: np.ndarray):
@@ -404,16 +659,17 @@ def _pivot_step(solve: _FreeSetSolver, b: np.ndarray, r: np.ndarray, free: np.nd
     ``Q_FF`` is positive definite) and ``w_F = x0 + c x1``.  The dual is
     ``y = Q w - b - c``, with ``c`` absent for the cone; ``Q w`` is
     ``Qz @ [1, c]`` when the step brings the products ``Qz`` (whose rows off
-    F are ``-S``, its Schur solve), else one product with ``Q``.
+    F are ``-S``, its Schur solve), else one product with ``Q``
+    (:meth:`_FreeSetSolver.times`).
     """
     idx, x, Qz = solve(free, r)
     w = np.zeros(b.size)
     if r.shape[1] == 1:
         w[idx] = x[:, 0]
-        return w, (solve.Q @ w if Qz is None else Qz[:, 0]) - b, None
+        return w, (solve.times(w) if Qz is None else Qz[:, 0]) - b, None
     c = (1.0 - float(x[:, 0].sum())) / float(x[:, 1].sum())
     w[idx] = x[:, 0] + c * x[:, 1]
-    return w, (solve.Q @ w if Qz is None else Qz[:, 0] + c * Qz[:, 1]) - b - c, c
+    return w, (solve.times(w) if Qz is None else Qz[:, 0] + c * Qz[:, 1]) - b - c, c
 
 
 def _solve(p, b: np.ndarray, tol: float, free: np.ndarray, dual_eps: float, mass: bool):
@@ -428,13 +684,11 @@ def _solve(p, b: np.ndarray, tol: float, free: np.ndarray, dual_eps: float, mass
     """
     r = np.column_stack((b, np.ones(b.size))) if mass else b[:, None]
     inverse = p.inverse
-    solve = _FreeSetSolver(p.Q, inverse)
+    solve = _FreeSetSolver(p._matrix, inverse)
     w, y, c, solves = _block_pivot(lambda F: _pivot_step(solve, b, r, F), free, dual_eps)
     if inverse is not None:
-        w_U = np.zeros(inverse.K.shape[0])
-        w_U[inverse.where] = w
         with np.errstate(over="ignore", invalid="ignore"):
-            Kw = _apply(inverse.K, w_U)
+            Kw = _kernel_product(inverse, w)
             y = Kw[inverse.where] - b if c is None else Kw[inverse.where] - b - c
     # y = Q w - b - c, so 2y is g - 2c exactly: doubling commutes with rounding
     residuals = _residuals(w, 2.0 * y, mass)
@@ -485,18 +739,18 @@ def solve_simplex_qp(
     """
     if not 0.0 < tol < np.inf:  # NaN or inf would pass every residual test
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    Q, f = p.Q, p.f
+    f = p.f
     if p.size == 1:
         # the reduced solve would round the weight off exact 1.0
         w = np.array([1.0])
-        c = float(Q[0, 0] + f[0])
+        c = float(p.Q[0, 0] + f[0])
         return w, KktReport(*_residuals(w, p.gradient(w) - 2.0 * c, True), c, 0)
 
     free = np.ones(p.size, dtype=bool) if w0 is None else np.asarray(w0, dtype=float) > 0.0
     if not free.any():
         free[:] = True
     # max |Q_ij| sits on the diagonal of an SPD Q (|Q_ij| < sqrt(Q_ii Q_jj)): no k x k temporary
-    dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(f))), float(np.max(np.diagonal(Q))))
+    dual_eps = 1e-12 * max(1.0, float(np.max(np.abs(f))), float(np.max(p._diagonal())))
     return _solve(p, -f, tol, free, dual_eps, mass=True)
 
 

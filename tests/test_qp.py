@@ -489,21 +489,22 @@ def test_seeded_solver_starts_from_the_factor():
         free[::17] = False
         check(solve, free)
         assert solve.kept.G is G
-    # ... when the rest of the universe outweighs half the free set, the
-    # first step is an LU solve, and a later one of at least _FACTOR_MIN
-    # indices builds an inverse of its own, which serves the steps after it;
-    # the kernel's inverse stays for the whole QP
+    # ... when the rest of the universe outweighs the free set, solving Q_FF
+    # afresh costs fewer flops than a Schur step: the first step does, and a
+    # later one of at least _FACTOR_MIN indices builds an inverse of its own,
+    # which serves the steps after it; the kernel's inverse stays for the
+    # whole QP
     kept = qp._Inverse(G, row_sums, np.arange(1000))
     solve = qp._FreeSetSolver(K, kept)
-    check(solve, np.arange(1000) < 650)
+    check(solve, np.arange(1000) < 450)
     assert solve.kept is kept and solve.local is None
-    check(solve, np.arange(1000) < 600)
+    check(solve, np.arange(1000) < 420)
     local = solve.local
-    assert local.G.shape == (600, 600) and np.array_equal(local.G, local.G.T)
-    ones = np.ones(600)  # the solver forms the row sums of the inverse it builds
+    assert local.G.shape == (420, 420) and np.array_equal(local.G, local.G.T)
+    ones = np.ones(420)  # the solver forms the row sums of the inverse it builds
     assert not local.row_sums.flags.writeable
     assert np.all(np.abs(local.row_sums - local.G @ ones) <= 1e-12 * (np.abs(local.G) @ ones))
-    check(solve, np.arange(1000) < 500)
+    check(solve, np.arange(1000) < 400)
     assert solve.local is local and solve.kept is kept
     # a free set that the kernel's inverse serves again is solved from it, bit
     # for bit as a first step on it
@@ -514,13 +515,26 @@ def test_seeded_solver_starts_from_the_factor():
     # a later step that leaves the kernel's inverse builds one right away
     solve = qp._FreeSetSolver(K, kept)
     check(solve, np.ones(1000, dtype=bool))
-    check(solve, np.arange(1000) < 650)
-    assert solve.local.G.shape == (650, 650) and solve.kept is kept
+    check(solve, np.arange(1000) < 450)
+    assert solve.local.G.shape == (450, 450) and solve.kept is kept
     # below the gate it is an LU solve, and no inverse of its own is kept
     solve = qp._FreeSetSolver(K, kept)
     check(solve, np.ones(1000, dtype=bool))
     check(solve, np.arange(1000) < qp._FACTOR_MIN - 1)
     assert solve.local is None and solve.kept is kept
+
+
+class _Served(qp._FreeSetSolver):
+    """The solver, keeping its last step and whether the kernel's inverse served each (it brings ``Q z``)."""
+
+    def __init__(self, Q, kept=None):
+        super().__init__(Q, kept)
+        self.served = []
+
+    def __call__(self, free, r):
+        self.last = super().__call__(free, r)
+        self.served.append(self.last[2] is not None)
+        return self.last
 
 
 def _unseeded(p):
@@ -595,23 +609,97 @@ def test_kernel_inverse_matches_lu_every_step_off_the_leading_block(
     n, kernel = inst.n_nodes, inst.kernel
     ix = np.arange(n // 10, n) if support == "offset" else _cap(inst, float(support[4:]))
     field = (kernel.entries @ omega)[ix]
-    served = []
-
-    class Spy(qp._FreeSetSolver):
-        def __call__(self, free, r):
-            seeded = self.kept is not None and self.kept.G is kernel.inverse
-            served.append(seeded and self._schur_sets(np.flatnonzero(free)) is not None)
-            return super().__call__(free, r)
-
-    monkeypatch.setattr(qp, "_FreeSetSolver", Spy)
+    solvers = []
+    monkeypatch.setattr(qp, "_FreeSetSolver", lambda Q, kept: solvers.append(_Served(Q, kept)) or solvers[-1])
     p = make(kernel, ix, field)
     w, report = solve(p)
-    assert served[0]
+    assert solvers[0].kept.G is kernel.inverse and solvers[0].served[0]
     monkeypatch.setattr(qp, "_FACTOR_MIN", n + 1)
     w_lu, report_lu = solve(_unseeded(p))
     assert np.array_equal(w > 0.0, w_lu > 0.0)
     assert report.iterations == report_lu.iterations
     assert np.max(np.abs(w - w_lu)) <= 1e-12 * max(1.0, float(np.max(np.abs(w_lu))))
+
+
+@pytest.mark.parametrize("mass", [False, True], ids=["cone", "simplex"])
+def test_kept_factor_matches_lu_at_every_step(cap_universes, mass):
+    # a gathered 80% cap of the warm-solve sphere, whose problem holds no Q:
+    # the kernel's inverse serves the large free sets, keeping its factor of
+    # G_DD from step to step; a free set it serves at a higher cost than a
+    # fresh solve leaves it for an inverse of its own, which keeps a factor too
+    inst, omega = cap_universes["warm-solve-sphere"]
+    kernel = inst.kernel
+    u = kernel.entries @ omega
+    ix = _cap(inst, 0.8)
+    b = u[ix]
+    cls = SimplexQpProblem if mass else ConeQpProblem
+    p = cls.on_kernel(kernel, SupportSet(ix), -b if mass else b, _charge=(omega, u))
+    assert p._matrix is None
+    Q = p.Q
+    r = np.column_stack((b, np.ones(b.size)))[:, :1 + mass]
+    solve = _Served(None, p.inverse)
+    rng = np.random.default_rng(5)
+
+    def step(free, served):
+        w, y, c = qp._pivot_step(solve, b, r, free)
+        idx, x, _ = solve.last
+        assert solve.served[-1] is served and np.array_equal(idx, np.flatnonzero(free))
+        assert idx.size >= qp._FACTOR_MIN
+        ref = np.linalg.solve(Q[np.ix_(idx, idx)], r[idx])
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        ref = Q @ w - b - (c if mass else 0.0)
+        scale = max(1.0, float(np.max(np.abs(Q @ w))), float(np.max(np.abs(b))))
+        assert np.max(np.abs(y - ref)[~free], initial=0.0) <= 1e-12 * scale
+
+    def leave(free, count):
+        out = rng.choice(np.flatnonzero(free), size=count, replace=False)
+        free = free.copy()
+        free[out] = False
+        return free, out
+
+    # the whole cap: D, the rest of the universe, is factored from scratch
+    free = np.ones(ix.size, dtype=bool)
+    step(free, True)
+    factor = solve.factors["kept"]
+    first = factor.order.copy()
+    assert first.size == kernel.size - ix.size
+    # 100 indices leave F: D keeps its order and grows by bordering
+    free, out = leave(free, 100)
+    step(free, True)
+    assert solve.factors["kept"] is factor and factor.order.size == first.size + 100
+    assert np.array_equal(factor.order[:first.size], first) and len(factor.blocks) > 1
+    grown = factor.order.copy()
+    # 10 of them return and 40 more leave: D keeps the prefix before the
+    # first returning index and borders the rest of D anew
+    free[out[:10]] = True
+    free, _ = leave(free, 40)
+    step(free, True)
+    cut = int(np.flatnonzero(np.isin(grown, ix[out[:10]]))[0])
+    assert first.size <= cut < grown.size
+    assert np.array_equal(factor.order[:cut], grown[:cut]) and factor.order.size == grown.size + 30
+    assert not np.isin(factor.order, ix[free]).any()
+    # a free set of 560 leaves the kernel's inverse for one of its own ...
+    free = np.arange(ix.size) < 560
+    step(free, False)
+    assert solve.local.G.shape == (560, 560) and solve.factors["kept"] is factor
+    # ... whose factor grows and is cut in the same way
+    free, out = leave(free, 80)
+    step(free, False)
+    local = solve.factors["local"]
+    assert local.inverse is solve.local and local.order.size == 80
+    free[out[:5]] = True
+    free, _ = leave(free, 10)
+    step(free, False)
+    assert local.order.size == 85
+    # a D of at most 1/8 of the universe is solved afresh from its rows of G,
+    # and keeps no factor: 168 indices on the kernel's inverse for a 90% cap
+    ix = _cap(inst, 0.9)
+    b = u[ix]
+    p = cls.on_kernel(kernel, SupportSet(ix), -b if mass else b, _charge=(omega, u))
+    Q, solve = p.Q, _Served(None, p.inverse)
+    r = np.column_stack((b, np.ones(b.size)))[:, :1 + mass]
+    step(np.ones(ix.size, dtype=bool), True)
+    assert solve.factors["kept"] is None
 
 
 def _support(kind: str, n: int, rng) -> SupportSet:
@@ -863,9 +951,9 @@ def test_kernel_step_dual_is_that_of_q(seed, mass):
     Q = kernel.restrict(support)
     for _ in range(4):
         free = rng.random(idx.size) < 0.9
-        solve = qp._FreeSetSolver(p.Q, p.inverse)
-        assert solve._schur_sets(np.flatnonzero(free)) is not None
+        solve = _Served(p.Q, p.inverse)
         w, y, c = qp._pivot_step(solve, b, r, free)
+        assert solve.served == [True]
         ref = Q @ w - b - (c if mass else 0.0)
         scale = max(1.0, float(np.max(np.abs(Q @ w))), float(np.max(np.abs(b))))
         assert np.max(np.abs(y - ref)[~free]) <= 1e-12 * scale

@@ -55,6 +55,19 @@ def test_report_drift_reports_numeric_drift_and_fails_on_other_changes(tmp_path,
     assert "non-numeric: run/chain-report.csv: 2 rows against 3" in out
 
 
+def test_memory_probe_reports_each_request_kind(capsys):
+    # the tiny warm-solve preset: 120 sphere nodes, the first 10 requests
+    main = _script("memory_probe.py")["main"]
+    assert main(["--workload", "warm-solve", "--seed", "3", "--requests", "10", "--size", "tiny"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "warm-solve seed 3, first 10 requests"
+    assert out[1].startswith("ru_maxrss ") and out[1].endswith(" MB")
+    rows = [line.split() for line in out[3:-1]]
+    assert sum(int(row[1]) for row in rows) == 10
+    assert {row[0].rsplit("-", 1)[1] for row in rows} <= {"whole", "cap"}
+    assert out[-1].startswith("largest op peak ")
+
+
 # ---------------------------------------------------------------------------
 # maximum-principle probe of the ugaheri survey
 # ---------------------------------------------------------------------------
