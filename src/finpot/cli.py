@@ -6,7 +6,10 @@ a JSON config naming exactly one instance source (a geometric ``instance``
 spec or a raw ``kernel`` with ``omega`` and ``support``), writes a
 deterministic JSON report embedding the config hash, and a CSV where the
 operation defines one.  Wall-clock metadata goes to a sidecar ``.meta.json``
-so the main report is byte-identical across runs of the same config.
+so the main report is byte-identical across runs of the same config; so does
+``linalg``, the path the SPD factorizations took (``"lapack"`` or
+``"numpy"``, see :func:`finpot.core._linalg_path`), which may differ between
+hosts while the answers agree.
 
 Exit codes: 0 success, 2 violated invariant (certification or verify
 failure), 3 solver failure, 4 config or usage error (an instance too large to
@@ -38,6 +41,7 @@ from .core import (
     NotPositiveDefinite,
     SizeMismatchError,
     SupportSet,
+    _linalg_path,
     dumps_canonical,
     potential,
     read_flag,
@@ -215,7 +219,7 @@ def _emit(cfg: dict, command: str, result: dict, csv_rows=None) -> Path:
     validate_report(report)
     path = out / f"{command}-report.json"
     path.write_text(dumps_canonical(report) + "\n")
-    meta = {"report": path.name, "written_at_unix": time.time()}
+    meta = {"report": path.name, "written_at_unix": time.time(), "linalg": _linalg_path()}
     (out / f"{command}-report.meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     if csv_rows:
         csv_path = out / f"{command}-report.csv"

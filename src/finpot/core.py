@@ -20,6 +20,7 @@ The report format lives here too: every result of the package is a frozen
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -59,13 +60,12 @@ class ConfigError(ValueError):
 class PdCertificate:
     """Evidence that a symmetric matrix ``A = L L^T`` is strictly positive definite.
 
-    The evidence is the completed factorization: ``min_cholesky_pivot``, the
-    smallest diagonal entry of ``L``, is read off the inverse Cholesky factor
-    ``R = L^-1`` as ``1 / max diag R``.  ``R`` itself is not kept: it is
-    turned into the inverse ``A^-1 = R^T R`` in its own storage, and
-    ``inverse`` holds that read-only, exactly symmetric matrix.  Every
-    principal submatrix of ``A`` can be solved from it (see
-    :class:`finpot.qp._FreeSetSolver`).  ``eig_lower_bound``, the reciprocal
+    The evidence is the completed factorization: ``min_cholesky_pivot`` is
+    the smallest diagonal entry of ``L``, read off the factor before it is
+    turned into the inverse ``A^-1`` in its own storage (see
+    :func:`_spd_inverse`), and ``inverse`` holds that read-only, exactly
+    symmetric matrix.  Every principal submatrix of ``A`` can be solved
+    from it (see :class:`finpot.qp._FreeSetSolver`).  ``eig_lower_bound``, the reciprocal
     of the inverse's largest absolute row sum ``||A^-1||_inf >= ||A^-1||_2``,
     bounds the smallest eigenvalue of ``A`` from below at O(m^2) cost.  The
     same pass over the inverse, one row panel at a time, forms its plain row
@@ -85,25 +85,168 @@ def _not_pd(entries: np.ndarray, reason: str) -> NotPositiveDefinite:
     return NotPositiveDefinite(reason, witness=w if float(w @ entries @ w) <= 0.0 else None)
 
 
+# ---------------------------------------------------------------------------
+# SPD factorization: every Cholesky factorization of the package, and every
+# solve with or inverse of a positive definite block, runs in this section.
+# The three entry points are _spd_solve, _spd_inverse and _spd_inverse_factor.
+# They call LAPACK's potrf, potrs, potri and trtri in the OpenBLAS that numpy
+# ships (_bind_lapack), and numpy's own routines where that library is absent.
+# Only the exhaustive oracles of qp solve with np.linalg elsewhere: they are
+# the independent reference.
+# ---------------------------------------------------------------------------
+
 # Leaf size of the inverse-Cholesky recursion, and the block width of its
 # in-place products (bounds their temporaries).
 _LEAF = 96
 _BLOCK = 128
+# An SPD system of fewer unknowns is an LU solve (np.linalg.solve).  On a
+# 2-core OpenBLAS host, for one or two right-hand sides on blocks of a
+# Newtonian sphere kernel, LU takes 25 us at 48 unknowns against 28 us for a
+# LAPACK Cholesky solve through ctypes, the two tie near 37 us at 64, and the
+# Cholesky solve wins from there on (68 against 83 us at 96, 0.55 against
+# 0.76 ms at 250, 1.5 against 2.4 ms at 400).
+_CHOLESKY_MIN = 64
+
+_INT = ctypes.POINTER(ctypes.c_int64)
+_PTR, _CHAR, _LEN = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
+# Fortran signatures with 64-bit integers; a character argument is followed
+# by its hidden length at the end of the list.
+_SIGNATURES = {
+    "dpotrf": (_CHAR, _INT, _PTR, _INT, _INT, _LEN),
+    "dpotrs": (_CHAR, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT, _LEN),
+    "dpotri": (_CHAR, _INT, _PTR, _INT, _INT, _LEN),
+    "dtrtri": (_CHAR, _CHAR, _INT, _PTR, _INT, _INT, _LEN, _LEN),
+}
+
+
+def _bind_lapack() -> dict | None:
+    """The routines of ``_SIGNATURES`` in numpy's ILP64 scipy-openblas, or ``None``.
+
+    numpy's wheels link that library, which exports them as
+    ``scipy_dpotrf_64_`` and so on.  They are looked up through numpy's
+    linear-algebra extension, whose dependencies include the library, so
+    nothing new is loaded.  Builds on another LAPACK (Accelerate, MKL, a
+    system library) export other names and get ``None``.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        routines = {name: getattr(lib, f"scipy_{name}_64_") for name in _SIGNATURES}
+    except (ImportError, OSError, AttributeError):
+        return None
+    for name, routine in routines.items():
+        routine.argtypes, routine.restype = _SIGNATURES[name], None
+    return routines
+
+
+def _lapack(name: str, A: np.ndarray, B: np.ndarray | None = None) -> None:
+    """Call LAPACK's ``name`` on the square block ``A`` in place (``dpotrs``: on ``B``).
+
+    A row-major matrix is the transpose of the column-major one LAPACK sees
+    at the same address, so the lower triangle here is LAPACK's upper one
+    (``uplo = 'U'``), and a block of a wider matrix is passed with its row
+    stride as the leading dimension.  ``B`` is a column-major ``(n, p)``
+    array.  Raises ``np.linalg.LinAlgError`` when LAPACK reports a pivot
+    that is not positive.
+    """
+    n = A.shape[0]
+    if not (A.dtype == np.float64 and A.ndim == 2 and A.shape[1] == n and A.flags.writeable
+            and A.strides[1] == 8 and A.strides[0] % 8 == 0 and A.strides[0] >= 8 * n):
+        raise ValueError("expected a writable square float64 block with contiguous rows")
+    if B is not None and not (B.dtype == np.float64 and B.ndim == 2 and B.shape[0] == n
+                              and B.flags.f_contiguous and B.flags.writeable):
+        raise ValueError("expected a writable column-major float64 right-hand side")
+    info = ctypes.c_int64()
+    size, lda = ctypes.c_int64(n), ctypes.c_int64(max(A.strides[0] // 8, 1))
+    routine = _LAPACK[name]
+    if B is not None:
+        routine(b"U", size, ctypes.c_int64(B.shape[1]), A.ctypes.data, lda, B.ctypes.data, size, info, 1)
+    elif name == "dtrtri":
+        routine(b"U", b"N", size, A.ctypes.data, lda, info, 1, 1)
+    else:
+        routine(b"U", size, A.ctypes.data, lda, info, 1)
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"{name}: matrix is not positive definite")
+    if info.value < 0:
+        raise ValueError(f"{name}: argument {-info.value} is invalid")
+
+
+def _spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A^-1 B`` for the SPD ``A``, which may be overwritten: a scratch copy.
+
+    Below ``_CHOLESKY_MIN`` unknowns this is numpy's LU solve.  From there on
+    ``A`` is factored in place and ``B`` solved in one copy of its own
+    (LAPACK's potrf and potrs; without LAPACK, ``R^T (R B)`` with the inverse
+    factor ``R`` of :func:`_inverse_cholesky`), so a large solve holds no
+    second copy of ``A``.  Raises ``np.linalg.LinAlgError`` if ``A`` is not
+    positive definite.
+    """
+    n = A.shape[0]
+    if n < _CHOLESKY_MIN:
+        return np.linalg.solve(A, B)
+    if A.flags.f_contiguous:  # as a column gather gives it; the symmetric A is its transpose
+        A = A.T
+    if _LAPACK is None:
+        R = _inverse_cholesky(A)
+        return R.T @ (R @ B)
+    _lapack("dpotrf", A)
+    X = np.array(B.reshape(n, -1), dtype=float, order="F")
+    _lapack("dpotrs", A, X)
+    return X.reshape(B.shape)
+
+
+def _spd_inverse(A: np.ndarray) -> float:
+    """Overwrite the SPD ``A`` with ``A^-1``, exactly symmetric; return the smallest Cholesky pivot.
+
+    With ``A = L L^T``, the pivot is ``min diag L`` (LAPACK's potrf, then
+    potri and :func:`_mirror_lower`); without LAPACK it is ``1 / max diag
+    R`` of the inverse factor ``R = L^-1`` (:func:`_inverse_cholesky`, then
+    :func:`_factor_to_inverse`).  Only the lower triangle of ``A`` is read.
+    Raises ``np.linalg.LinAlgError`` if ``A`` is not positive definite.
+    """
+    if _LAPACK is None:
+        _inverse_cholesky(A)
+        pivot = 1.0 / float(np.max(np.diagonal(A)))
+        _factor_to_inverse(A)
+        return pivot
+    _lapack("dpotrf", A)
+    pivot = float(np.min(np.diagonal(A)))
+    _lapack("dpotri", A)
+    _mirror_lower(A)
+    return pivot
+
+
+def _spd_inverse_factor(A: np.ndarray) -> np.ndarray:
+    """Overwrite the SPD ``A`` with ``R = L^-1``, where ``A = L L^T``, and return it.
+
+    So ``A^-1 = R^T R``; the strict upper triangle of the result is exactly
+    zero, and only the lower triangle of ``A`` is read.  LAPACK's potrf and
+    trtri, or :func:`_inverse_cholesky` without them.  ``A`` may be a block
+    of a wider matrix whose rows are contiguous.  Raises
+    ``np.linalg.LinAlgError`` if ``A`` is not positive definite.
+    """
+    if _LAPACK is None:
+        return _inverse_cholesky(A)
+    _lapack("dpotrf", A)
+    _lapack("dtrtri", A)
+    _mirror_lower(A, zero=True)
+    return A
 
 
 def _inverse_cholesky(A: np.ndarray) -> np.ndarray:
-    """Overwrite the SPD matrix ``A`` with ``R = L^-1``, where ``A = L L^T``.
+    """Overwrite the SPD ``A`` with ``R = L^-1``, where ``A = L L^T``, in numpy alone.
 
     So ``A^-1 = R^T R``; the strict upper triangle of the result is exactly
     zero, and only the lower triangle of ``A`` is read.  The recursion on
-    halves does nearly all its flops in matrix products, which numpy runs
-    several times faster than its Cholesky: with ``R11`` from the leading
-    block, ``W = A21 R11^T`` is L's off-diagonal block, the trailing block
-    becomes its Schur complement ``A22 - W W^T`` (lower triangle only), and
-    ``R21 = -R22 W R11``.  Each product runs in blocks of ``_BLOCK`` columns
-    or rows, ordered so that it can overwrite ``A21`` in place and skip the
-    zero triangles, so beside ``A`` it holds only one block.  Raises
-    ``np.linalg.LinAlgError`` if ``A`` is not positive definite.
+    halves does nearly all its flops in matrix products: with ``R11`` from
+    the leading block, ``W = A21 R11^T`` is L's off-diagonal block, the
+    trailing block becomes its Schur complement ``A22 - W W^T`` (lower
+    triangle only), and ``R21 = -R22 W R11``.  Each product runs in blocks
+    of ``_BLOCK`` columns or rows, ordered so that it can overwrite ``A21``
+    in place and skip the zero triangles, so beside ``A`` it holds only one
+    block.  Raises ``np.linalg.LinAlgError`` if ``A`` is not positive
+    definite.
     """
     k = A.shape[0]
     if k <= _LEAF:
@@ -125,21 +268,21 @@ def _inverse_cholesky(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _mirror_lower(A: np.ndarray) -> None:
-    """Copy the strict lower triangle of the square ``A`` onto its upper one.
+def _mirror_lower(A: np.ndarray, zero: bool = False) -> None:
+    """Copy the strict lower triangle of the square ``A`` onto its upper one, or zero that.
 
-    The off-diagonal quarter is copied by one transposed assignment, which
+    The off-diagonal quarter is set by one (transposed) assignment, which
     needs no temporary, and the two diagonal quarters recurse, so the only
     temporaries are those of blocks of at most 32 rows.
     """
     k = A.shape[0]
     if k <= 32:
-        A[...] = np.tril(A) + np.tril(A, -1).T
+        A[...] = np.tril(A) if zero else np.tril(A) + np.tril(A, -1).T
         return
     h = k // 2
-    A[:h, h:] = A[h:, :h].T
-    _mirror_lower(A[:h, :h])
-    _mirror_lower(A[h:, h:])
+    A[:h, h:] = 0.0 if zero else A[h:, :h].T
+    _mirror_lower(A[:h, :h], zero)
+    _mirror_lower(A[h:, h:], zero)
 
 
 def _factor_to_inverse(R: np.ndarray) -> np.ndarray:
@@ -160,6 +303,58 @@ def _factor_to_inverse(R: np.ndarray) -> np.ndarray:
     return R
 
 
+def _lapack_agrees() -> bool:
+    """Whether the bound routines factor, solve and invert a fixed SPD matrix exactly.
+
+    The matrix is ``A = L L^T`` for the unit lower bidiagonal ``L`` with ones
+    below the diagonal, whose inverse ``R`` has the entries ``(-1)^(i-j)``
+    on and below the diagonal: every result is an exact small integer, so
+    it is compared for equality with no other solver.  ``A`` is held as a
+    block of a wider array, so the leading dimension is exercised too, and
+    the triangle that LAPACK must not touch is checked as well.
+    """
+    n = 5
+    i, j = np.indices((n, n))
+    L = np.eye(n) + np.eye(n, k=-1)
+    R = np.where(i >= j, (-1.0) ** (i - j), 0.0)
+    A = np.eye(n) * 2.0 + np.eye(n, k=1) + np.eye(n, k=-1)
+    A[0, 0] = 1.0
+    G = np.einsum("ki,kj->ij", R, R)  # A^-1 = R^T R, with no BLAS call
+    b = np.arange(1.0, n + 1.0)
+    buffer = np.full((n, n + 3), 7.0)
+    block = buffer[:, 2:n + 2]
+
+    def fresh():
+        block[...] = A
+        return block
+
+    try:
+        pivot = _spd_inverse(fresh())
+        inverse = np.array(block)
+        factor = np.array(_spd_inverse_factor(fresh()))
+        _lapack("dpotrf", fresh())
+        upper = np.array(block)
+        x = np.array(b[:, None], order="F")
+        _lapack("dpotrs", block, x)
+    except (np.linalg.LinAlgError, ValueError):
+        return False
+    return (
+        pivot == 1.0 and np.array_equal(inverse, G) and np.array_equal(factor, R)
+        and np.array_equal(np.tril(upper), L) and np.array_equal(np.triu(upper, 1), np.triu(A, 1))
+        and np.array_equal(x[:, 0], np.einsum("ij,j->i", G, b)) and (buffer[:, [0, 1, n + 2]] == 7.0).all()
+    )
+
+
+_LAPACK = _bind_lapack()
+if _LAPACK is not None and not _lapack_agrees():
+    _LAPACK = None
+
+
+def _linalg_path() -> str:
+    """``"lapack"`` when the factorizations above run LAPACK, else ``"numpy"``."""
+    return "numpy" if _LAPACK is None else "lapack"
+
+
 def is_exactly_symmetric(A: np.ndarray) -> bool:
     """``np.array_equal(A, A.T)`` for a square ``A``, one row panel at a time.
 
@@ -177,35 +372,34 @@ def is_exactly_symmetric(A: np.ndarray) -> bool:
 def check_energy_principle(entries: np.ndarray) -> PdCertificate:
     """Verify strict positive definiteness by symmetric factorization.
 
-    Factors one copy of the matrix in place (:func:`_inverse_cholesky`),
-    reads the smallest pivot off the factor and turns it into the inverse in
-    the same storage (:func:`_factor_to_inverse`), whose absolute row sums,
-    taken in panels of ``_BLOCK`` rows, give the eigenvalue bound; the plain
-    row sums come from the same panels.  A completed
-    factorization proves only that ``A + E`` is positive definite for a
-    backward error ``||E||_2 <= gamma_{m+1} m max diag A``, with
-    ``gamma_n = n u / (1 - n u)`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 10), so a bound within that margin fails too.
-    Raises :class:`NotPositiveDefinite` on failure, with a witness of
-    nonpositive quadratic form if the smallest eigenvector is one.  A
-    failing matrix is rejected, never shifted: it would be another kernel.
+    Turns one copy of the matrix into its inverse in place
+    (:func:`_spd_inverse`), which also gives the smallest Cholesky pivot.
+    The inverse's absolute row sums, taken in panels of ``_BLOCK`` rows,
+    give the eigenvalue bound; the plain row sums come from the same
+    panels.  A completed factorization proves only that ``A + E`` is
+    positive definite for a backward error ``||E||_2 <= gamma_{m+1} m max
+    diag A``, with ``gamma_n = n u / (1 - n u)`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 10), so a bound within that
+    margin fails too.  Raises :class:`NotPositiveDefinite` on failure, with
+    a witness of nonpositive quadratic form if the smallest eigenvector is
+    one.  A failing matrix is rejected, never shifted: it would be another
+    kernel.
     """
     arr = np.asarray(entries, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError("expected a nonempty square matrix")
     if not is_exactly_symmetric(arr):
         raise ValueError("matrix must be symmetric")
-    try:
-        inverse = _inverse_cholesky(np.array(arr))
-    except np.linalg.LinAlgError:
-        raise _not_pd(
-            arr, "symmetric factorization failed: matrix is not strictly positive definite"
-        ) from None
-    pivot = 1.0 / float(np.max(np.diagonal(inverse)))
+    inverse = np.array(arr)
     m, n, u = arr.shape[0], _BLOCK, np.finfo(float).eps / 2
     row_sums, abs_row_sums = np.empty(m), []
     with np.errstate(over="ignore", invalid="ignore"):  # the bound test below rejects inf and NaN
-        _factor_to_inverse(inverse)
+        try:
+            pivot = _spd_inverse(inverse)
+        except np.linalg.LinAlgError:
+            raise _not_pd(
+                arr, "symmetric factorization failed: matrix is not strictly positive definite"
+            ) from None
         for i in range(0, m, n):
             panel = inverse[i:i + n]
             row_sums[i:i + n] = panel.sum(axis=1)

@@ -15,18 +15,17 @@ Each step (:func:`_pivot_step`) solves the reduced linear system
 mass column of ones for the simplex that fixes the constraint's
 multiplier; so the final iterate satisfies complementarity up to
 linear-solve roundoff, which the downstream certification relies on.  The
-steps of one QP share an inverse (:class:`_FreeSetSolver`): the kernel's,
-which a problem built by ``on_kernel`` brings, serves every step it can; a
-later large free set that it does not serve is inverted once, and the free
-sets inside it are solved from that inverse.  A step on an inverse solves
-with ``G_DD`` on the rest D of its universe.  A large step (at least
-``_FACTOR_MIN`` free indices) whose D is not few keeps an inverse-Cholesky
-factor of ``G_DD`` for the rest of the QP, bordered as D grows
-(:class:`_Factor`), and is taken only when it costs no more flops than
-solving ``Q_FF`` afresh.  A step on the kernel's inverse takes its dual off
-the free set from its own Schur solve; any other step forms the dual as
-``Q @ w``, from ``K`` for a problem on a large gathered support, which
-holds no copy of ``Q``.
+steps of one QP share the kernel's inverse (:class:`_FreeSetSolver`), which
+a problem built by ``on_kernel`` brings: it serves every step it can, by a
+solve with ``G_DD`` on the rest D of the kernel's nodes.  A large step (at
+least ``_FACTOR_MIN`` free indices) whose D is not few keeps an
+inverse-Cholesky factor of ``G_DD`` for the rest of the QP, bordered as D
+grows (:class:`_Factor`), and is taken only when it costs no more flops
+than solving ``Q_FF`` afresh; any other step solves ``Q_FF`` afresh, by
+Cholesky unless the block is small (:func:`~finpot.core._spd_solve`).  A
+step on the kernel's inverse takes its dual off the free set from its own
+Schur solve; a fresh solve forms the dual as ``Q @ w``, from ``K`` for a
+problem on a large gathered support, which holds no copy of ``Q``.
 The KKT residuals (:func:`_residuals`) are those of a fresh gradient: for a
 problem on a kernel, one product of the kernel with the accepted iterate,
 which the certification of that very answer reuses
@@ -54,8 +53,8 @@ from .core import (
     Record,
     SupportSet,
     _apply,
-    _factor_to_inverse,
-    _inverse_cholesky,
+    _spd_inverse_factor,
+    _spd_solve,
     frozen_float_array,
     is_exactly_symmetric,
 )
@@ -98,11 +97,10 @@ def _as_vector(v, k: int, name: str) -> np.ndarray:
 class _Inverse(NamedTuple):
     """``G = K_UU^-1``, its row sums ``G @ 1``, and where each index of Q sits in U.
 
-    ``where[i]`` is the position in U of Q's index i, or -1 outside U.  The
-    kernel's inverse also holds ``K = K_UU`` itself and, when the problem's
-    vector is the potential of a charge ``omega`` over U (``b = (K
-    omega)[where]``), ``charge = (omega, K @ omega)``; an inverse a solver
-    builds of a free set holds neither.
+    ``where[i]`` is the position in U of Q's index i.  The inverse also
+    holds ``K = K_UU`` itself and, when the problem's vector is the
+    potential of a charge ``omega`` over U (``b = (K omega)[where]``),
+    ``charge = (omega, K @ omega)``.
     """
 
     G: np.ndarray
@@ -325,11 +323,6 @@ def _block_pivot(reduced_solve, free: np.ndarray, dual_eps: float):
     return (*best, _MAX_SOLVES)
 
 
-def _principal_submatrix(Q: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    # a full index set needs no gathered copy: the solve copies its input anyway
-    return Q if idx.size == Q.shape[0] else Q[np.ix_(idx, idx)]
-
-
 def _run(idx: np.ndarray):
     """``idx`` as a slice when its strictly increasing indices are one contiguous run.
 
@@ -341,34 +334,29 @@ def _run(idx: np.ndarray):
     return idx
 
 
+def _gathered(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """A writable copy of the principal block ``A[idx, idx]``, sliced when ``idx`` is one run."""
+    run = _run(idx)
+    return np.array(A[run, run]) if isinstance(run, slice) else A[np.ix_(idx, idx)]
+
+
 # Free sets, and kernel supports, of at least this many indices are large.
-# A large step that no inverse serves is inverted from the second step of a
-# QP on; one that an inverse serves at fewer flops than a fresh solve keeps
-# that inverse's factor of G_DD for the rest of the QP unless D is few; and a
-# problem on a large support that is not one run gathers no Q, so a large
-# solve holds, beside the kernel, its largest block (a fresh Q_FF, an inverse
-# or a factor of about |D|^2 / 2 floats) and never a copy of Q.  Below it
-# every step is an LU solve or a Schur step on gathered rows of G, whose
-# arithmetic does not depend on the path to a free set, so the many small
-# problems of a scan keep it bit for bit and a warm-started scan cell equals
-# a cold solve.  On a 2-core OpenBLAS host, at 400 indices an inverse costs
-# 2.6 ms, an LU solve 1.5 ms and a later Schur step 0.07 ms; below it any
-# step costs under 3 ms.
+# A large step that the kernel's inverse serves at fewer flops than a fresh
+# solve keeps the inverse's factor of G_DD for the rest of the QP unless D
+# is few; and a problem on a large support that is not one run gathers no Q,
+# so a large solve holds, beside the kernel, its largest block (a fresh Q_FF,
+# factored in place, or a factor of about |D|^2 / 2 floats) and never a copy
+# of Q.  Below it every step is a fresh solve or a Schur step on gathered
+# rows of G, whose arithmetic does not depend on the path to a free set, so
+# the many small problems of a scan keep it bit for bit and a warm-started
+# scan cell equals a cold solve.  On a 2-core OpenBLAS host, at 400 indices
+# a fresh Cholesky solve costs 1.5 to 2.0 ms (one or two columns) and a
+# later Schur step 0.07 ms; below it a step costs at most about 2 ms.
 _FACTOR_MIN = 400
 
 
-def _local_inverse(A: np.ndarray, idx: np.ndarray, size: int) -> _Inverse:
-    """The inverse of the gathered block ``A = Q_FF``, overwritten in place, for the free set ``idx``."""
-    G = _factor_to_inverse(_inverse_cholesky(A))
-    row_sums = G.sum(axis=1)
-    row_sums.setflags(write=False)
-    where = np.full(size, -1)
-    where[idx] = np.arange(idx.size)
-    return _Inverse(G, row_sums, where)
-
-
 class _GatheredRest:
-    """The rest D of a small step, or a few D: its rows ``G[D]``, gathered, and an LU solve of ``G_DD``."""
+    """The rest D of a small step, or a few D: its rows ``G[D]``, gathered, and a fresh solve of ``G_DD``."""
 
     def __init__(self, inverse: _Inverse, rest: np.ndarray):
         self.order, self.inverse = rest, inverse
@@ -381,14 +369,14 @@ class _GatheredRest:
         return self.GD.T @ self.inverse.charge[1][self.order]
 
     def solve(self, y_D: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.GD[:, self.order], y_D)
+        return _spd_solve(self.GD[:, self.order], y_D)
 
     def product(self, s: np.ndarray) -> np.ndarray:
         return self.GD.T @ s
 
 
 class _Factor:
-    """The rest D of one inverse's universe, kept with a factor of ``G_DD`` for the rest of a QP.
+    """The rest D of the kernel's nodes, kept with a factor of ``G_DD`` for the rest of a QP.
 
     ``order`` holds D's positions in U in insertion order, and ``blocks`` the
     inverse-Cholesky factor R of ``G_DD`` (``G_DD^-1 = R^T R``, R lower
@@ -396,11 +384,12 @@ class _Factor:
     ``order[start:start + len(B)]``, over the columns of every index up to
     its last.  A step keeps the longest prefix of ``order`` that is still in
     its D, whose factor is the leading block of R, and borders the indices
-    it adds with one step of :func:`_inverse_cholesky`'s recursion: with
+    it adds by one step of the blocked inverse-Cholesky recursion: with
     ``A21``, ``A22`` their rows of G at the prefix and at themselves,
-    ``W = A21 R11^T``, ``R22`` the factor of ``S = A22 - W W^T`` and
-    ``R21 = -R22 W R11``.  A block row is allocated once, and a prefix that
-    ends inside it keeps a view of it.  No rows of G are kept: ``sums``
+    ``W = A21 R11^T``, ``R22`` the inverse factor of ``S = A22 - W W^T``
+    (:func:`~finpot.core._spd_inverse_factor`) and ``R21 = -R22 W R11``.  A
+    block row is allocated once, and a prefix that ends inside it keeps a
+    view of it.  No rows of G are kept: ``sums``
     holds, per run ``order[start:]`` of gathered rows, their sums
     ``G[run] @ 1`` and ``(K omega)[run] @ G[run]`` (for the kernel
     inverse's charge), each formed from the rows a step gathers to border,
@@ -468,7 +457,7 @@ class _Factor:
             for s, Bj in reversed(self.blocks):  # W = A21 R11^T, in place
                 W[:, s:s + len(Bj)] = W[:, :s + len(Bj)] @ Bj.T
             R22 -= W @ W.T
-        _inverse_cholesky(R22)
+        _spd_inverse_factor(R22)
         if t:
             X = R22 @ W
             W[...] = 0.0
@@ -501,6 +490,11 @@ class _Factor:
         return (s_U.T @ G).T  # runs faster than G @ s_U
 
 
+def _solve_flops(n: int, p: int) -> int:
+    """Flops of a fresh Cholesky solve of ``n`` unknowns with ``p`` right-hand sides."""
+    return n**3 // 3 + 2 * p * n * n
+
+
 class _FreeSetSolver:
     """Solves ``Q_FF x = r_F`` for the successive free sets F of one QP.
 
@@ -509,38 +503,34 @@ class _FreeSetSolver:
     step on the kernel's inverse, the products ``Q z`` of the columns'
     solutions ``z`` (x on F, zero off it) over all indices (else ``None``).
     The solver holds ``Q``, or ``None`` for a problem on a large gathered
-    support, whose fresh solves and inverses gather ``Q_FF`` from the kernel and
-    whose dual is ``K @ w`` at Q's indices (:meth:`times`).  It holds up to
-    two inverses ``G = K_UU^-1`` of a universe U that holds Q's indices (or
-    some of them) as a principal submatrix, each with its row sums: the
-    kernel's, when the problem brings one (U = the kernel's nodes, which
-    hold all of Q's indices; kept for the whole QP), and one it builds of a
-    free set itself (U = that set; a gathered copy overwritten by
-    :func:`_local_inverse`, its row sums formed once).  Every F within U is
-    solved from G by the principal-submatrix inverse identity ``(K_FF)^-1 =
-    G_FF - G_FD G_DD^-1 G_DF`` on the rest ``D = U \\ F`` (Golub & Van Loan,
-    block inverse by Schur complements; Bartlett & Biegler, QPSchur, 2006):
-    with ``r~`` equal to ``r`` on F and zero on D, ``y = G r~``, ``s =
-    G_DD^-1 y_D`` and ``x = y_F - G_FD s``; then ``K z = r~ - s`` on U, so
-    ``Q z`` is ``r`` on F and ``-s`` on the rest of Q's indices.
+    support, whose fresh solves gather ``Q_FF`` from the kernel and whose
+    dual is ``K @ w`` at Q's indices (:meth:`times`).  When the problem
+    brings the kernel's inverse ``G = K_UU^-1`` (U = the kernel's nodes,
+    which hold all of Q's indices as a principal submatrix) with its row
+    sums, the solver keeps it for the whole QP.  Every F is solved from G by
+    the principal-submatrix inverse identity ``(K_FF)^-1 = G_FF - G_FD
+    G_DD^-1 G_DF`` on the rest ``D = U \\ F`` (Golub & Van Loan, block
+    inverse by Schur complements; Bartlett & Biegler, QPSchur, 2006): with
+    ``r~`` equal to ``r`` on F and zero on D, ``y = G r~``, ``s = G_DD^-1
+    y_D`` and ``x = y_F - G_FD s``; then ``K z = r~ - s`` on U, so ``Q z``
+    is ``r`` on F and ``-s`` on the rest of Q's indices.
 
-    Which inverse serves F, and how, depends on F's size.  Below
-    ``_FACTOR_MIN`` indices an inverse serves F unless F leaves U or
-    ``2|D| > |F|``, the kernel's first, so a small step's arithmetic does
-    not depend on the path to its free set; it gathers ``G[D]`` and solves
-    ``G_DD`` by LU (:class:`_GatheredRest`).  At or above it every inverse
-    that holds F is costed in flops: a D that is few (``_ROWS_SHARE |D| <=
-    |U|``, as in :func:`_apply`) is solved afresh in the same way, at
-    ``2/3 |D|^3`` flops and a pass over its rows, and any other D from the
-    inverse's :class:`_Factor`, kept for the rest of the QP, at the flops of
-    bordering it; the cheapest serves F if it costs no more than solving
-    ``Q_FF`` afresh, ``2/3 |F|^3 + 2 p |F|^2`` flops.  A step that no
-    inverse serves is an LU solve when F has fewer than ``_FACTOR_MIN``
-    indices.  A larger one that is the QP's first step is solved by the
-    inverse-Cholesky factor R of ``Q_FF``, formed in the gathered copy
-    itself (``x = R^T R r_F``; an LU solve would hold a second copy), so a
-    QP settled in one step pays for no inverse; any later such step inverts
-    F, in place of the solver's own earlier inverse and its factor.
+    Whether the inverse serves F depends on F's size.  Below
+    ``_FACTOR_MIN`` indices it serves F when ``2|D| <= |F|``, so a small
+    step's arithmetic does not depend on the path to its free set; it
+    gathers ``G[D]`` and solves ``G_DD`` afresh (:class:`_GatheredRest`).
+    At or above it the Schur step is costed in flops: a D that is few
+    (``_ROWS_SHARE |D| <= |U|``, as in :func:`_apply`) is solved afresh in
+    the same way, at the flops of a fresh solve of D and a pass over its
+    rows, and any other D from the inverse's :class:`_Factor`, kept for the
+    rest of the QP, at the flops of bordering it; the inverse serves F if
+    that costs no more than solving ``Q_FF`` afresh, ``|F|^3 / 3 + 2 p
+    |F|^2`` flops.  A step that it does not serve is one fresh solve of
+    ``Q_FF`` (:func:`~finpot.core._spd_solve`: LU on a small block, else a
+    Cholesky factorization in the gathered copy itself, which is the only
+    copy).  No inverse of a free set is built: at ``|F|^3`` flops it costs
+    three fresh solves, and the later free sets of a QP seldom lie inside
+    an earlier one.
 
     Pass budget of a Schur step: the rows of G it gathers (those of a few
     D, or the rows a factor borders), one pass over G for ``G[:, D] s`` when
@@ -554,25 +544,16 @@ class _FreeSetSolver:
 
     def __init__(self, Q: np.ndarray | None, kept: _Inverse | None = None):
         self.Q = Q
-        self.first = True
         self.kept = kept
-        self.local = None
-        self.factors = {"kept": None, "local": None}
+        self.factor = None
 
     def __call__(self, free: np.ndarray, r: np.ndarray):
         idx = np.flatnonzero(free)
-        first, self.first = self.first, False
         step = self._schur_step(idx, r.shape[1])
         if step is None:
-            self.local = self.factors["local"] = None
-            if idx.size < _FACTOR_MIN:
-                return idx, np.linalg.solve(self._block(idx), r[_run(idx)]), None
-            if first:  # factored in the gathered copy, where an LU solve would hold a second one
-                R = _inverse_cholesky(self._block(idx, copy=True))
-                return idx, R.T @ (R @ r[_run(idx)]), None
-            self.local = _local_inverse(self._block(idx, copy=True), idx, r.shape[0])
-            step = self._schur_step(idx, r.shape[1])
-        inverse, at, rest = step
+            return idx, _spd_solve(self._block(idx), r[_run(idx)]), None
+        at, rest = step
+        inverse = self.kept
         G, charge = inverse.G, inverse.charge
         r_F = r[_run(idx)]
         y = np.empty((G.shape[0], r.shape[1]))
@@ -589,19 +570,16 @@ class _FreeSetSolver:
                 y[:, j] = G @ rt
         s = rest.solve(y[rest.order])
         y -= rest.product(s)
-        if inverse is not self.kept:
-            return idx, y[_run(at)], None
         Kz = np.empty_like(y)
         Kz[_run(at)] = r_F
         Kz[rest.order] = -s
         return idx, y[_run(at)], Kz[_run(inverse.where)]
 
-    def _block(self, idx: np.ndarray, copy: bool = False) -> np.ndarray:
-        """``Q_FF``; gathered from the kernel when the solver holds no Q, and a copy when asked."""
+    def _block(self, idx: np.ndarray) -> np.ndarray:
+        """A writable copy of ``Q_FF``, gathered from the kernel when the solver holds no Q."""
         if self.Q is None:
-            ix = self.kept.where[idx]
-            return self.kept.K[np.ix_(ix, ix)]
-        return self.Q[np.ix_(idx, idx)] if copy else _principal_submatrix(self.Q, idx)
+            return _gathered(self.kept.K, self.kept.where[idx])
+        return _gathered(self.Q, idx)
 
     def times(self, w: np.ndarray) -> np.ndarray:
         """``Q @ w``; without Q, ``K @ w`` over the kernel's nodes at Q's indices."""
@@ -610,43 +588,34 @@ class _FreeSetSolver:
         return _kernel_product(self.kept, w)[self.kept.where]
 
     def _schur_step(self, idx: np.ndarray, p: int):
-        """``(inverse, at, rest)`` for a Schur step on F, or ``None`` when no inverse serves F.
+        """``(at, rest)`` for a Schur step on F, or ``None`` when the kernel's inverse does not serve F.
 
-        ``at`` holds F's positions in the inverse's G and ``rest`` its rest D:
-        a :class:`_GatheredRest` for a small step or a few D, else the
+        ``at`` holds F's positions in G and ``rest`` its rest D: a
+        :class:`_GatheredRest` for a small step or a few D, else the
         inverse's :class:`_Factor`, updated to D.
         """
-        best, least = None, 2 * idx.size**3 // 3 + 2 * p * idx.size**2
-        for slot, inverse in (("kept", self.kept), ("local", self.local)):
-            if inverse is None:
-                continue
-            at = inverse.where[idx]
-            if at.size and at.min() < 0:
-                continue
-            rest = np.ones(inverse.G.shape[0], dtype=bool)
-            rest[_run(at)] = False
-            size, d = rest.size, rest.size - idx.size
-            if idx.size < _FACTOR_MIN:
-                if 2 * d <= idx.size:
-                    return inverse, at, _GatheredRest(inverse, np.flatnonzero(rest))
-                continue
-            if _ROWS_SHARE * d <= size:  # D is few: its rows cost a fraction of a pass, as in _apply
-                plan, flops = None, 2 * d**3 // 3 + 2 * p * d * d + 2 * (p + 2) * d * size
-            else:
-                factor = self.factors[slot] or _Factor(inverse)
-                plan = factor, *factor.plan(rest)
-                flops = factor.flops(plan[1], plan[2].size, p)
-            if flops <= least:
-                best, least = (slot, inverse, at, rest, plan), flops
-        if best is None:
+        inverse = self.kept
+        if inverse is None:
             return None
-        slot, inverse, at, rest, plan = best
-        if plan is None:
-            return inverse, at, _GatheredRest(inverse, np.flatnonzero(rest))
-        factor, t, new = plan
+        at = inverse.where[idx]
+        rest = np.ones(inverse.G.shape[0], dtype=bool)
+        rest[_run(at)] = False
+        size, k = rest.size, idx.size
+        d = size - k
+        if k < _FACTOR_MIN:
+            return (at, _GatheredRest(inverse, np.flatnonzero(rest))) if 2 * d <= k else None
+        fresh = _solve_flops(k, p)
+        if _ROWS_SHARE * d <= size:  # D is few: its rows cost a fraction of a pass, as in _apply
+            if _solve_flops(d, p) + 2 * (p + 2) * d * size > fresh:
+                return None
+            return at, _GatheredRest(inverse, np.flatnonzero(rest))
+        factor = self.factor or _Factor(inverse)
+        t, new = factor.plan(rest)
+        if factor.flops(t, new.size, p) > fresh:
+            return None
         factor.update(t, new)
-        self.factors[slot] = factor
-        return inverse, at, factor
+        self.factor = factor
+        return at, factor
 
 
 def _pivot_step(solve: _FreeSetSolver, b: np.ndarray, r: np.ndarray, free: np.ndarray):
@@ -759,7 +728,7 @@ def _bordered_simplex_solve(Q, f, mask):
     idx = np.flatnonzero(mask)
     s = idx.size
     M = np.zeros((s + 1, s + 1))
-    M[:s, :s] = _principal_submatrix(Q, idx)
+    M[:s, :s] = Q[np.ix_(idx, idx)]
     M[:s, s] = -1.0
     M[s, :s] = 1.0
     rhs = np.concatenate([-f[idx], [1.0]])

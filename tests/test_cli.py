@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import finpot.instances
+from finpot import core
 from conftest import break_cone_solver, break_gauss_solution, break_simplex_solver
 from finpot.cli import (
     EXIT_CONFIG,
@@ -87,6 +88,32 @@ def test_balayage_negative_fixture_zero_measure(tmp_path):
     assert max(abs(w) for w in weights) == 0.0
     assert report["result"]["value"] == 0.0
     assert (out / "balayage-report.meta.json").exists()
+
+
+@pytest.mark.parametrize("path", ["lapack", "numpy"])
+def test_every_sidecar_names_the_linalg_path_and_no_report_does(tmp_path, monkeypatch, path):
+    # the path of the SPD factorizations is run metadata: hosts may differ in
+    # it while their reports agree
+    if path == "numpy":
+        monkeypatch.setattr(core, "_LAPACK", None)
+    elif core._LAPACK is None:
+        pytest.skip("numpy's LAPACK is not scipy-openblas")
+    chain = {"schema": "finpot-config/1", "instance": sphere_instance(40), "stages": 3}
+    shells = {**sphere_instance(), "geometry": {"type": "shell_union", "q": 2.0, "counts": [16] * 3}}
+    configs = {command: raw_config("mixed_small.json") for command in ("balayage", "gauss", "capacity", "solvability")}
+    configs.update({
+        "converge-up": chain,
+        "converge-down": chain,
+        "thinness": {"schema": "finpot-config/1", "instance": shells},
+        "verify": {"schema": "finpot-config/1"},
+    })
+    for command, config in configs.items():
+        out = tmp_path / command
+        cfg = write_config(tmp_path, f"{command}.json", config)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK, command
+        meta = json.loads((out / f"{command}-report.meta.json").read_text())
+        assert meta["linalg"] == path
+        assert "linalg" not in (out / f"{command}-report.json").read_text()
 
 
 def test_gauss_mass_one_fixture_sets_identification_flag(tmp_path):

@@ -175,11 +175,19 @@ def test_kernel_inverse_inverts(factored_kernels, family):
 
 
 @pytest.mark.parametrize("family", ["newton-sphere", "riesz-2.9-ball"])
-def test_min_cholesky_pivot_is_read_off_the_inverse_cholesky_factor(factored_kernels, family):
-    # the certificate turns R into G only after reading the pivot off R
+def test_min_cholesky_pivot_is_read_off_the_inverse_cholesky_factor(factored_kernels, family, monkeypatch):
+    # the certificate turns the factor into G only after reading the pivot
+    # off it: min diag L of LAPACK's factor, or 1 / max diag R of numpy's
+    # inverse factor R = L^-1
     kernel, _ = factored_kernels[family]
+    if core._LAPACK is not None:
+        L = np.array(kernel.entries)
+        core._lapack("dpotrf", L)
+        assert kernel.pd_certificate.min_cholesky_pivot == float(np.min(np.diagonal(L)))
+    monkeypatch.setattr(core, "_LAPACK", None)
     R = core._inverse_cholesky(np.array(kernel.entries))
-    assert kernel.pd_certificate.min_cholesky_pivot == 1.0 / float(np.max(np.diagonal(R)))
+    pivot = check_energy_principle(kernel.entries).min_cholesky_pivot
+    assert pivot == 1.0 / float(np.max(np.diagonal(R)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 127, 128, 129, 300])

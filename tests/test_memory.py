@@ -2,15 +2,16 @@
 
 The dense kernel matrix caps the problem size, so the transient arrays around
 it are bounded in units of its own bytes: assembly may hold the distance
-buffer next to the gram matrix, or the kernel next to its inverse Cholesky
-factor, which becomes the inverse the kernel keeps; a solve may hold one
-reduced matrix for its linear solves, or an inverse of its own, beside the
-factor of ``G_DD`` that its large Schur steps keep from step to step (about
-``|D|^2 / 2`` floats; they keep no rows of G, and gather ``_BLOCK`` at a
-time).  A problem on a gathered support of at least ``_FACTOR_MIN`` indices
-holds no copy of its matrix at all: its steps gather only the blocks they
-solve with.  The spy counts the inverses a solve builds of its free sets
-(``qp._local_inverse``), not the factors its steps border.
+buffer next to the gram matrix, or the kernel next to its Cholesky factor,
+which becomes the inverse the kernel keeps; a solve may hold one reduced
+matrix for its linear solves, factored in place, beside the factor of
+``G_DD`` that its large Schur steps keep from step to step (about ``|D|^2 /
+2`` floats; they keep no rows of G, and gather ``_BLOCK`` at a time).  A
+problem on a gathered support of at least ``_FACTOR_MIN`` indices holds no
+copy of its matrix at all: its steps gather only the blocks they solve
+with.  The spy counts the large systems a solve factors afresh by Cholesky
+(``qp._spd_solve`` on at least ``_FACTOR_MIN`` unknowns), not the factors
+its steps border.
 """
 
 import dataclasses
@@ -61,46 +62,49 @@ def test_whole_support_gauss_solve_peaks_within_one_and_a_half_matrices(instance
 
 
 @pytest.fixture
-def inverted(monkeypatch):
-    """Sizes of the free sets the QP engine builds an inverse of."""
+def solved(monkeypatch):
+    """Sizes of the systems of at least ``_FACTOR_MIN`` unknowns the QP engine solves afresh."""
     sizes = []
-    local_inverse = qp._local_inverse
-    monkeypatch.setattr(
-        qp, "_local_inverse", lambda A, idx, size: sizes.append(A.shape[0]) or local_inverse(A, idx, size)
-    )
+    spd_solve = qp._spd_solve
+
+    def spy(A, B):
+        if A.shape[0] >= qp._FACTOR_MIN:
+            sizes.append(A.shape[0])
+        return spd_solve(A, B)
+
+    monkeypatch.setattr(qp, "_spd_solve", spy)
     return sizes
 
 
-def test_multi_step_gauss_solve_peaks_within_one_and_a_half_matrices(inverted):
-    # every step runs on the kernel's own inverse, so the solve inverts nothing
+def test_multi_step_gauss_solve_peaks_within_one_and_a_half_matrices(solved):
+    # every step runs on the kernel's own inverse, so the solve factors no Q_FF
     inst = assemble(MIXED)
     res, peak = peak_bytes(lambda: solve_gauss(inst.kernel, inst.omega, inst.support))
-    assert res.kkt.iterations > 2 and not inverted
+    assert res.kkt.iterations > 2 and not solved
     assert peak <= 1.5 * 8 * M * M
 
 
-def test_multi_step_gathered_gauss_solve_peaks_within_one_and_a_half_matrices(inverted):
+def test_multi_step_gathered_gauss_solve_peaks_within_one_and_a_half_matrices(solved):
     # 450 nodes, every fourth left out: no gathered copy of Q, and the
     # kernel's inverse serves every step of at least _FACTOR_MIN indices,
     # bordering its factor of G_DD as D grows (6 steps)
     inst = assemble(MIXED)
     support = SupportSet(i for i in range(M) if i % 4)
     res, peak = peak_bytes(lambda: solve_gauss(inst.kernel, inst.omega, support))
-    assert res.kkt.iterations > 2 and not inverted
+    assert res.kkt.iterations > 2 and not solved
     assert peak <= 1.5 * 8 * M * M
 
 
-def test_multi_step_gauss_solve_on_a_small_support_peaks_within_one_and_a_half_matrices(inverted):
+def test_multi_step_gauss_solve_on_a_small_support_peaks_within_one_and_a_half_matrices(solved):
     # every other node, 450 of 902 indices: the rest of the universe
     # outweighs the free set, so a fresh solve costs fewer flops than a Schur
-    # step on the kernel's inverse; the first step is one, and a later one
-    # inverts its free set of at least _FACTOR_MIN indices (6 steps, inverse
-    # at k = 420)
+    # step on the kernel's inverse; each step is one, factored in its gathered
+    # copy (6 steps, three of at least _FACTOR_MIN indices: 450, 420, 401)
     m = 900
     inst = assemble(dataclasses.replace(MIXED, geometry=Sphere(1.0, m)))
     support = SupportSet(range(0, m, 2))
     res, peak = peak_bytes(lambda: solve_gauss(inst.kernel, inst.omega, support))
-    assert res.kkt.iterations > 2 and max(inverted) >= qp._FACTOR_MIN
+    assert res.kkt.iterations > 2 and max(solved) >= qp._FACTOR_MIN
     assert peak <= 1.5 * 8 * m * m
 
 

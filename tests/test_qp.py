@@ -423,22 +423,19 @@ def mixed_charge_universes():
     (solve_simplex_qp, lambda Q, field: SimplexQpProblem(Q, -field)),
 ])
 def test_factor_path_matches_lu_every_step(mixed_charge_universes, solve, make, monkeypatch):
-    # whole 1600-node sphere, mixed charge, no factor handed in: each problem
-    # takes 9 steps and factors free sets of its own
+    # whole 1600-node sphere, mixed charge, no inverse handed in: each problem
+    # takes 9 steps and solves each free set afresh by Cholesky, against LU
+    # solves (the crossover raised above every k)
     inst = mixed_charge_universes["newton-sphere"]
     n = inst.n_nodes
     p = make(inst.kernel.entries[:n, :n], (inst.kernel.entries @ inst.omega.weights)[:n])
     factored = []
-    inverse_cholesky = qp._inverse_cholesky
-    monkeypatch.setattr(
-        qp, "_inverse_cholesky", lambda A: factored.append(A.shape[0]) or inverse_cholesky(A)
-    )
+    spd_solve = qp._spd_solve
+    monkeypatch.setattr(qp, "_spd_solve", lambda A, B: factored.append(A.shape[0]) or spd_solve(A, B))
     w, report = solve(p)
-    assert max(factored) >= qp._FACTOR_MIN
-    monkeypatch.setattr(qp, "_FACTOR_MIN", n + 1)
-    factored.clear()
+    assert min(factored) >= core._CHOLESKY_MIN and max(factored) >= qp._FACTOR_MIN
+    monkeypatch.setattr(core, "_CHOLESKY_MIN", n + 1)
     w_lu, report_lu = solve(p)
-    assert not factored
     assert np.array_equal(w > 0.0, w_lu > 0.0)
     assert report.iterations == report_lu.iterations > 2
     assert np.max(np.abs(w - w_lu)) <= 1e-12 * max(1.0, float(np.max(np.abs(w_lu))))
@@ -472,9 +469,9 @@ def test_seeded_solver_starts_from_the_factor():
     rng = np.random.default_rng(3)
     r = np.column_stack((rng.standard_normal(1000), np.ones(1000), np.zeros(1000)))
 
-    def check(solve, free):
-        idx, x, _ = solve(free, r[:free.size])
-        assert np.array_equal(idx, np.flatnonzero(free))
+    def check(solve, free, served=True):
+        idx, x, Qz = solve(free, r[:free.size])
+        assert np.array_equal(idx, np.flatnonzero(free)) and (Qz is not None) is served
         ref = np.linalg.solve(solve.Q[np.ix_(idx, idx)], r[idx])
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert not x[:, 2].any()
@@ -490,38 +487,27 @@ def test_seeded_solver_starts_from_the_factor():
         check(solve, free)
         assert solve.kept.G is G
     # ... when the rest of the universe outweighs the free set, solving Q_FF
-    # afresh costs fewer flops than a Schur step: the first step does, and a
-    # later one of at least _FACTOR_MIN indices builds an inverse of its own,
-    # which serves the steps after it; the kernel's inverse stays for the
-    # whole QP
+    # afresh costs fewer flops than a Schur step: each such step is one fresh
+    # Cholesky solve, which brings no products Q z, and the solver builds no
+    # inverse of its own; the kernel's inverse stays for the whole QP
     kept = qp._Inverse(G, row_sums, np.arange(1000))
     solve = qp._FreeSetSolver(K, kept)
-    check(solve, np.arange(1000) < 450)
-    assert solve.kept is kept and solve.local is None
-    check(solve, np.arange(1000) < 420)
-    local = solve.local
-    assert local.G.shape == (420, 420) and np.array_equal(local.G, local.G.T)
-    ones = np.ones(420)  # the solver forms the row sums of the inverse it builds
-    assert not local.row_sums.flags.writeable
-    assert np.all(np.abs(local.row_sums - local.G @ ones) <= 1e-12 * (np.abs(local.G) @ ones))
-    check(solve, np.arange(1000) < 400)
-    assert solve.local is local and solve.kept is kept
+    for k in (450, 420, 400):
+        check(solve, np.arange(1000) < k, served=False)
+        assert solve.kept is kept and solve.factor is None
     # a free set that the kernel's inverse serves again is solved from it, bit
     # for bit as a first step on it
     free = np.arange(1000) >= 100
     x = check(solve, free)
-    assert solve.kept is kept and solve.local is local
+    assert solve.kept is kept
     assert np.array_equal(x, qp._FreeSetSolver(K, kept)(free, r)[1])
-    # a later step that leaves the kernel's inverse builds one right away
-    solve = qp._FreeSetSolver(K, kept)
-    check(solve, np.ones(1000, dtype=bool))
-    check(solve, np.arange(1000) < 450)
-    assert solve.local.G.shape == (450, 450) and solve.kept is kept
-    # below the gate it is an LU solve, and no inverse of its own is kept
-    solve = qp._FreeSetSolver(K, kept)
-    check(solve, np.ones(1000, dtype=bool))
-    check(solve, np.arange(1000) < qp._FACTOR_MIN - 1)
-    assert solve.local is None and solve.kept is kept
+    # a later step that leaves the kernel's inverse is a fresh solve, above
+    # the gate and below it alike
+    for k in (450, qp._FACTOR_MIN - 1):
+        solve = qp._FreeSetSolver(K, kept)
+        check(solve, np.ones(1000, dtype=bool))
+        check(solve, np.arange(1000) < k, served=False)
+        assert solve.kept is kept
 
 
 class _Served(qp._FreeSetSolver):
@@ -626,7 +612,7 @@ def test_kept_factor_matches_lu_at_every_step(cap_universes, mass):
     # a gathered 80% cap of the warm-solve sphere, whose problem holds no Q:
     # the kernel's inverse serves the large free sets, keeping its factor of
     # G_DD from step to step; a free set it serves at a higher cost than a
-    # fresh solve leaves it for an inverse of its own, which keeps a factor too
+    # fresh solve is solved afresh by Cholesky, and the factor stays
     inst, omega = cap_universes["warm-solve-sphere"]
     kernel = inst.kernel
     u = kernel.entries @ omega
@@ -660,13 +646,13 @@ def test_kept_factor_matches_lu_at_every_step(cap_universes, mass):
     # the whole cap: D, the rest of the universe, is factored from scratch
     free = np.ones(ix.size, dtype=bool)
     step(free, True)
-    factor = solve.factors["kept"]
+    factor = solve.factor
     first = factor.order.copy()
     assert first.size == kernel.size - ix.size
     # 100 indices leave F: D keeps its order and grows by bordering
     free, out = leave(free, 100)
     step(free, True)
-    assert solve.factors["kept"] is factor and factor.order.size == first.size + 100
+    assert solve.factor is factor and factor.order.size == first.size + 100
     assert np.array_equal(factor.order[:first.size], first) and len(factor.blocks) > 1
     grown = factor.order.copy()
     # 10 of them return and 40 more leave: D keeps the prefix before the
@@ -678,19 +664,17 @@ def test_kept_factor_matches_lu_at_every_step(cap_universes, mass):
     assert first.size <= cut < grown.size
     assert np.array_equal(factor.order[:cut], grown[:cut]) and factor.order.size == grown.size + 30
     assert not np.isin(factor.order, ix[free]).any()
-    # a free set of 560 leaves the kernel's inverse for one of its own ...
+    # a free set of 560, and the free sets inside it, leave the kernel's
+    # inverse for fresh solves, which leave its factor as it was
+    order = factor.order.copy()
     free = np.arange(ix.size) < 560
     step(free, False)
-    assert solve.local.G.shape == (560, 560) and solve.factors["kept"] is factor
-    # ... whose factor grows and is cut in the same way
     free, out = leave(free, 80)
     step(free, False)
-    local = solve.factors["local"]
-    assert local.inverse is solve.local and local.order.size == 80
     free[out[:5]] = True
     free, _ = leave(free, 10)
     step(free, False)
-    assert local.order.size == 85
+    assert solve.factor is factor and np.array_equal(factor.order, order)
     # a D of at most 1/8 of the universe is solved afresh from its rows of G,
     # and keeps no factor: 168 indices on the kernel's inverse for a 90% cap
     ix = _cap(inst, 0.9)
@@ -699,7 +683,7 @@ def test_kept_factor_matches_lu_at_every_step(cap_universes, mass):
     Q, solve = p.Q, _Served(None, p.inverse)
     r = np.column_stack((b, np.ones(b.size)))[:, :1 + mass]
     step(np.ones(ix.size, dtype=bool), True)
-    assert solve.factors["kept"] is None
+    assert solve.factor is None
 
 
 def _support(kind: str, n: int, rng) -> SupportSet:
