@@ -7,9 +7,13 @@ dropped before the next op starts.  So what it reads is finpot's working
 memory, without the requests, inputs and results that the benchmark's
 closed loop keeps until its run ends.  It replays the requests twice:
 
-* untraced, then prints ``ru_maxrss`` of the process (the set-up included);
+* untraced, then prints ``ru_maxrss`` of the process (the set-up included)
+  and, for each request kind, the median wall time of its ops;
 * under tracemalloc, then prints for each request kind the number of ops and
   the largest traced peak of one op above what was live when it started.
+
+A shell-scan scan's kind names its stage count (``scan-3`` ... ``scan-5``),
+so the time of each scan length shows apart.
 
 Usage, from the root of a checkout::
 
@@ -20,8 +24,10 @@ from __future__ import annotations
 
 import argparse
 import resource
+import statistics
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -29,19 +35,28 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _kind(req: dict) -> str:
-    """``kind`` or ``command`` of a request, and for a warm-solve request whole or cap."""
+    """``kind`` or ``command`` of a request; whole or cap for warm-solve, the stage count for a scan."""
     kind = req.get("kind") or req["command"]
     if "cap" in req:
         kind += "-whole" if req["cap"] is None else "-cap"
+    if "stages" in req:
+        kind += f"-{req['stages']}"
     return kind
 
 
-def probe(workload, requests: int) -> tuple[float, dict]:
-    """``ru_maxrss`` in MB after an untraced replay, and ``{kind: (ops, peak bytes)}`` of a traced one."""
+def probe(workload, requests: int) -> tuple[float, dict, dict]:
+    """``ru_maxrss`` in MB and ``{kind: median op seconds}`` of an untraced replay, and
+    ``{kind: (ops, peak bytes)}`` of a traced one."""
     reqs = workload.requests[:requests]
+    times: dict = {}
     for req in reqs:
-        workload.op(req, workload.prepare(req))
+        prepared = workload.prepare(req)
+        start = time.perf_counter()
+        workload.op(req, prepared)
+        times.setdefault(_kind(req), []).append(time.perf_counter() - start)
+        del prepared
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    medians = {kind: statistics.median(seconds) for kind, seconds in times.items()}
     peaks: dict = {}
     tracemalloc.start()
     try:
@@ -56,7 +71,7 @@ def probe(workload, requests: int) -> tuple[float, dict]:
             peaks[_kind(req)] = (ops + 1, max(most, peak))
     finally:
         tracemalloc.stop()
-    return rss_mb, peaks
+    return rss_mb, medians, peaks
 
 
 def main(argv=None) -> int:
@@ -73,12 +88,12 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as workdir:
         workload = workloads.WORKLOADS[args.workload](args.seed, args.size, Path(workdir))
-        rss_mb, peaks = probe(workload, args.requests)
+        rss_mb, medians, peaks = probe(workload, args.requests)
     print(f"{args.workload} seed {args.seed}, first {args.requests} requests")
     print(f"ru_maxrss {rss_mb:.1f} MB")
-    print(f"{'kind':>16} {'ops':>5} {'largest op peak (MB)':>21}")
+    print(f"{'kind':>16} {'ops':>5} {'median op (ms)':>15} {'largest op peak (MB)':>21}")
     for kind, (ops, peak) in sorted(peaks.items()):
-        print(f"{kind:>16} {ops:5d} {peak / 2**20:21.2f}")
+        print(f"{kind:>16} {ops:5d} {medians[kind] * 1e3:15.3f} {peak / 2**20:21.2f}")
     print(f"largest op peak {max(peak for _, peak in peaks.values()) / 2**20:.2f} MB")
     return 0
 

@@ -272,11 +272,12 @@ def _mirror_lower(A: np.ndarray, zero: bool = False) -> None:
     """Copy the strict lower triangle of the square ``A`` onto its upper one, or zero that.
 
     The off-diagonal quarter is set by one (transposed) assignment, which
-    needs no temporary, and the two diagonal quarters recurse, so the only
-    temporaries are those of blocks of at most 32 rows.
+    needs no temporary, and the two diagonal quarters recurse down to blocks
+    of at most 128 rows, formed directly, so the only temporaries are at
+    most three 128×128 blocks.
     """
     k = A.shape[0]
-    if k <= 32:
+    if k <= 128:
         A[...] = np.tril(A) if zero else np.tril(A) + np.tril(A, -1).T
         return
     h = k // 2

@@ -161,8 +161,6 @@ def test_chain_direction_messages():
         # the last stage's value raised above 0, which bounds every sweep's value:
         # the value rises along the growing chain
         ("value_drift", 2, lambda r: replace(r, value=1.0)),
-        # the cold reference solve on the final set moved off the chained last stage
-        ("final_distance", 3, lambda r: replace(r, measure=r.measure.scaled(1.01))),
     ],
 )
 def test_chain_gate_fires_on_each_residual(monkeypatch, key, call, edit):
@@ -179,9 +177,25 @@ def test_chain_gate_fires_on_each_residual(monkeypatch, key, call, edit):
     monkeypatch.setattr(finpot.experiments, "pseudo_balayage", perturbed)
     with pytest.raises(CharacterizationViolated) as err:
         monotone_up(kernel, omega, chain)
-    assert len(calls) == len(chain) + 1
+    assert len(calls) == len(chain)
     assert err.value.residuals[key] > gate(SOLVER_TOL)
     assert key in str(err.value)
+
+
+def test_up_chain_solves_each_stage_once(monkeypatch):
+    kernel, omega, _ = mixed_instance(7, 30)
+    chain = nested_chain(8, 30, 4)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pseudo_balayage(*args, **kwargs)
+
+    monkeypatch.setattr(finpot.experiments, "pseudo_balayage", counted)
+    rep = monotone_up(kernel, omega, chain)
+    # the last stage, warm-started from the one below, is the reference itself
+    assert len(calls) == len(chain)
+    assert rep.final_distance == 0.0
 
 
 def test_down_chain_solves_each_stage_once(monkeypatch):
@@ -308,6 +322,62 @@ def test_scan_sweeps_settle_in_one_step_after_the_first_scaling(monkeypatch):
     # sweep(q omega) = q sweep(omega): the support the previous scaling found is final
     assert max(iterations[: len(family)]) > 1
     assert iterations[len(family):] == [1] * (2 * len(family))
+
+
+def _count_scan_solves(monkeypatch):
+    """Record the starts handed to the scan's sweeps and Gauss solves and the iterations they took."""
+    import finpot.balayage
+    import finpot.gauss
+
+    starts, iterations = [], []
+    for name in ("pseudo_balayage", "solve_gauss"):
+        real = getattr(finpot.experiments, name)
+
+        def started(*args, _real=real, **kwargs):
+            starts.append(kwargs.get("w0"))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(finpot.experiments, name, started)
+    for module, name in ((finpot.balayage, "solve_cone_qp"), (finpot.gauss, "solve_simplex_qp")):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, **kwargs):
+            w, report = _real(*args, **kwargs)
+            iterations.append(report.iterations)
+            return w, report
+
+        monkeypatch.setattr(module, name, counted)
+    return starts, iterations
+
+
+@pytest.mark.parametrize("extra", [(), (ChargeAtom((0.0, 0.0, 2.2), -0.6),)], ids=["positive", "mixed"])
+def test_scan_truncation_starts_keep_every_cell_and_save_solves(monkeypatch, extra):
+    # shell j of a union depends only on j, so each truncation's nodes begin
+    # with the truncation below's; far below qp._FACTOR_MIN, a start changes
+    # no bit of the answer, only the solves that reach it
+    family = shell_family(truncations=(2, 3, 4, 5), per_shell=24, extra=extra)
+    scalings = [0.3, 1.0, -0.7, 0.0, 2.5]
+    starts, iterations = _count_scan_solves(monkeypatch)
+    table = solvability_scan(family, scalings)
+    started = sum(iterations)
+    # at the first scaling only the first truncation starts cold
+    assert [w is None for w in starts[: 2 * len(family)]] == [True, True] + [False] * (2 * len(family) - 2)
+    monkeypatch.setattr(finpot.experiments, "_truncation_start", lambda *args: (None, None))
+    iterations.clear()
+    cold = solvability_scan(family, scalings)
+    assert table.to_json() == cold.to_json()
+    assert started < sum(iterations)
+
+
+def test_scan_starts_no_truncation_whose_nodes_are_not_an_extension(monkeypatch):
+    # 24 then 32 nodes per shell: the unions differ from their first shell on
+    family = [shell_family(truncations=(n,), per_shell=p)[0] for n, p in ((2, 24), (3, 32), (4, 24))]
+    starts, _ = _count_scan_solves(monkeypatch)
+    table = solvability_scan(family, [0.3, 1.0])
+    assert starts[: 2 * len(family)] == [None] * (2 * len(family))
+    assert all(w is not None for w in starts[2 * len(family):])
+    cells = [c for row in table.rows for c in row.cells]
+    assert [c.node_count for c in cells] == [48, 96, 96] * 2
 
 
 def test_scan_cell_failure_propagates(monkeypatch):

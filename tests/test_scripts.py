@@ -55,16 +55,25 @@ def test_report_drift_reports_numeric_drift_and_fails_on_other_changes(tmp_path,
     assert "non-numeric: run/chain-report.csv: 2 rows against 3" in out
 
 
-def test_memory_probe_reports_each_request_kind(capsys):
-    # the tiny warm-solve preset: 120 sphere nodes, the first 10 requests
+# the tiny presets: 120 sphere nodes for warm-solve, 8 nodes per shell for shell-scan
+@pytest.mark.parametrize(
+    "workload, kinds",
+    [
+        ("warm-solve", lambda kind: kind.rsplit("-", 1)[1] in {"whole", "cap"}),
+        # a scan's kind names its stage count
+        ("shell-scan", lambda kind: kind in {"chain", "scan-3", "scan-4", "scan-5"}),
+    ],
+)
+def test_memory_probe_reports_each_request_kind(capsys, workload, kinds):
     main = _script("memory_probe.py")["main"]
-    assert main(["--workload", "warm-solve", "--seed", "3", "--requests", "10", "--size", "tiny"]) == 0
+    assert main(["--workload", workload, "--seed", "3", "--requests", "10", "--size", "tiny"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "warm-solve seed 3, first 10 requests"
+    assert out[0] == f"{workload} seed 3, first 10 requests"
     assert out[1].startswith("ru_maxrss ") and out[1].endswith(" MB")
     rows = [line.split() for line in out[3:-1]]
     assert sum(int(row[1]) for row in rows) == 10
-    assert {row[0].rsplit("-", 1)[1] for row in rows} <= {"whole", "cap"}
+    assert all(kinds(row[0]) for row in rows)
+    assert all(float(row[2]) > 0.0 for row in rows)  # the median op time, in ms
     assert out[-1].startswith("largest op peak ")
 
 
