@@ -95,6 +95,31 @@ def _certify(
     require_within_gate(label, residuals, tol)
 
 
+def _sweep_field(label, kernel, field, support, tol, w0=None, charge=None):
+    """Solve the cone QP with ``b = field`` on ``support`` and certify the answer as a sweep.
+
+    ``field`` is over the kernel's nodes, and ``charge = (omega, field)``
+    names a charge whose potential it is.  Returns ``w`` over the kernel's
+    nodes, ``K @ w`` (the solve's last product), the value and the report.
+    """
+    idx = support.as_array()
+    start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
+    problem = ConeQpProblem.on_kernel(kernel, support, field[idx], _charge=charge)
+    w_sub, report = solve_cone_qp(problem, tol=tol, w0=start)
+
+    w = np.zeros(kernel.size)
+    w[idx] = w_sub
+    pot = problem._potential(w_sub)
+    # gauss_functional(kernel, omega, Measure(w)), bit for bit, when field is U^omega
+    value = float(w @ pot) - 2.0 * float(w @ field)
+    gap = pot - field
+    _certify(
+        label, gap, w, idx, 0.0, tol,
+        self_integral=abs(float(w @ gap)), value_sign=float(np.maximum(0.0, value)),
+    )
+    return w, pot, value, report
+
+
 def pseudo_balayage(
     kernel: KernelMatrix,
     omega: Measure,
@@ -112,24 +137,9 @@ def pseudo_balayage(
     """
     if h is not None and h < 1.0:
         raise ValueError("the maximum-principle constant h must be >= 1")
-    idx = support.as_array()
     u = potential(kernel, omega)
-    start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
-    problem = ConeQpProblem.on_kernel(kernel, support, u[idx], _charge=(omega.weights, u))
-    w_sub, report = solve_cone_qp(problem, tol=tol, w0=start)
-
-    w = np.zeros(kernel.size)
-    w[idx] = w_sub
+    w, _, value, report = _sweep_field("pseudo-balayage", kernel, u, support, tol, w0, (omega.weights, u))
     swept = Measure(w)
-    pot = problem._potential(w_sub)  # potential(kernel, swept): the solve's last product
-    # gauss_functional(kernel, omega, swept), bit for bit, from the one product K @ w
-    value = float(w @ pot) - 2.0 * float(w @ u)
-    gap = pot - u
-    _certify(
-        "pseudo-balayage", gap, w, idx, 0.0, tol,
-        self_integral=abs(float(w @ gap)), value_sign=float(np.maximum(0.0, value)),
-    )
-
     bound = None if h is None else float(h) * omega.positive_part.mass
     return BalayageResult(measure=swept, value=value, kkt=report, mass=swept.mass, mass_bound=bound)
 

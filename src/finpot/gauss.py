@@ -4,9 +4,9 @@
 set A.  The minimizer is certified through its equilibrium conditions: the
 field-shifted potential dominates the equilibrium constant at every node of
 A and matches it on the support, and the constant obtained from the KKT
-multiplier must agree with its integral form.  ``capacitary_measure``
-specializes to a vanishing charge and renormalizes so the equilibrium
-potential is 1 on the set; its total mass is the capacity.
+multiplier must agree with its integral form.  ``capacitary_measure`` is
+the sweep of the unit field, the cone problem with ``b = 1``: its
+potential is 1 on its support, and its total mass is the capacity.
 
 On a finite universe every set has finite capacity, so the unsolvable
 regimes of the continuum theory are probed through declared truncation
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balayage import BalayageResult, _certify, gate, pseudo_balayage
+from .balayage import BalayageResult, _certify, _sweep_field, gate, pseudo_balayage
 from .core import (
     SOLVER_TOL,
     KernelMatrix,
@@ -51,7 +51,7 @@ class GaussResult(Record):
 class CapacityResult(Record):
     """Capacitary measure of a set, its mass (the capacity), and potential range.
 
-    ``kkt`` is the optimality certificate of the underlying unit-mass solve.
+    ``kkt`` is the report of the cone solve with ``b = 1``, whose ``multiplier`` is None.
     """
 
     gamma: Measure
@@ -91,11 +91,6 @@ def solve_gauss(
     :class:`~finpot.balayage.CharacterizationViolated`, as do failures of the
     equilibrium conditions themselves.
     """
-    return _solve_gauss(kernel, omega, support, tol, w0)[0]
-
-
-def _solve_gauss(kernel, omega, support, tol, w0=None) -> tuple[GaussResult, np.ndarray]:
-    """:func:`solve_gauss`, and the minimizer's potential ``K @ lambda`` that certified it."""
     idx = support.as_array()
     u = potential(kernel, omega)
     start = None if w0 is None else np.asarray(w0, dtype=float)[idx]
@@ -114,7 +109,7 @@ def _solve_gauss(kernel, omega, support, tol, w0=None) -> tuple[GaussResult, np.
         "equilibrium", weighted, w, idx, c_integral, tol,
         constant_agreement=abs(float(report.multiplier) - c_integral), mass=abs(lam.mass - 1.0),
     )
-    return GaussResult(measure=lam, value=value, equilibrium_constant=c_integral, kkt=report), pot
+    return GaussResult(measure=lam, value=value, equilibrium_constant=c_integral, kkt=report)
 
 
 def capacitary_measure(
@@ -124,25 +119,17 @@ def capacitary_measure(
 ) -> CapacityResult:
     """Capacitary measure and capacity of a node set.
 
-    Solves the chargeless minimum-energy problem over probability measures on
-    the set and rescales the minimizer by its energy, so the potential of the
-    result is 1 on the support and at least 1 on the whole set; the total
-    mass of the rescaled measure is the capacity.  Both potential properties
-    are gated at ``gate(tol)`` like every other solve and raise
-    :class:`~finpot.balayage.CharacterizationViolated` when they fail.
-    The potential of the result is the solve's ``K @ lambda`` rescaled, so
-    no product with ``K`` is spent on it.
+    The capacitary measure minimizes ``energy(mu) - 2 mu(A)`` over positive
+    measures on the set A (Fuglede, Acta Math. 103, 1960): the sweep of the
+    unit field, one cone solve with ``b = 1``, certified as a sweep on the
+    gap ``K @ gamma - 1``.  Its potential is 1 on its support and at least 1
+    on A, and its total mass is the capacity.
     """
-    res, pot_lam = _solve_gauss(kernel, Measure.zero(kernel.size), support, tol)
-    scale = 1.0 / res.value
-    gamma = res.measure.scaled(scale)
+    w, pot, _, report = _sweep_field("capacitary", kernel, np.ones(kernel.size), support, tol)
     idx = support.as_array()
-    pot = scale * pot_lam
-    _certify("capacitary", pot, gamma.weights, idx, 1.0, tol)
     rng = (float(pot[idx].min()), float(pot[idx].max()))
-    return CapacityResult(
-        gamma=gamma, capacity=gamma.mass, equilibrium_potential_range=rng, kkt=res.kkt
-    )
+    gamma = Measure(w)
+    return CapacityResult(gamma=gamma, capacity=gamma.mass, equilibrium_potential_range=rng, kkt=report)
 
 
 def minimizer_is_sweep(

@@ -1,11 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 import finpot.balayage
 import finpot.gauss
-from finpot.core import KernelMatrix, Measure
+from finpot.core import KernelMatrix
 from finpot.fixtures import mixed_instance, random_spd_kernel
 
 
@@ -60,7 +58,7 @@ def _nudge_qp_solver(monkeypatch, module, name: str) -> None:
 
 
 def break_cone_solver(monkeypatch) -> None:
-    """Make the sweep's cone solves return a nudged minimizer."""
+    """Make the cone solves of the sweep and of the capacity return a nudged minimizer."""
     _nudge_qp_solver(monkeypatch, finpot.balayage, "solve_cone_qp")
 
 
@@ -68,16 +66,3 @@ def break_simplex_solver(monkeypatch) -> None:
     """Make the Gauss problem's simplex solves return a nudged minimizer."""
     _nudge_qp_solver(monkeypatch, finpot.gauss, "solve_simplex_qp")
 
-
-def break_gauss_solution(monkeypatch) -> None:
-    """Make the Gauss solve of ``capacitary_measure`` return a nudged measure, with its potential."""
-    real = finpot.gauss._solve_gauss
-
-    def solve(kernel, *args, **kwargs):
-        res, _ = real(kernel, *args, **kwargs)
-        w = res.measure.weights.copy()
-        support = w > 0.0
-        w[support] = nudged(w[support])
-        return dataclasses.replace(res, measure=Measure(w)), kernel.entries @ w
-
-    monkeypatch.setattr(finpot.gauss, "_solve_gauss", solve)

@@ -20,6 +20,7 @@ from finpot.core import (
 from finpot.fixtures import mixed_instance, random_signed_measure, random_spd_kernel
 from finpot.instances import ChargeAtom, InstanceSpec, RieszKernel, Sphere, assemble
 from finpot.gauss import solve_gauss
+from finpot.qp import MaxIterExceeded
 
 
 def first_nonvanishing(seed0: int, m: int):
@@ -147,6 +148,35 @@ def test_certification_rejects_a_perturbed_minimizer(monkeypatch):
     with pytest.raises(CharacterizationViolated) as err:
         pseudo_balayage(kernel, omega, support)
     assert err.value.residuals["support_equality"] > 10 * 1e-8
+
+
+def two_charge_sphere(negative: float):
+    """The 500-node Newtonian sphere with +1 at (2, 0, 0) and ``negative`` at (0, 0, 1.3)."""
+    spec = InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 500), charge=(
+        ChargeAtom((2.0, 0.0, 0.0), 1.0), ChargeAtom((0.0, 0.0, 1.3), negative)))
+    return assemble(spec)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the absolute gate certifies the zero measure at small scale")
+def test_certify_refuses_the_zero_measure_as_a_small_sweep():
+    inst = two_charge_sphere(-0.5)
+    omega = inst.omega.scaled(1e-9)
+    assert pseudo_balayage(inst.kernel, omega, inst.support).mass > 2e-10
+    try:
+        certify_sweep(inst.kernel, omega, inst.support, Measure.zero(inst.kernel.size))
+    except CharacterizationViolated:
+        return
+    raise AssertionError("the zero measure was certified as the sweep of 1e-9 omega")
+
+
+@pytest.mark.xfail(strict=True, raises=MaxIterExceeded,
+                   reason="ROADMAP item 2: the absolute solver contract fails the sweep at large scale")
+def test_a_large_sweep_is_certified():
+    inst = two_charge_sphere(-1.0)
+    unit = pseudo_balayage(inst.kernel, inst.omega, inst.support).measure.weights
+    large = pseudo_balayage(inst.kernel, inst.omega.scaled(1e6), inst.support).measure.weights
+    assert np.max(np.abs(large - 1e6 * unit)) <= 1e-8 * 1e6 * np.max(unit)
 
 
 def test_a_nan_residual_is_not_within_the_gate():

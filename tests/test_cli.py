@@ -9,7 +9,7 @@ import pytest
 
 import finpot.instances
 from finpot import core
-from conftest import break_cone_solver, break_gauss_solution, break_simplex_solver
+from conftest import break_cone_solver, break_simplex_solver
 from finpot.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -677,7 +677,7 @@ def test_scan_cell_failure_exits_2(tmp_path, monkeypatch, capsys):
     [
         ("balayage", break_cone_solver),
         ("gauss", break_simplex_solver),
-        ("capacity", break_gauss_solution),
+        ("capacity", break_cone_solver),
     ],
 )
 def test_failed_certification_exits_2(tmp_path, monkeypatch, capsys, command, breaker):

@@ -1,8 +1,12 @@
+import json
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
-from conftest import break_gauss_solution, break_simplex_solver
+from conftest import break_cone_solver, break_simplex_solver
 from finpot.balayage import CharacterizationViolated, pseudo_balayage
+from finpot.cli import _raw_problem
 from finpot.core import (
     KernelMatrix,
     Measure,
@@ -11,7 +15,7 @@ from finpot.core import (
     energy_distance,
     potential,
 )
-from finpot.fixtures import mixed_instance, random_spd_kernel
+from finpot.fixtures import mixed_instance, random_spd_kernel, random_support
 from finpot.gauss import (
     SOLVABLE,
     SOLVABLE_VIA_BALAYAGE,
@@ -21,6 +25,7 @@ from finpot.gauss import (
     solve_gauss,
 )
 from finpot.instances import ChargeAtom, InstanceSpec, RieszKernel, ShellUnion, Sphere, assemble
+from finpot.qp import ConeQpProblem, SimplexQpProblem, brute_force_cone, brute_force_simplex
 
 
 def nonvanishing_sweep(seed0: int, m: int):
@@ -128,7 +133,7 @@ def test_capacity_monotone_in_the_set():
 
 def test_capacity_certification_rejects_a_perturbed_measure(monkeypatch):
     kernel = random_spd_kernel(5, 10)
-    break_gauss_solution(monkeypatch)
+    break_cone_solver(monkeypatch)
     with pytest.raises(CharacterizationViolated) as err:
         capacitary_measure(kernel, SupportSet(range(8)))
     assert err.value.residuals["support_equality"] > 10 * 1e-8
@@ -150,6 +155,37 @@ def test_gauss_solve_seeded_with_the_capacitary_measure_is_the_cold_solve(q, per
     assert seeded.kkt.iterations > 1
     assert np.array_equal(seeded.measure.weights, cold.measure.weights)
     assert (seeded.value, seeded.equilibrium_constant) == (cold.value, cold.equilibrium_constant)
+
+
+def _capacity_matches_the_oracles(kernel, support):
+    """The capacitary measure is the cone oracle's answer at ``b = 1``, within verify's bounds.
+
+    Its capacity is also ``1 / min energy`` over probability measures on the
+    set, the chargeless simplex oracle's answer.
+    """
+    res = capacitary_measure(kernel, support)
+    idx = support.as_array()
+    Q = kernel.restrict(support)
+    cone = ConeQpProblem(Q, np.ones(idx.size))
+    w, w_oracle = res.gamma.weights[idx], brute_force_cone(cone)
+    assert float(np.max(np.abs(w - w_oracle))) <= 1e-8
+    assert abs(cone.objective(w) - cone.objective(w_oracle)) <= 1e-10
+    lam = brute_force_simplex(SimplexQpProblem(Q, np.zeros(idx.size)))
+    assert res.capacity == pytest.approx(1.0 / float(lam @ Q @ lam), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_capacity_is_the_cone_oracle_at_the_unit_field_on_random_kernels(seed):
+    kernel = random_spd_kernel(seed, 10)
+    _capacity_matches_the_oracles(kernel, random_support(seed + 50, 10))
+
+
+@pytest.mark.parametrize("name", ["atom_in_target", "mass_one", "mixed_small", "negative_omega"])
+def test_capacity_is_the_cone_oracle_at_the_unit_field_on_the_fixtures(name):
+    # riesz_sphere's 40-node support is beyond the enumeration limit
+    fixture = json.loads((files("finpot") / "fixtures" / f"{name}.json").read_text())
+    kernel, _, support, _ = _raw_problem(fixture)
+    _capacity_matches_the_oracles(kernel, support)
 
 
 def test_newtonian_sphere_capacity_near_radius():

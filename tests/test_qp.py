@@ -969,3 +969,16 @@ def test_the_solve_hands_its_product_only_to_the_answer_it_returned(sphere_400, 
     nudged = w.copy()
     nudged[0] += 0.01
     assert np.array_equal(p._potential(nudged), embedded(nudged))
+
+
+@pytest.mark.xfail(strict=True, raises=MaxIterExceeded,
+                   reason="ROADMAP item 1: the block pivot's backup starves on full exchanges")
+def test_the_whole_universe_simplex_problem_converges():
+    # the answer is a single atom on the positive charge's node, 1600; full
+    # exchange with the backup off reaches it in 13 solves, Murty's rule in 529
+    inst = assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 1600), charge=(
+        ChargeAtom((2.0, 0.0, 0.0), 1.0), ChargeAtom((0.0, 0.0, 1.3), -1.0))))
+    kernel = inst.kernel
+    full = SupportSet(range(kernel.size))
+    w, _ = solve_simplex_qp(SimplexQpProblem.on_kernel(kernel, full, -(kernel.entries @ inst.omega.weights)))
+    assert np.flatnonzero(w > 1e-12).tolist() == [1600]
