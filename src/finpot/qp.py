@@ -359,14 +359,8 @@ class _GatheredRest:
     """The rest D of a small step, or a few D: its rows ``G[D]``, gathered, and a fresh solve of ``G_DD``."""
 
     def __init__(self, inverse: _Inverse, rest: np.ndarray):
-        self.order, self.inverse = rest, inverse
+        self.order = rest
         self.GD = inverse.G[rest]
-
-    def ones(self) -> np.ndarray:
-        return self.GD.sum(axis=0)
-
-    def charge(self) -> np.ndarray:
-        return self.GD.T @ self.inverse.charge[1][self.order]
 
     def solve(self, y_D: np.ndarray) -> np.ndarray:
         return _spd_solve(self.GD[:, self.order], y_D)
@@ -389,24 +383,17 @@ class _Factor:
     ``W = A21 R11^T``, ``R22`` the inverse factor of ``S = A22 - W W^T``
     (:func:`~finpot.core._spd_inverse_factor`) and ``R21 = -R22 W R11``.  A
     block row is allocated once, and a prefix that ends inside it keeps a
-    view of it.  No rows of G are kept: ``sums``
-    holds, per run ``order[start:]`` of gathered rows, their sums
-    ``G[run] @ 1`` and ``(K omega)[run] @ G[run]`` (for the kernel
-    inverse's charge), each formed from the rows a step gathers to border,
-    together with any rows of a run that the prefix cut.  A factor serves
-    only a D that is not few, so ``G[:, D] s`` is one pass over G.
+    view of it.  No rows of G are kept.  A factor serves only a D that is
+    not few, so ``G[:, D] s`` is one pass over G.
 
     Memory: the block rows hold about ``|D|^2 / 2`` floats (a cut keeps the
-    rows it views alive), a step's transients are one block row and
-    ``_BLOCK`` gathered rows of G at a time, and the sums two vectors of
-    ``|U|`` per run.
+    rows it views alive), and a step's transient is its new block row.
     """
 
     def __init__(self, inverse: _Inverse):
         self.inverse = inverse
         self.order = np.empty(0, dtype=np.intp)
         self.blocks: list[tuple[int, np.ndarray]] = []
-        self.sums: list[tuple[int, np.ndarray, np.ndarray | None]] = []
 
     def plan(self, rest: np.ndarray) -> tuple[int, np.ndarray]:
         """The length of the prefix of ``order`` inside the mask ``rest``, and the rest after it."""
@@ -424,34 +411,14 @@ class _Factor:
     def update(self, t: int, new: np.ndarray) -> None:
         """Cut D to its first ``t`` indices and border ``new``.
 
-        The rows of G are gathered ``_BLOCK`` at a time, and the new block
-        row is formed in its own storage: ``[A21, A22]``, then ``[W, S]``,
-        then ``[R21, R22]``.
+        The new block row is formed in its own storage: ``[A21, A22]``,
+        gathered from G in one go, then ``[W, S]``, then ``[R21, R22]``.
         """
-        G, charge = self.inverse.G, self.inverse.charge
         self.blocks = [(s, B if s + len(B) <= t else B[:t - s, :t]) for s, B in self.blocks if s < t]
-        ends = [s for s, *_ in self.sums[1:]] + [self.order.size]
-        self.sums = [run for run, end in zip(self.sums, ends) if end <= t]
-        lo = max((end for end in ends if end <= t), default=0)
         self.order = np.concatenate((self.order[:t], new))
-        d = self.order.size
-        if lo == d:
-            return
-        sums = 0.0
-        B = np.empty((new.size, d))
-        for start, stop in ((lo, t), (t, d)):
-            for i in range(start, stop, _BLOCK):
-                chunk = self.order[i:min(i + _BLOCK, stop)]
-                rows = G[chunk]
-                weights = np.ones((1 if charge is None else 2, chunk.size))
-                if charge is not None:
-                    weights[1] = charge[1][chunk]
-                sums = sums + weights @ rows
-                if start == t:
-                    B[i - t:i - t + chunk.size] = rows[:, self.order]
-        self.sums.append((lo, sums[0], None if charge is None else sums[1]))
         if not new.size:
             return
+        B = self.inverse.G[np.ix_(new, self.order)]
         W, R22 = B[:, :t], B[:, t:]
         if t:
             for s, Bj in reversed(self.blocks):  # W = A21 R11^T, in place
@@ -465,12 +432,6 @@ class _Factor:
                 W[:, :s + len(Bj)] -= X[:, s:s + len(Bj)] @ Bj
         # rows of _BLOCK, so a product with R skips most of the zero triangle
         self.blocks += [(t + i, B[i:i + _BLOCK, :t + i + _BLOCK]) for i in range(0, new.size, _BLOCK)]
-
-    def ones(self) -> np.ndarray:
-        return sum(run[1] for run in self.sums)
-
-    def charge(self) -> np.ndarray:
-        return sum(run[2] for run in self.sums)
 
     def solve(self, y_D: np.ndarray) -> np.ndarray:
         """``G_DD^-1 y_D = R^T (R y_D)``."""
@@ -510,10 +471,11 @@ class _FreeSetSolver:
     sums, the solver keeps it for the whole QP.  Every F is solved from G by
     the principal-submatrix inverse identity ``(K_FF)^-1 = G_FF - G_FD
     G_DD^-1 G_DF`` on the rest ``D = U \\ F`` (Golub & Van Loan, block
-    inverse by Schur complements; Bartlett & Biegler, QPSchur, 2006): with
-    ``r~`` equal to ``r`` on F and zero on D, ``y = G r~``, ``s = G_DD^-1
-    y_D`` and ``x = y_F - G_FD s``; then ``K z = r~ - s`` on U, so ``Q z``
-    is ``r`` on F and ``-s`` on the rest of Q's indices.
+    inverse by Schur complements; Bartlett & Biegler, QPSchur, 2006): a
+    column, extended over D by any ``r_D``, gives ``v = G r``, ``s =
+    G_DD^-1 v_D`` and ``x = v_F - G_FD s``, whose ``r_D`` terms cancel;
+    then ``K z`` is ``r`` on F and ``r_D - s`` on D, so ``Q z`` is ``r``
+    on F and ``r_D - s`` on the rest of Q's indices.
 
     Whether the inverse serves F depends on F's size.  Below
     ``_FACTOR_MIN`` indices it serves F when ``2|D| <= |F|``, so a small
@@ -533,13 +495,13 @@ class _FreeSetSolver:
     an earlier one.
 
     Pass budget of a Schur step: the rows of G it gathers (those of a few
-    D, or the rows a factor borders), one pass over G for ``G[:, D] s`` when
-    D is not few, and a product with G only for a column that none of these
-    rules serves.  A column that is 0 on F gives 0; a column that is 1 on F
-    (the mass column of the simplex) is ``G 1_F = G @ 1 - G_DU^T 1``, from
-    the row sums; a column equal on F to the potential ``K omega`` of the
-    kernel inverse's charge is ``G r~ = omega - G_DU^T (K omega)_D``.  The
-    sums over D are a factor's running ones, or come from the gathered rows.
+    D, or the block a factor borders), one pass over G for ``G[:, D] s``
+    when D is not few, and a product with G only for a column that none of
+    the extension rules serves.  Each column is extended so that ``v`` is
+    known: a column of ones by ones (``v`` is the row sums ``G @ 1``), a
+    column equal on F to the potential ``K omega`` of the kernel inverse's
+    charge by ``(K omega)_D`` (``v = omega``), and any other column by
+    zeros (``v`` is 0 for a zero column, else ``G @ r``).
     """
 
     def __init__(self, Q: np.ndarray | None, kept: _Inverse | None = None):
@@ -557,13 +519,14 @@ class _FreeSetSolver:
         G, charge = inverse.G, inverse.charge
         r_F = r[_run(idx)]
         y = np.empty((G.shape[0], r.shape[1]))
+        r_D = np.zeros((rest.order.size, r.shape[1]))
         for j, col in enumerate(r_F.T):
             if (col == 1.0).all():
-                y[:, j] = inverse.row_sums - rest.ones()
+                y[:, j], r_D[:, j] = inverse.row_sums, 1.0
             elif not col.any():
                 y[:, j] = 0.0
             elif charge is not None and np.array_equal(col, charge[1][_run(at)]):
-                y[:, j] = charge[0] - rest.charge()
+                y[:, j], r_D[:, j] = charge[0], charge[1][rest.order]
             else:
                 rt = np.zeros(G.shape[0])
                 rt[at] = col
@@ -572,7 +535,7 @@ class _FreeSetSolver:
         y -= rest.product(s)
         Kz = np.empty_like(y)
         Kz[_run(at)] = r_F
-        Kz[rest.order] = -s
+        Kz[rest.order] = r_D - s
         return idx, y[_run(at)], Kz[_run(inverse.where)]
 
     def _block(self, idx: np.ndarray) -> np.ndarray:
@@ -628,7 +591,7 @@ def _pivot_step(solve: _FreeSetSolver, b: np.ndarray, r: np.ndarray, free: np.nd
     ``Q_FF`` is positive definite) and ``w_F = x0 + c x1``.  The dual is
     ``y = Q w - b - c``, with ``c`` absent for the cone; ``Q w`` is
     ``Qz @ [1, c]`` when the step brings the products ``Qz`` (whose rows off
-    F are ``-S``, its Schur solve), else one product with ``Q``
+    F are ``r_D - S``, from its Schur solve), else one product with ``Q``
     (:meth:`_FreeSetSolver.times`).
     """
     idx, x, Qz = solve(free, r)

@@ -461,37 +461,53 @@ def test_largest_kernel_entry_is_on_the_diagonal(spec):
 
 
 def test_seeded_solver_starts_from_the_factor():
-    # the kernel hands its inverse G and its row sums to the solver, and G
-    # serves any support; the right-hand side has a general column, the mass
-    # column of the simplex (1 everywhere) and a zero one
-    kernel = assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 1000))).kernel
+    # the kernel hands its inverse G, its row sums and the charge to the
+    # solver, and G serves any support; the right-hand side has a general
+    # column, the mass column of the simplex (1 everywhere), a zero one and
+    # the charge's potential, and each served step's products Q z are checked
+    inst = assemble(InstanceSpec(3, RieszKernel(2.0), Sphere(1.0, 1000), charge=(
+        ChargeAtom((2.0, 0.0, 0.0), 1.0), ChargeAtom((0.0, 0.0, 1.3), -0.5))))
+    kernel, omega = inst.kernel, inst.omega.weights
     K, G, row_sums = kernel.entries, kernel.inverse, kernel.inverse_row_sums
+    charge = (omega, K @ omega)
+    n = K.shape[0]
     rng = np.random.default_rng(3)
-    r = np.column_stack((rng.standard_normal(1000), np.ones(1000), np.zeros(1000)))
+    r_U = np.column_stack((rng.standard_normal(n), np.ones(n), np.zeros(n), charge[1]))
 
     def check(solve, free, served=True):
-        idx, x, Qz = solve(free, r[:free.size])
+        r = r_U[solve.kept.where]
+        idx, x, Qz = solve(free, r)
         assert np.array_equal(idx, np.flatnonzero(free)) and (Qz is not None) is served
         ref = np.linalg.solve(solve.Q[np.ix_(idx, idx)], r[idx])
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert not x[:, 2].any()
+        if served:
+            z = np.zeros(r.shape)
+            z[idx] = x
+            Qz_ref = solve.Q @ z
+            assert np.max(np.abs(Qz - Qz_ref)) <= 1e-12 * np.max(np.abs(Qz_ref))
         return x
 
     # the first step is a Schur step on the inverse handed in, for a leading,
-    # an offset and a gathered support alike ...
+    # an offset and a gathered support alike: with all of the support free,
+    # D is few and its rows are gathered; with a seventeenth of it dropped
+    # as well, D is served by the inverse's factor
     for ix in (np.arange(900), np.arange(100, 1000), np.flatnonzero(np.arange(1000) % 10)):
-        solve = qp._FreeSetSolver(K[np.ix_(ix, ix)], qp._Inverse(G, row_sums, ix))
+        solve = qp._FreeSetSolver(K[np.ix_(ix, ix)], qp._Inverse(G, row_sums, ix, K, charge))
         free = np.ones(ix.size, dtype=bool)
         check(solve, free)
+        assert solve.factor is None
         free[::17] = False
         check(solve, free)
-        assert solve.kept.G is G
+        assert solve.factor is not None and solve.kept.G is G
     # ... when the rest of the universe outweighs the free set, solving Q_FF
     # afresh costs fewer flops than a Schur step: each such step is one fresh
     # Cholesky solve, which brings no products Q z, and the solver builds no
     # inverse of its own; the kernel's inverse stays for the whole QP
-    kept = qp._Inverse(G, row_sums, np.arange(1000))
-    solve = qp._FreeSetSolver(K, kept)
+    ix = np.arange(1000)
+    Q = K[:1000, :1000]
+    kept = qp._Inverse(G, row_sums, ix, K, charge)
+    solve = qp._FreeSetSolver(Q, kept)
     for k in (450, 420, 400):
         check(solve, np.arange(1000) < k, served=False)
         assert solve.kept is kept and solve.factor is None
@@ -500,11 +516,11 @@ def test_seeded_solver_starts_from_the_factor():
     free = np.arange(1000) >= 100
     x = check(solve, free)
     assert solve.kept is kept
-    assert np.array_equal(x, qp._FreeSetSolver(K, kept)(free, r)[1])
+    assert np.array_equal(x, qp._FreeSetSolver(Q, kept)(free, r_U[ix])[1])
     # a later step that leaves the kernel's inverse is a fresh solve, above
     # the gate and below it alike
     for k in (450, qp._FACTOR_MIN - 1):
-        solve = qp._FreeSetSolver(K, kept)
+        solve = qp._FreeSetSolver(Q, kept)
         check(solve, np.ones(1000, dtype=bool))
         check(solve, np.arange(1000) < k, served=False)
         assert solve.kept is kept
